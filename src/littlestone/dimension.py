@@ -15,17 +15,26 @@ the fully decremented class W' (resp. 1 + L(W')), which is the unique
 solution of v = (1 + v + RL(W')) / 2.
 
 Moves are enumerated as behaviors (distinct label columns), so only the
-member matrix matters, never the raw domain size.  Universal expert classes
-additionally compress states to counts of surviving experts per remaining
-budget, which keeps n experts tractable without materializing a 2^n domain.
+member matrix matters, never the raw domain size.  A move and its label
+swap lead to the same two children, so only one of each pair is scored.
+Universal expert classes additionally compress states to counts of
+surviving experts per remaining budget, which keeps n experts tractable
+without materializing a 2^n domain.
 
-All arithmetic is exact rational; deterministic dimensions are ints.
+Randomized values are dyadic, and the recursion runs on their integer
+numerators.  RL(W) * 2^P is an integer for P = sum over members of
+(budget + 1); a move that charges s of the m members lowers P by exactly s,
+so one step is 2^(P-1) + RL(W0)*2^(P-s) * 2^(s-1) + RL(W1)*2^(P-m+s) * 2^(m-s-1).
+RL(W, T) * 2^T is an integer, so one bounded step is
+2^(T-1) + RL(W0, T-1)*2^(T-1) + RL(W1, T-1)*2^(T-1).  The public methods
+return the exact ``Fraction``; deterministic dimensions are ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
+from operator import add, getitem, sub
 
 from .classes import ExpertClass, WeightedClass
 from .trees import LEAF, MistakeTree, WeightFunction, node, quasi_balance_weights
@@ -38,43 +47,63 @@ EMPTY = -1
 _XState = tuple[tuple[tuple[int, ...], int], ...]
 _UState = tuple[int, ...]
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
 
 def _xstate(w: WeightedClass) -> _XState:
     return w.state_key()
 
 
-def _x_behaviors(state: _XState) -> list[tuple[int, ...]]:
-    """Distinct member-label columns, ordered by first witnessing point."""
-    npoints = len(state[0][0])
-    seen: dict[tuple[int, ...], None] = {}
-    for p in range(npoints):
-        seen.setdefault(tuple(labels[p] for labels, _ in state), None)
-    return list(seen)
+def _x_power(state: _XState) -> int:
+    return len(state) + sum(budget for _, budget in state)
 
 
-def _x_apply(state: _XState, pattern: tuple[int, ...], y: int) -> _XState:
-    out = []
-    for (labels, budget), bit in zip(state, pattern):
-        if bit == y:
-            out.append((labels, budget))
-        elif budget > 0:
-            out.append((labels, budget - 1))
-    return tuple(sorted(out))
+def _x_fates(state: _XState) -> tuple[list, list]:
+    """Per member, its fate under labels 0 and 1, indexed by its own label:
+    itself when it agrees, else charged one unit (None once dropped)."""
+    charged = [(labels, budget - 1) if budget else None for labels, budget in state]
+    return list(zip(state, charged)), list(zip(charged, state))
+
+
+def _x_apply(fates: list, pattern) -> _XState:
+    # Members with equal labels share their fate, so the order stays sorted.
+    return tuple(filter(None, map(getitem, fates, pattern)))
 
 
 def _x_decrement(state: _XState) -> _XState:
-    return tuple(
-        sorted((labels, budget - 1) for labels, budget in state if budget > 0)
-    )
+    return tuple((labels, budget - 1) for labels, budget in state if budget)
+
+
+def _x_expand(state: _XState):
+    """(m, P, decremented state if some behavior is constant else None,
+    [(s, child under 0, child under 1)] per other behavior up to label swap).
+
+    ``s`` members label the behavior 1 and are charged under label 0.
+    """
+    m = len(state)
+    zero, one = _x_fates(state)
+    seen: set[bytes] = set()
+    dec = None
+    splits = []
+    for col in map(bytes, zip(*(labels for labels, _ in state))):
+        if col in seen:
+            continue
+        seen.add(col)
+        seen.add(col.translate(_FLIP))
+        s = sum(col)
+        if s == 0 or s == m:
+            dec = _x_decrement(state)
+        else:
+            splits.append((s, _x_apply(zero, col), _x_apply(one, col)))
+    return m, _x_power(state), dec, splits
 
 
 def _ustate(e: ExpertClass) -> _UState:
     return e.counts()
 
 
-def _u_moves(counts: _UState) -> list[tuple[int, ...]]:
-    """All splits (how many experts per budget level predict 1)."""
-    return list(product(*(range(c + 1) for c in counts)))
+def _u_power(counts: _UState) -> int:
+    return sum(level * c for level, c in enumerate(counts, 1))
 
 
 def _trim(counts: list[int]) -> _UState:
@@ -83,19 +112,28 @@ def _trim(counts: list[int]) -> _UState:
     return tuple(counts)
 
 
-def _u_apply(counts: _UState, ones: tuple[int, ...], y: int) -> _UState:
-    new = [0] * len(counts)
-    for i in range(len(counts)):
-        stay = ones[i] if y == 1 else counts[i] - ones[i]
-        new[i] += stay
-        if i > 0:
-            charged = counts[i] - ones[i] if y == 1 else ones[i]
-            new[i - 1] += charged
-    return _trim(new)
+def _u_splits(counts: _UState):
+    """(s, child under 0, child under 1) for every non-constant split, one per
+    label-swap pair; ``s`` experts predict 1 and are charged under label 0.
+
+    In product order the label swap of split j sits at index size - 1 - j,
+    so the first half, past the all-zero self-loop, holds one of each pair.
+    """
+    size = 1
+    for c in counts:
+        size *= c + 1
+    for ones in islice(product(*(range(c + 1) for c in counts)), 1, (size + 1) // 2):
+        zeros = tuple(map(sub, counts, ones))
+        child0 = list(map(add, zeros, ones[1:]))
+        child0.append(zeros[-1])
+        child1 = list(map(add, ones, zeros[1:]))
+        child1.append(ones[-1])
+        yield sum(ones), _trim(child0), _trim(child1)
 
 
-def _u_decrement(counts: _UState) -> _UState:
-    return _trim(list(counts[1:]))
+def _u_expand(counts: _UState):
+    """As :func:`_x_expand`; the all-zero split is always a self-loop."""
+    return sum(counts), _u_power(counts), _trim(list(counts[1:])), _u_splits(counts)
 
 
 class ComputeBudgetError(RuntimeError):
@@ -103,16 +141,25 @@ class ComputeBudgetError(RuntimeError):
 
 
 class Solver:
-    """Shared-memo dimension computations over weighted and expert classes."""
+    """Shared-memo dimension computations over weighted and expert classes.
+
+    The ``_rl_*`` tables hold RL * 2^P and the ``_brl_*`` tables RL_T * 2^T
+    as ints; the exact ``Fraction`` of each publicly queried key is cached
+    separately and does not count as a visited state.
+    """
 
     def __init__(self, state_budget: int | None = None):
         self.state_budget = state_budget
         self._l_x: dict[_XState, int] = {}
-        self._rl_x: dict[_XState, Fraction] = {}
-        self._brl_x: dict[tuple[_XState, int], Fraction] = {}
+        self._rl_x: dict[_XState, int] = {}
+        self._brl_x: dict[tuple[_XState, int], int] = {}
         self._l_u: dict[_UState, int] = {}
-        self._rl_u: dict[_UState, Fraction] = {}
-        self._brl_u: dict[tuple[_UState, int], Fraction] = {}
+        self._rl_u: dict[_UState, int] = {}
+        self._brl_u: dict[tuple[_UState, int], int] = {}
+        # Count and explicit keys never collide: their entries are ints and
+        # tuples respectively, and both empty keys () have value -1.
+        self._rl_frac: dict = {}
+        self._brl_frac: dict = {}
 
     @property
     def states_visited(self) -> int:
@@ -136,102 +183,60 @@ class Solver:
     def littlestone(self, w: WeightedClass | ExpertClass) -> int:
         """Optimal deterministic mistake bound; EMPTY (-1) for the empty class."""
         if isinstance(w, ExpertClass):
-            return self._l_expert(_ustate(w))
-        return self._l_explicit(_xstate(w))
+            return self._l(_ustate(w), self._l_u, _u_expand)
+        return self._l(_xstate(w), self._l_x, _x_expand)
 
-    def _l_explicit(self, state: _XState) -> int:
+    def _l(self, state, memo: dict, expand) -> int:
         if not state:
             return EMPTY
-        hit = self._l_x.get(state)
+        hit = memo.get(state)
         if hit is not None:
             return hit
         self._charge()
-        best = 0
-        for pattern in _x_behaviors(state):
-            if len(set(pattern)) == 1:
-                v = 1 + self._l_explicit(_x_decrement(state))
-            else:
-                v = 1 + min(
-                    self._l_explicit(_x_apply(state, pattern, 0)),
-                    self._l_explicit(_x_apply(state, pattern, 1)),
-                )
-            best = max(best, v)
-        self._l_x[state] = best
-        return best
-
-    def _l_expert(self, counts: _UState) -> int:
-        if not counts:
-            return EMPTY
-        hit = self._l_u.get(counts)
-        if hit is not None:
-            return hit
-        self._charge()
-        best = 1 + self._l_expert(_u_decrement(counts))
-        total = sum(counts)
-        for ones in _u_moves(counts):
-            s = sum(ones)
-            if s == 0 or s == total:
-                continue
-            v = 1 + min(
-                self._l_expert(_u_apply(counts, ones, 0)),
-                self._l_expert(_u_apply(counts, ones, 1)),
-            )
-            best = max(best, v)
-        best = max(best, 0)
-        self._l_u[counts] = best
+        _, _, dec, splits = expand(state)
+        best = 0 if dec is None else 1 + self._l(dec, memo, expand)
+        for _, child0, child1 in splits:
+            v = 1 + min(self._l(child0, memo, expand), self._l(child1, memo, expand))
+            if v > best:
+                best = v
+        memo[state] = best
         return best
 
     # -- randomized ----------------------------------------------------------
 
     def randomized_littlestone(self, w: WeightedClass | ExpertClass) -> Fraction:
         """Optimal expected mistake bound; Fraction(-1) for the empty class."""
-        if isinstance(w, ExpertClass):
-            return self._rl_expert(_ustate(w))
-        return self._rl_explicit(_xstate(w))
-
-    def _rl_explicit(self, state: _XState) -> Fraction:
-        if not state:
-            return Fraction(EMPTY)
-        hit = self._rl_x.get(state)
-        if hit is not None:
-            return hit
-        self._charge()
-        best = Fraction(0)
-        for pattern in _x_behaviors(state):
-            if len(set(pattern)) == 1:
-                v = 1 + self._rl_explicit(_x_decrement(state))
+        expert = isinstance(w, ExpertClass)
+        key = _ustate(w) if expert else _xstate(w)
+        hit = self._rl_frac.get(key)
+        if hit is None:
+            if expert:
+                scaled, power = self._rl(key, self._rl_u, _u_expand), _u_power(key)
             else:
-                v = (
-                    1
-                    + self._rl_explicit(_x_apply(state, pattern, 0))
-                    + self._rl_explicit(_x_apply(state, pattern, 1))
-                ) / 2
-            if v > best:
-                best = v
-        self._rl_x[state] = best
-        return best
+                scaled, power = self._rl(key, self._rl_x, _x_expand), _x_power(key)
+            hit = self._rl_frac[key] = Fraction(scaled, 1 << power)
+        return hit
 
-    def _rl_expert(self, counts: _UState) -> Fraction:
-        if not counts:
-            return Fraction(EMPTY)
-        hit = self._rl_u.get(counts)
+    def _rl(self, state, memo: dict, expand) -> int:
+        """RL(state) * 2^P."""
+        if not state:
+            return EMPTY
+        hit = memo.get(state)
         if hit is not None:
             return hit
         self._charge()
-        best = max(Fraction(0), 1 + self._rl_expert(_u_decrement(counts)))
-        total = sum(counts)
-        for ones in _u_moves(counts):
-            s = sum(ones)
-            if s == 0 or s == total:
-                continue
+        m, power, dec, splits = expand(state)
+        best = 0 if dec is None else (1 << power) + (self._rl(dec, memo, expand) << m)
+        half = 1 << (power - 1)
+        for s, child0, child1 in splits:
             v = (
-                1
-                + self._rl_expert(_u_apply(counts, ones, 0))
-                + self._rl_expert(_u_apply(counts, ones, 1))
-            ) / 2
+                half
+                + (self._rl(child0, memo, expand) << (s - 1))
+                + (self._rl(child1, memo, expand) << (m - s - 1))
+            )
             if v > best:
                 best = v
-        self._rl_u[counts] = best
+        memo[state] = best
         return best
 
     # -- bounded horizon -----------------------------------------------------
@@ -250,69 +255,41 @@ class Solver:
     ) -> Fraction:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        if isinstance(w, ExpertClass):
-            return self._brl_expert(_ustate(w), horizon)
-        return self._brl_explicit(_xstate(w), horizon)
+        expert = isinstance(w, ExpertClass)
+        key = (_ustate(w) if expert else _xstate(w), horizon)
+        hit = self._brl_frac.get(key)
+        if hit is None:
+            memo, expand = (self._brl_u, _u_expand) if expert else (self._brl_x, _x_expand)
+            hit = self._brl_frac[key] = Fraction(self._brl(*key, memo, expand), 1 << horizon)
+        return hit
 
-    def _brl_explicit(self, state: _XState, t: int) -> Fraction:
+    def _brl(self, state, t: int, memo: dict, expand) -> int:
+        """RL(state, t) * 2^t."""
         if not state:
-            return Fraction(EMPTY)
+            return -(1 << t)
         if t == 0:
-            return Fraction(0)
+            return 0
         key = (state, t)
-        hit = self._brl_x.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         self._charge()
-        best = Fraction(0)
-        for pattern in _x_behaviors(state):
-            if len(set(pattern)) == 1:
-                # Self-loop along the agreeing label; no fixed point needed
-                # since the horizon strictly decreases.
-                v = (
-                    1
-                    + self._brl_explicit(state, t - 1)
-                    + self._brl_explicit(_x_decrement(state), t - 1)
-                ) / 2
-            else:
-                v = (
-                    1
-                    + self._brl_explicit(_x_apply(state, pattern, 0), t - 1)
-                    + self._brl_explicit(_x_apply(state, pattern, 1), t - 1)
-                ) / 2
+        half = 1 << (t - 1)
+        _, _, dec, splits = expand(state)
+        best = 0
+        if dec is not None:
+            # Self-loop along the agreeing label; no fixed point needed
+            # since the horizon strictly decreases.
+            best = half + self._brl(state, t - 1, memo, expand) + self._brl(
+                dec, t - 1, memo, expand
+            )
+        for _, child0, child1 in splits:
+            v = half + self._brl(child0, t - 1, memo, expand) + self._brl(
+                child1, t - 1, memo, expand
+            )
             if v > best:
                 best = v
-        self._brl_x[key] = best
-        return best
-
-    def _brl_expert(self, counts: _UState, t: int) -> Fraction:
-        if not counts:
-            return Fraction(EMPTY)
-        if t == 0:
-            return Fraction(0)
-        key = (counts, t)
-        hit = self._brl_u.get(key)
-        if hit is not None:
-            return hit
-        self._charge()
-        dec = _u_decrement(counts)
-        best = max(
-            Fraction(0),
-            (1 + self._brl_expert(counts, t - 1) + self._brl_expert(dec, t - 1)) / 2,
-        )
-        total = sum(counts)
-        for ones in _u_moves(counts):
-            s = sum(ones)
-            if s == 0 or s == total:
-                continue
-            v = (
-                1
-                + self._brl_expert(_u_apply(counts, ones, 0), t - 1)
-                + self._brl_expert(_u_apply(counts, ones, 1), t - 1)
-            ) / 2
-            if v > best:
-                best = v
-        self._brl_u[key] = best
+        memo[key] = best
         return best
 
     # -- strategy extraction ---------------------------------------------------
@@ -332,24 +309,28 @@ class Solver:
         if w.is_empty:
             raise ValueError("cannot extract a strategy for the empty class")
         domain = w.domain.points
-        npoints = len(domain)
         cache: dict[tuple[_XState, int], MistakeTree] = {}
 
         def ordered_behaviors(state: _XState) -> list[tuple[tuple[int, ...], int]]:
             seen: dict[tuple[int, ...], int] = {}
-            for p in range(npoints):
-                col = tuple(labels[p] for labels, _ in state)
+            for p, col in enumerate(zip(*(labels for labels, _ in state))):
                 seen.setdefault(col, p)
             return list(seen.items())
 
+        def brl(state: _XState, t: int) -> int:
+            return self._brl(state, t, self._brl_x, _x_expand)
+
         def build(state: _XState, t: int) -> MistakeTree:
-            value = self._brl_explicit(state, t)
+            # Values are compared as integers at scale 2^t.
+            value = brl(state, t)
             if value == 0:
                 return LEAF
             key = (state, t)
             hit = cache.get(key)
             if hit is not None:
                 return hit
+            half = 1 << (t - 1)
+            zero, one = _x_fates(state)
             for pattern, witness in ordered_behaviors(state):
                 if len(set(pattern)) == 1:
                     b = pattern[0]
@@ -358,16 +339,8 @@ class Solver:
                         (_x_decrement(state) if b == 0 else state),
                     )
                 else:
-                    children = (
-                        _x_apply(state, pattern, 0),
-                        _x_apply(state, pattern, 1),
-                    )
-                v = (
-                    1
-                    + self._brl_explicit(children[0], t - 1)
-                    + self._brl_explicit(children[1], t - 1)
-                ) / 2
-                if v == value:
+                    children = (_x_apply(zero, pattern), _x_apply(one, pattern))
+                if half + brl(children[0], t - 1) + brl(children[1], t - 1) == value:
                     out = node(
                         domain[witness],
                         build(children[0], t - 1),
@@ -414,32 +387,41 @@ def result_document(value, states_visited: int) -> dict:
     }
 
 
+# The free functions below share one module-level Solver.  Its memo is never
+# cleared, so it lives (and grows) as long as the process; use a Solver of
+# your own to scope the memo to a computation.
 _shared = Solver()
 
 
 def littlestone(w: WeightedClass | ExpertClass) -> int:
+    """L(W) from the process-wide shared memo."""
     return _shared.littlestone(w)
 
 
 def randomized_littlestone(w: WeightedClass | ExpertClass) -> Fraction:
+    """RL(W) from the process-wide shared memo."""
     return _shared.randomized_littlestone(w)
 
 
 def bounded_littlestone(w: WeightedClass | ExpertClass, horizon: int) -> int:
+    """L(W, horizon) from the process-wide shared memo."""
     return _shared.bounded_littlestone(w, horizon)
 
 
 def bounded_randomized_littlestone(
     w: WeightedClass | ExpertClass, horizon: int
 ) -> Fraction:
+    """RL(W, horizon) from the process-wide shared memo."""
     return _shared.bounded_randomized_littlestone(w, horizon)
 
 
 def extract_optimal_tree(
     w: WeightedClass | ExpertClass, horizon: int
 ) -> tuple[MistakeTree, WeightFunction]:
+    """Optimal adversary tree, valued through the process-wide shared memo."""
     return _shared.extract_optimal_tree(w, horizon)
 
 
 def horizon_for_slack(w: WeightedClass | ExpertClass, slack) -> int:
+    """Horizon search through the process-wide shared memo."""
     return _shared.horizon_for_slack(w, slack)

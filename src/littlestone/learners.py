@@ -338,9 +338,10 @@ class AdaptiveAggregator(Learner):
             self.ceiling = new_ceiling
 
     def clone(self) -> "AdaptiveAggregator":
+        """Copy the learner state; the copy shares this learner's Solver."""
         import copy
 
-        return copy.deepcopy(self)
+        return copy.deepcopy(self, {id(self.solver): self.solver})
 
     def state_key(self):
         return None

@@ -4,16 +4,26 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import all_shattered_trees, oracle_bounded, random_weighted_class
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littlestone.classes import (
     Domain,
+    ExpertClass,
     Member,
     WeightedClass,
     expert_class,
     restrict,
     universal_class,
 )
-from littlestone.dimension import EMPTY, ComputeBudgetError, Solver
+from littlestone.dimension import (
+    EMPTY,
+    ComputeBudgetError,
+    Solver,
+    _x_apply,
+    _x_decrement,
+    _x_fates,
+)
 from littlestone.trees import (
     expected_branch_length,
     is_monotone,
@@ -161,16 +171,17 @@ class TestOracleEquivalence:
             assert (best_e, best_m) == (e, m)
 
     def test_expert_compression_matches_explicit(self):
-        grid = [(n, k) for n in range(1, 4) for k in range(3)]
-        grid += [(4, 2), (5, 1)]
-        for n, k in grid:
-            compressed = expert_class(n, k)
-            explicit = universal_class(n, k)
+        grid = [(n, k) for n in range(1, 5) for k in range(3)]
+        pairs = [(expert_class(n, k), universal_class(n, k)) for n, k in grid]
+        pairs.append((expert_class(5, 1), universal_class(5, 1)))
+        for budgets in ((0, 1, 2), (2, 0, 0, 1), (3, 1)):
+            pairs.append((ExpertClass(budgets), ExpertClass(budgets).explicit()))
+        for compressed, explicit in pairs:
             assert solver.littlestone(compressed) == solver.littlestone(explicit)
             assert solver.randomized_littlestone(
                 compressed
             ) == solver.randomized_littlestone(explicit)
-            for t in (1, 3):
+            for t in range(5):
                 assert solver.bounded_randomized_littlestone(
                     compressed, t
                 ) == solver.bounded_randomized_littlestone(explicit, t)
@@ -180,8 +191,6 @@ class TestOracleEquivalence:
         # closed form in binomial tails and the deterministic one is k+l+1.
         def upper_tail(m, j):
             return sum(math.comb(m, i) for i in range(j, m + 1))
-
-        from littlestone.classes import ExpertClass
 
         for k in range(5):
             for l in range(5):
@@ -313,3 +322,126 @@ def test_states_visited_reported():
     s = Solver()
     s.randomized_littlestone(universal_class(2, 1))
     assert s.states_visited > 0
+
+
+# -- dyadic integer engine ------------------------------------------------
+
+
+def reference_rl(w: WeightedClass) -> F:
+    """RL by plain Fraction recursion over raw domain points and restrict.
+
+    A point on which every member agrees leaves the class unchanged under
+    the agreeing label; that self-loop is worth 1 + RL of the other child.
+    """
+    memo: dict = {}
+
+    def rec(cls: WeightedClass) -> F:
+        if cls.is_empty:
+            return F(-1)
+        key = cls.state_key()
+        if key not in memo:
+            best = F(0)
+            for x in cls.domain:
+                w0, w1 = restrict(cls, x, 0), restrict(cls, x, 1)
+                if w0.state_key() == key:
+                    v = 1 + rec(w1)
+                elif w1.state_key() == key:
+                    v = 1 + rec(w0)
+                else:
+                    v = (1 + rec(w0) + rec(w1)) / 2
+                best = max(best, v)
+            memo[key] = best
+        return memo[key]
+
+    return rec(w)
+
+
+@st.composite
+def tricky_classes(draw) -> WeightedClass:
+    """Small classes whose label matrix has constant columns, complementary
+    columns and label rows shared by members with different budgets."""
+    npts = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, 1)] * npts)
+    members = []
+    for labels in draw(st.lists(row, min_size=1, max_size=3, unique=True)):
+        budgets = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True))
+        members += [(labels, b) for b in budgets]
+    members = members[:4]
+    cols = [tuple(labels[p] for labels, _ in members) for p in range(npts)]
+    if draw(st.booleans()):
+        cols.append(tuple(1 - b for b in cols[draw(st.integers(0, npts - 1))]))
+    if draw(st.booleans()):
+        cols.append((draw(st.integers(0, 1)),) * len(members))
+    order = draw(st.permutations(range(len(cols))))
+    cols = [cols[i] for i in order]
+    domain = Domain(tuple(f"p{i}" for i in range(len(cols))))
+    return WeightedClass(
+        domain,
+        tuple(
+            Member(f"h{i}", tuple(col[i] for col in cols), b)
+            for i, (_, b) in enumerate(members)
+        ),
+    )
+
+
+class TestDyadicEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(tricky_classes())
+    def test_matches_oracle_bit_for_bit(self, w):
+        s = Solver()
+        rl = s.randomized_littlestone(w)
+        assert rl == reference_rl(w)
+        for t in range(5):
+            e, _ = oracle_bounded(w, t)
+            assert s.bounded_randomized_littlestone(w, t) == e / 2
+        dim = s.littlestone(w)
+        assert oracle_bounded(w, dim + 1)[1] == dim
+        assert rl.denominator & (rl.denominator - 1) == 0
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            (lambda s: s.randomized_littlestone(universal_class(3, 2)), 63),
+            (lambda s: s.littlestone(universal_class(3, 2)), 63),
+            (lambda s: s.randomized_littlestone(expert_class(8, 2)), 164),
+            (lambda s: s.bounded_randomized_littlestone(expert_class(4, 3), 8), 332),
+        ],
+        ids=["rl-u32", "l-u32", "rl-e82", "brl8-e43"],
+    )
+    def test_states_visited_pinned(self, query, expected):
+        s = Solver()
+        query(s)
+        assert s.states_visited == expected
+        query(s)
+        assert s.states_visited == expected
+
+    def test_public_values_are_fractions(self):
+        s = Solver()
+        for value in (
+            s.randomized_littlestone(universal_class(2, 1)),
+            s.randomized_littlestone(EMPTY_CLASS),
+            s.bounded_randomized_littlestone(expert_class(3, 1), 3),
+            s.bounded_randomized_littlestone(EMPTY_CLASS, 3),
+        ):
+            assert type(value) is F
+        assert s.randomized_littlestone(EMPTY_CLASS) == -1
+        assert s.bounded_randomized_littlestone(EMPTY_CLASS, 3) == -1
+
+
+_sorted_states = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 1)] * 3), st.integers(0, 2)),
+    min_size=1,
+    max_size=6,
+    unique=True,
+).map(lambda members: tuple(sorted(members)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sorted_states, st.data())
+def test_transitions_keep_states_sorted(state, data):
+    pattern = tuple(labels[data.draw(st.integers(0, 2))] for labels, _ in state)
+    for fates in _x_fates(state):
+        out = _x_apply(fates, pattern)
+        assert out == tuple(sorted(out))
+    out = _x_decrement(state)
+    assert out == tuple(sorted(out))

@@ -217,6 +217,23 @@ class TestAdaptiveAggregator:
         p = agg.predict("01")
         assert 0 <= p <= 1
 
+    def test_clone_shares_solver_and_predicts_alike(self):
+        own = Solver()
+        agg = AdaptiveAggregator(expert_class(3, 1), own)
+        for x, y in (("011", 0), ("110", 1), ("101", 1)):
+            agg.predict(x)
+            agg.update(x, y)
+        twin = agg.clone()
+        assert twin.solver is own
+        assert all(
+            sub.solver is own for sub in twin._pool.values() if sub is not None
+        )
+        assert twin.history == agg.history and twin.history is not agg.history
+        for x in ("000", "011", "111"):
+            assert twin.predict(x) == agg.predict(x)
+        twin.update("000", 1)
+        assert len(agg.history) == 3
+
     def test_pool_doubles_past_defeated_budgets(self):
         agg = AdaptiveAggregator(expert_class(2, 0), solver)
         # Two rounds of (x, y) with y opposite both experts defeat budgets 0
