@@ -73,10 +73,6 @@ class Behavior:
     pattern: tuple[int, ...]
     witnesses: tuple[str, ...]
 
-    @property
-    def is_constant(self) -> bool:
-        return len(set(self.pattern)) <= 1
-
 
 @dataclass(frozen=True)
 class WeightedClass:
@@ -120,9 +116,6 @@ class WeightedClass:
     def state_key(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Canonical key identifying this class up to member names/order."""
         return tuple(sorted((m.labels, m.budget) for m in self.members))
-
-    def total_budget(self) -> int:
-        return sum(m.budget for m in self.members)
 
 
 @dataclass(frozen=True)

@@ -206,15 +206,14 @@ def cmd_play(args) -> int:
             return random_branch_adversary(tree, declared_class=w, check=False)
         raise AdversaryPreconditionError(f"unknown adversary {args.adversary!r}")
 
+    adversary = build_adversary()  # play() resets it with each trial's seed
     totals = []
     out_lines = []
     for trial in range(args.trials):
         learner = make_learner(
             args.learner, w, solver, horizon=args.horizon or args.max_rounds, n_experts=n_experts
         )
-        transcript = play(
-            learner, build_adversary(), max_rounds=args.max_rounds, seed=args.seed + trial
-        )
+        transcript = play(learner, adversary, max_rounds=args.max_rounds, seed=args.seed + trial)
         totals.append(transcript.total)
         out_lines.append(transcript.to_jsonl())
         cert = transcript.certificate
@@ -251,11 +250,8 @@ def cmd_tree_extract(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    print(
-        f"# horizon {horizon}, E_T = {fmt(expected_branch_length(tree))}, "
-        f"branch weight = {fmt(expected_branch_length(tree) / 2)}",
-        file=sys.stderr,
-    )
+    e = expected_branch_length(tree)
+    print(f"# horizon {horizon}, E_T = {fmt(e)}, branch weight = {fmt(e / 2)}", file=sys.stderr)
     return 0
 
 
@@ -395,6 +391,12 @@ def main(argv: list[str] | None = None) -> int:
     except ComputeBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print(
+            f"error: input too deep: needs more than {sys.getrecursionlimit()} nested calls",
+            file=sys.stderr,
+        )
+        return 2
     except (
         ClassFileError,
         UnknownInstanceError,

@@ -50,10 +50,6 @@ _UState = tuple[int, ...]
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _xstate(w: WeightedClass) -> _XState:
-    return w.state_key()
-
-
 def _x_power(state: _XState) -> int:
     return len(state) + sum(budget for _, budget in state)
 
@@ -96,10 +92,6 @@ def _x_expand(state: _XState):
         else:
             splits.append((s, _x_apply(zero, col), _x_apply(one, col)))
     return m, _x_power(state), dec, splits
-
-
-def _ustate(e: ExpertClass) -> _UState:
-    return e.counts()
 
 
 def _u_power(counts: _UState) -> int:
@@ -183,8 +175,8 @@ class Solver:
     def littlestone(self, w: WeightedClass | ExpertClass) -> int:
         """Optimal deterministic mistake bound; EMPTY (-1) for the empty class."""
         if isinstance(w, ExpertClass):
-            return self._l(_ustate(w), self._l_u, _u_expand)
-        return self._l(_xstate(w), self._l_x, _x_expand)
+            return self._l(w.counts(), self._l_u, _u_expand)
+        return self._l(w.state_key(), self._l_x, _x_expand)
 
     def _l(self, state, memo: dict, expand) -> int:
         if not state:
@@ -207,7 +199,7 @@ class Solver:
     def randomized_littlestone(self, w: WeightedClass | ExpertClass) -> Fraction:
         """Optimal expected mistake bound; Fraction(-1) for the empty class."""
         expert = isinstance(w, ExpertClass)
-        key = _ustate(w) if expert else _xstate(w)
+        key = w.counts() if expert else w.state_key()
         hit = self._rl_frac.get(key)
         if hit is None:
             if expert:
@@ -256,7 +248,7 @@ class Solver:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         expert = isinstance(w, ExpertClass)
-        key = (_ustate(w) if expert else _xstate(w), horizon)
+        key = (w.counts() if expert else w.state_key(), horizon)
         hit = self._brl_frac.get(key)
         if hit is None:
             memo, expand = (self._brl_u, _u_expand) if expert else (self._brl_x, _x_expand)
@@ -350,7 +342,7 @@ class Solver:
                     return out
             raise AssertionError("no behavior attains the computed dimension")
 
-        tree = build(_xstate(w), horizon)
+        tree = build(w.state_key(), horizon)
         return tree, quasi_balance_weights(tree)
 
     def horizon_for_slack(self, w: WeightedClass | ExpertClass, slack: Fraction) -> int:

@@ -11,9 +11,11 @@ one at every node, under which all branches weigh exactly ``E_T / 2``; this
 happens precisely for monotone trees (no child subtree has larger expected
 branch length than its parent), and the weight assignment is then unique.
 
-Extracted adversary trees may share identical subtrees structurally, so the
-statistics below memoize on object identity rather than recomputing per
-occurrence.
+Trees are DAGs: extraction shares the subtree of each (class state,
+horizon), and parsing a tree file merges all structurally identical
+subtrees.  The branch statistics are one non-recursive fold over the
+distinct nodes, so each subtree's E_T is computed once however many paths
+reach it; weights stay addressed by root path.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from typing import Iterator, Mapping
 
 from .classes import Example, ExampleSequence, ExpertClass, WeightedClass, min_mistakes
 
-# Deep trees are built by bounded-horizon extraction; depth stays modest but
-# can exceed the CPython default recursion guard together with test overhead.
+# The branch statistics and weights are iterative; what still recurses once
+# per tree level is the DP in ``dimension``, nested JSON through the ``json``
+# C codec, ``truncate``, ``tree_to_dict``/``tree_from_dict`` and the
+# exact-loss walks in ``games``.
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 
@@ -78,13 +82,34 @@ def complete_tree(depth: int, instance: str = "x") -> MistakeTree:
     return t
 
 
-def _memoized(tree: MistakeTree, fn, cache: dict):
-    key = id(tree)
-    hit = cache.get(key)
-    if hit is None:
-        hit = fn(tree)
-        cache[key] = hit
-    return hit
+def _postorder(tree: MistakeTree) -> list[MistakeTree]:
+    """Every distinct node (by identity) once, children first, without recursion."""
+    seen: set[int] = set()
+    order: list[MistakeTree] = []
+    stack = [(tree, False)]
+    while stack:
+        t, children_done = stack.pop()
+        if children_done:
+            order.append(t)
+        elif id(t) not in seen:
+            seen.add(id(t))
+            stack.append((t, True))
+            if not t.is_leaf:
+                stack += ((t.one, False), (t.zero, False))
+    return order
+
+
+def _fold(tree: MistakeTree, leaf, step) -> dict:
+    """Per distinct node, by ``id``: ``leaf``, or ``step(zero's value, one's value)``."""
+    out: dict = {}
+    for t in _postorder(tree):
+        out[id(t)] = leaf if t.is_leaf else step(out[id(t.zero)], out[id(t.one)])
+    return out
+
+
+def _expected_lengths(tree: MistakeTree) -> dict[int, Fraction]:
+    """E_T of every distinct subtree: E = 0 at a leaf, 1 + (E_0 + E_1) / 2 above."""
+    return _fold(tree, Fraction(0), lambda e0, e1: 1 + (e0 + e1) / 2)
 
 
 def expected_branch_length(tree: MistakeTree) -> Fraction:
@@ -93,39 +118,16 @@ def expected_branch_length(tree: MistakeTree) -> Fraction:
     Satisfies E_T = 1 + (E_{T0} + E_{T1}) / 2 at internal nodes and equals
     the explicit sum over branches of |b| * 2^-|b|.
     """
-    cache: dict[int, Fraction] = {}
-
-    def rec(t: MistakeTree) -> Fraction:
-        if t.is_leaf:
-            return Fraction(0)
-        e0 = _memoized(t.zero, rec, cache)
-        e1 = _memoized(t.one, rec, cache)
-        return 1 + (e0 + e1) / 2
-
-    return _memoized(tree, rec, cache)
+    return _expected_lengths(tree)[id(tree)]
 
 
 def min_branch_length(tree: MistakeTree) -> int:
     """m_T: length of the shortest root-to-leaf branch."""
-    cache: dict[int, int] = {}
-
-    def rec(t: MistakeTree) -> int:
-        if t.is_leaf:
-            return 0
-        return 1 + min(_memoized(t.zero, rec, cache), _memoized(t.one, rec, cache))
-
-    return _memoized(tree, rec, cache)
+    return _fold(tree, 0, lambda a, b: 1 + min(a, b))[id(tree)]
 
 
 def depth(tree: MistakeTree) -> int:
-    cache: dict[int, int] = {}
-
-    def rec(t: MistakeTree) -> int:
-        if t.is_leaf:
-            return 0
-        return 1 + max(_memoized(t.zero, rec, cache), _memoized(t.one, rec, cache))
-
-    return _memoized(tree, rec, cache)
+    return _fold(tree, 0, lambda a, b: 1 + max(a, b))[id(tree)]
 
 
 def branches(tree: MistakeTree) -> Iterator[ExampleSequence]:
@@ -136,8 +138,7 @@ def branches(tree: MistakeTree) -> Iterator[ExampleSequence]:
         if t.is_leaf:
             yield prefix
         else:
-            stack.append((t.one, prefix + [(t.instance, 1)]))
-            stack.append((t.zero, prefix + [(t.instance, 0)]))
+            stack += ((t.one, prefix + [(t.instance, 1)]), (t.zero, prefix + [(t.instance, 0)]))
 
 
 def is_monotone(tree: MistakeTree) -> bool:
@@ -146,21 +147,8 @@ def is_monotone(tree: MistakeTree) -> bool:
     Equivalently |E_{T0} - E_{T1}| <= 2 at every internal node, and exactly
     the condition under which :func:`quasi_balance_weights` succeeds.
     """
-    e_cache: dict[int, Fraction] = {}
-    ok_cache: dict[int, bool] = {}
-
-    def e(t: MistakeTree) -> Fraction:
-        if t.is_leaf:
-            return Fraction(0)
-        return 1 + (_memoized(t.zero, e, e_cache) + _memoized(t.one, e, e_cache)) / 2
-
-    def ok(t: MistakeTree) -> bool:
-        if t.is_leaf:
-            return True
-        balanced = abs(_memoized(t.zero, e, e_cache) - _memoized(t.one, e, e_cache)) <= 2
-        return balanced and _memoized(t.zero, ok, ok_cache) and _memoized(t.one, ok, ok_cache)
-
-    return _memoized(tree, ok, ok_cache)
+    e = _expected_lengths(tree)
+    return all(t.is_leaf or abs(e[id(t.zero)] - e[id(t.one)]) <= 2 for t in _postorder(tree))
 
 
 @dataclass(frozen=True)
@@ -198,28 +186,25 @@ def quasi_balance_weights(tree: MistakeTree) -> WeightFunction:
     (1 + lam1 - lam0) / 2 and its complement; the tree is quasi-balanced iff
     these stay within [0,1] everywhere, i.e. iff the tree is monotone.
     Raises :class:`NotQuasiBalancedError` at the first preorder violation.
+    Each distinct node's pair is computed once and shared by every path
+    that reaches it.
     """
-    e_cache: dict[int, Fraction] = {}
-
-    def e(t: MistakeTree) -> Fraction:
-        if t.is_leaf:
-            return Fraction(0)
-        return 1 + (_memoized(t.zero, e, e_cache) + _memoized(t.one, e, e_cache)) / 2
-
+    e = _expected_lengths(tree)
+    pairs: dict[int, tuple[Fraction, Fraction]] = {}
     weights: dict[str, tuple[Fraction, Fraction]] = {}
     stack: list[tuple[MistakeTree, str]] = [(tree, "")]
     while stack:
         t, pos = stack.pop()
         if t.is_leaf:
             continue
-        lam0 = _memoized(t.zero, e, e_cache) / 2
-        lam1 = _memoized(t.one, e, e_cache) / 2
-        w0 = (1 + lam1 - lam0) / 2
-        if w0 < 0 or w0 > 1:
-            raise NotQuasiBalancedError(pos)
-        weights[pos] = (w0, 1 - w0)
-        stack.append((t.one, pos + "1"))
-        stack.append((t.zero, pos + "0"))
+        pair = pairs.get(id(t))
+        if pair is None:
+            w0 = (2 + e[id(t.one)] - e[id(t.zero)]) / 4  # (1 + lam1 - lam0) / 2
+            if w0 < 0 or w0 > 1:
+                raise NotQuasiBalancedError(pos)
+            pair = pairs[id(t)] = (w0, 1 - w0)
+        weights[pos] = pair
+        stack += ((t.one, pos + "1"), (t.zero, pos + "0"))
     return WeightFunction(weights)
 
 
@@ -270,11 +255,8 @@ class ShatterReport:
 
 def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterReport:
     """Whether every branch's example sequence is realizable by the class."""
-    failing: list[tuple[Example, ...]] = []
-    for branch in branches(tree):
-        if not min_mistakes(branch, w).realizable:
-            failing.append(tuple(branch))
-    return ShatterReport(ok=not failing, failing_branches=tuple(failing))
+    failing = tuple(tuple(b) for b in branches(tree) if not min_mistakes(b, w).realizable)
+    return ShatterReport(ok=not failing, failing_branches=failing)
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +282,29 @@ def tree_to_dict(tree: MistakeTree, weights: WeightFunction | None = None) -> di
 
 
 def tree_from_dict(doc: dict) -> tuple[MistakeTree, WeightFunction | None]:
+    """Parse the nested format; structurally identical subtrees become one
+    shared node, while weights stay per path."""
     weights: dict[str, tuple[Fraction, Fraction]] = {}
-    saw_weight = False
+    interned: dict[tuple[str, int, int], MistakeTree] = {}
 
     def rec(d: dict, pos: str) -> MistakeTree:
-        nonlocal saw_weight
+        if not isinstance(d, dict):
+            raise ValueError(f"tree node at {pos!r}: expected an object")
         if d.get("leaf"):
             return LEAF
         if "instance" not in d or "zero" not in d or "one" not in d:
             raise ValueError(f"tree node at {pos!r}: need instance/zero/one or leaf")
+        instance = d["instance"]
+        if not isinstance(instance, str):
+            raise ValueError(f"tree node at {pos!r}: instance must be a string")
         if "w0" in d:
-            saw_weight = True
             w0 = Fraction(d["w0"])
             weights[pos] = (w0, 1 - w0)
-        return node(d["instance"], rec(d["zero"], pos + "0"), rec(d["one"], pos + "1"))
+        zero, one = rec(d["zero"], pos + "0"), rec(d["one"], pos + "1")
+        return interned.setdefault((instance, id(zero), id(one)), node(instance, zero, one))
 
     tree = rec(doc, "")
-    return tree, (WeightFunction(weights) if saw_weight else None)
+    return tree, (WeightFunction(weights) if weights else None)
 
 
 def tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:

@@ -7,6 +7,7 @@ import pytest
 
 from littlestone.cli import main
 from littlestone.classes import universal_class
+from littlestone.dimension import Solver
 from littlestone.experts import capacity_D
 
 
@@ -169,6 +170,34 @@ class TestPlay:
     def test_incompatible_selection(self, capsys):
         assert main(["play", "--n", "2", "--learner", "constant:0", "--adversary", "proper"]) == 2
 
+    @staticmethod
+    def trial_totals(capsys, adversary, seed, trials):
+        argv = ["--seed", str(seed), "play", "--n", "2", "--k", "1", "--learner", "randsoa",
+                "--adversary", adversary, "--trials", str(trials)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        return [line.split(" = ")[1] for line in out.splitlines() if line.startswith("trial ")]
+
+    @pytest.mark.parametrize("adversary", ["branch", "threshold"])
+    def test_trials_replay_single_runs(self, capsys, adversary):
+        together = self.trial_totals(capsys, adversary, 7, 3)
+        singles = [t for seed in (7, 8, 9) for t in self.trial_totals(capsys, adversary, seed, 1)]
+        assert len(together) == 3 and together == singles
+
+    def test_adversary_built_once(self, monkeypatch, capsys):
+        calls = []
+        extract = Solver.extract_optimal_tree
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return extract(self, *args, **kwargs)
+
+        monkeypatch.setattr(Solver, "extract_optimal_tree", counting)
+        rc = main(["play", "--n", "2", "--k", "1", "--learner", "randsoa",
+                   "--adversary", "threshold", "--trials", "4"])
+        assert rc == 0
+        assert len(calls) == 1
+
 
 class TestTree:
     def test_extract_then_analyze(self, tmp_path, u2k2_file, capsys):
@@ -192,6 +221,34 @@ class TestTree:
         out = capsys.readouterr().out
         assert "monotone           = False" in out
         assert "violation at node ''" in out
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestFailuresExitTwo:
+    def test_recursion_too_deep(self, capsys):
+        argv = ["experts", "--n", "1", "--k", "2", "--what", "dim", "--horizon", "25000"]
+        assert main(argv) == 2
+        assert "too deep" in one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "doc, position",
+        [
+            ([1], "''"),
+            ({"instance": "x", "zero": 5, "one": {"leaf": True}}, "'0'"),
+            ({"instance": ["x"], "zero": {"leaf": True}, "one": {"leaf": True}}, "''"),
+        ],
+        ids=["root-not-object", "child-not-object", "instance-not-string"],
+    )
+    def test_malformed_tree_file(self, tmp_path, capsys, doc, position):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        assert main(["tree", "analyze", str(path)]) == 2
+        assert f"at {position}" in one_error_line(capsys)
 
 
 class TestCheck:

@@ -1,4 +1,7 @@
+import json
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littlestone.classes import Domain, Member, WeightedClass, universal_class
+from littlestone.dimension import Solver
 from littlestone.trees import (
     LEAF,
     MistakeTree,
@@ -247,3 +251,115 @@ class TestSerialization:
 def test_internal_node_needs_both_children():
     with pytest.raises(ValueError):
         MistakeTree(instance="x", zero=LEAF, one=None)
+
+
+def deep_left_path(d: int) -> MistakeTree:
+    """``d`` internal nodes nested on the left, a leaf on the right of each."""
+    t = LEAF
+    for _ in range(d):
+        t = node("x", t, LEAF)
+    return t
+
+
+def distinct_nodes(tree: MistakeTree) -> list[MistakeTree]:
+    seen: dict[int, MistakeTree] = {}
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            if not t.is_leaf:
+                stack += [t.zero, t.one]
+    return list(seen.values())
+
+
+def subtree(tree: MistakeTree, pos: str) -> MistakeTree:
+    for y in pos:
+        tree = tree.one if y == "1" else tree.zero
+    return tree
+
+
+@contextmanager
+def recursion_limit(limit: int):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+class TestDeepTrees:
+    def test_statistics_of_a_25000_deep_left_path(self):
+        d = 25_000
+        t = deep_left_path(d)
+        assert expected_branch_length(t) == 2 - F(1, 2 ** (d - 1))
+        assert min_branch_length(t) == 1
+        assert depth(t) == d
+        assert is_monotone(t)
+
+    def test_weights_of_a_path_deeper_than_the_recursion_limit(self):
+        # Weight keys are root paths, d^2 / 2 characters in all, so the path
+        # is kept at 4,000 levels and the recursion limit lowered below it.
+        d = 4_000
+        t = deep_left_path(d)
+        with recursion_limit(1_000):
+            w = quasi_balance_weights(t)
+        assert len(w.weights) == d
+        assert w.at("") == (F(1, 2**d), 1 - F(1, 2**d))
+        assert w.at("0" * (d - 1)) == (F(1, 2), F(1, 2))
+
+
+def reference_weights(tree: MistakeTree) -> dict[str, tuple[F, F]]:
+    """Per root path, w0 = (1 + lam1 - lam0) / 2 from plain recursive E_T."""
+
+    def e(t: MistakeTree) -> F:
+        return F(0) if t.is_leaf else 1 + (e(t.zero) + e(t.one)) / 2
+
+    out = {}
+    stack = [(tree, "")]
+    while stack:
+        t, pos = stack.pop()
+        if not t.is_leaf:
+            w0 = (1 + e(t.one) / 2 - e(t.zero) / 2) / 2
+            out[pos] = (w0, 1 - w0)
+            stack += [(t.zero, pos + "0"), (t.one, pos + "1")]
+    return out
+
+
+class TestSharedDag:
+    @pytest.fixture(scope="class")
+    def extracted(self):
+        return Solver().extract_optimal_tree(universal_class(2, 3), 12)
+
+    def test_round_trip_parses_to_the_minimal_dag(self, extracted):
+        t, w = extracted
+        text = tree_to_json(t, w)
+        parsed, parsed_w = tree_from_json(text)
+        # Extraction shares one subtree per (class state, horizon); parsing
+        # also merges equal subtrees reached from different states.
+        distinct_subtrees = set(distinct_nodes(t))
+        assert len(distinct_nodes(parsed)) == len(distinct_subtrees)
+        assert expected_branch_length(parsed) == expected_branch_length(t)
+        assert tree_to_json(parsed, parsed_w) == text
+
+    def test_copies_of_one_subtree_keep_their_own_weights(self):
+        def inner(w0):
+            return {"instance": "a", "zero": {"leaf": True}, "one": {"leaf": True}, "w0": w0}
+
+        text = json.dumps({"instance": "r", "zero": inner("1/4"), "one": inner("3/4"), "w0": "1/2"})
+        t, w = tree_from_json(text)
+        assert t.zero is t.one
+        assert w.at("0") == (F(1, 4), F(3, 4))
+        assert w.at("1") == (F(3, 4), F(1, 4))
+        assert tree_to_json(t, w) == text
+
+    def test_weights_match_a_per_path_walk(self, extracted):
+        t, _ = extracted
+        w = quasi_balance_weights(t)
+        assert w.weights == reference_weights(t)
+        by_node: dict[int, list[str]] = {}
+        for pos in w.weights:
+            by_node.setdefault(id(subtree(t, pos)), []).append(pos)
+        first, second = max(by_node.values(), key=len)[:2]
+        assert w.at(first) is w.at(second)
