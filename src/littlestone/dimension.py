@@ -1,4 +1,4 @@
-"""Exact Littlestone and randomized Littlestone dimensions by memoized recursion.
+"""Exact Littlestone and randomized Littlestone dimensions by an explicit-stack DP.
 
 The deterministic dimension of a weighted class obeys
 
@@ -21,18 +21,23 @@ Universal expert classes additionally compress states to counts of
 surviving experts per remaining budget, which keeps n experts tractable
 without materializing a 2^n domain.
 
-Randomized values are dyadic, and the recursion runs on their integer
+Randomized values are dyadic, and the DP runs on their integer
 numerators.  RL(W) * 2^P is an integer for P = sum over members of
 (budget + 1); a move that charges s of the m members lowers P by exactly s,
 so one step is 2^(P-1) + RL(W0)*2^(P-s) * 2^(s-1) + RL(W1)*2^(P-m+s) * 2^(m-s-1).
 RL(W, T) * 2^T is an integer, so one bounded step is
 2^(T-1) + RL(W0, T-1)*2^(T-1) + RL(W1, T-1)*2^(T-1).  The public methods
 return the exact ``Fraction``; deterministic dimensions are ints.
+
+One driver, :meth:`Solver._dp`, computes every value and the optimal tree:
+each one-step rule is a generator that yields child keys and is sent their
+values, and the driver keeps the memo on an explicit stack, not recursion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
 from operator import add, getitem, sub
 
@@ -70,27 +75,39 @@ def _x_decrement(state: _XState) -> _XState:
     return tuple((labels, budget - 1) for labels, budget in state if budget)
 
 
-def _x_expand(state: _XState):
-    """(m, P, decremented state if some behavior is constant else None,
-    [(s, child under 0, child under 1)] per other behavior up to label swap).
-
-    ``s`` members label the behavior 1 and are charged under label 0.
-    """
+def _x_moves(state: _XState):
+    """(first witness, s, child under 0, child under 1) per behavior up to
+    label swap, in witness order; ``s`` members label it 1 and are charged
+    under label 0.  A constant behavior leaves the state unchanged under its
+    own label and decrements every member under the other."""
     m = len(state)
     zero, one = _x_fates(state)
     seen: set[bytes] = set()
-    dec = None
-    splits = []
-    for col in map(bytes, zip(*(labels for labels, _ in state))):
+    for witness, col in enumerate(map(bytes, zip(*(labels for labels, _ in state)))):
         if col in seen:
             continue
         seen.add(col)
         seen.add(col.translate(_FLIP))
         s = sum(col)
-        if s == 0 or s == m:
-            dec = _x_decrement(state)
+        if s == 0:
+            yield witness, s, state, _x_decrement(state)
+        elif s == m:
+            yield witness, s, _x_decrement(state), state
         else:
-            splits.append((s, _x_apply(zero, col), _x_apply(one, col)))
+            yield witness, s, _x_apply(zero, col), _x_apply(one, col)
+
+
+def _x_expand(state: _XState):
+    """(m, P, decremented state if some behavior is constant else None,
+    [(s, child under 0, child under 1)] per other behavior up to label swap)."""
+    m = len(state)
+    dec = None
+    splits = []
+    for _, s, child0, child1 in _x_moves(state):
+        if 0 < s < m:
+            splits.append((s, child0, child1))
+        else:
+            dec = child1 if s == 0 else child0
     return m, _x_power(state), dec, splits
 
 
@@ -128,6 +145,57 @@ def _u_expand(counts: _UState):
     return sum(counts), _u_power(counts), _trim(list(counts[1:])), _u_splits(counts)
 
 
+def _l_rule(expand, state):
+    """L: 1 + min over the two children, maximized over moves."""
+    _, _, dec, splits = expand(state)
+    best = 0 if dec is None else 1 + (yield dec)
+    for _, child0, child1 in splits:
+        v = 1 + min((yield child0), (yield child1))
+        if v > best:
+            best = v
+    return best
+
+
+def _rl_rule(expand, state):
+    """RL * 2^P: the dyadic (1 + a + b) / 2, maximized over moves."""
+    m, power, dec, splits = expand(state)
+    best = 0 if dec is None else (1 << power) + ((yield dec) << m)
+    half = 1 << (power - 1)
+    for s, child0, child1 in splits:
+        v = half + ((yield child0) << (s - 1)) + ((yield child1) << (m - s - 1))
+        if v > best:
+            best = v
+    return best
+
+
+def _brl_rule(expand, key):
+    """RL_T * 2^t of a (state, t) key: 2^(t-1) plus both children at t - 1.
+    A self-loop needs no fixed point, since the horizon strictly decreases."""
+    state, t = key
+    _, _, dec, splits = expand(state)
+    t -= 1
+    half = 1 << t
+    best = 0 if dec is None else half + (yield state, t) + (yield dec, t)
+    for _, child0, child1 in splits:
+        v = half + (yield child0, t) + (yield child1, t)
+        if v > best:
+            best = v
+    return best
+
+
+def _empty(state) -> int | None:
+    """Leaf of L and RL: the empty class."""
+    return None if state else EMPTY
+
+
+def _empty_or_horizon(key) -> int | None:
+    """Leaves of RL_T * 2^t: the empty class, and the exhausted horizon."""
+    state, t = key
+    if not state:
+        return -(1 << t)
+    return 0 if t == 0 else None
+
+
 class ComputeBudgetError(RuntimeError):
     """A configured cap on visited dynamic-programming states was exceeded."""
 
@@ -135,19 +203,22 @@ class ComputeBudgetError(RuntimeError):
 class Solver:
     """Shared-memo dimension computations over weighted and expert classes.
 
-    The ``_rl_*`` tables hold RL * 2^P and the ``_brl_*`` tables RL_T * 2^T
-    as ints; the exact ``Fraction`` of each publicly queried key is cached
-    separately and does not count as a visited state.
+    One (memo, rule, leaf) table per value and state space; the RL memos
+    hold RL * 2^P and the RL_T memos RL_T * 2^T as ints.  The ``Fraction``
+    of each publicly queried key is cached apart and is not a visited state.
     """
 
     def __init__(self, state_budget: int | None = None):
         self.state_budget = state_budget
-        self._l_x: dict[_XState, int] = {}
-        self._rl_x: dict[_XState, int] = {}
-        self._brl_x: dict[tuple[_XState, int], int] = {}
-        self._l_u: dict[_UState, int] = {}
-        self._rl_u: dict[_UState, int] = {}
-        self._brl_u: dict[tuple[_UState, int], int] = {}
+        self._tables = {
+            (value, expert): ({}, partial(rule, _u_expand if expert else _x_expand), leaf)
+            for value, rule, leaf in (
+                ("l", _l_rule, _empty),
+                ("rl", _rl_rule, _empty),
+                ("brl", _brl_rule, _empty_or_horizon),
+            )
+            for expert in (False, True)
+        }
         # Count and explicit keys never collide: their entries are ints and
         # tuples respectively, and both empty keys () have value -1.
         self._rl_frac: dict = {}
@@ -155,92 +226,63 @@ class Solver:
 
     @property
     def states_visited(self) -> int:
-        return (
-            len(self._l_x)
-            + len(self._rl_x)
-            + len(self._brl_x)
-            + len(self._l_u)
-            + len(self._rl_u)
-            + len(self._brl_u)
-        )
+        return sum(len(memo) for memo, _, _ in self._tables.values())
 
     def _charge(self) -> None:
         if self.state_budget is not None and self.states_visited > self.state_budget:
-            raise ComputeBudgetError(
-                f"state budget of {self.state_budget} exceeded"
-            )
+            raise ComputeBudgetError(f"state budget of {self.state_budget} exceeded")
 
-    # -- deterministic -----------------------------------------------------
+    def _dp(self, root, memo: dict, body, leaf, charge: bool = True):
+        """The value of ``root``: its ``memo`` entry, else ``leaf(root)`` unless
+        None, else what the generator ``body(root)`` returns once sent the value
+        of each key it yields, charged (if ``charge``) and memoized."""
+        # The key being expanded and its rule's send; the stack holds its ancestors'.
+        parent = send = None
+        stack = []
+        key = root
+        while True:
+            value = memo.get(key)
+            if value is None:
+                value = leaf(key)
+                if value is None:
+                    if charge:
+                        self._charge()
+                    stack.append((parent, send))
+                    parent, send = key, body(key).send
+            while send is not None:
+                try:
+                    key = send(value)
+                    break
+                except StopIteration as done:
+                    value = memo[parent] = done.value
+                    parent, send = stack.pop()
+            else:
+                return value
+
+    # -- queries -------------------------------------------------------------
 
     def littlestone(self, w: WeightedClass | ExpertClass) -> int:
         """Optimal deterministic mistake bound; EMPTY (-1) for the empty class."""
-        if isinstance(w, ExpertClass):
-            return self._l(w.counts(), self._l_u, _u_expand)
-        return self._l(w.state_key(), self._l_x, _x_expand)
-
-    def _l(self, state, memo: dict, expand) -> int:
-        if not state:
-            return EMPTY
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        self._charge()
-        _, _, dec, splits = expand(state)
-        best = 0 if dec is None else 1 + self._l(dec, memo, expand)
-        for _, child0, child1 in splits:
-            v = 1 + min(self._l(child0, memo, expand), self._l(child1, memo, expand))
-            if v > best:
-                best = v
-        memo[state] = best
-        return best
-
-    # -- randomized ----------------------------------------------------------
+        expert = isinstance(w, ExpertClass)
+        state = w.counts() if expert else w.state_key()
+        return self._dp(state, *self._tables["l", expert])
 
     def randomized_littlestone(self, w: WeightedClass | ExpertClass) -> Fraction:
         """Optimal expected mistake bound; Fraction(-1) for the empty class."""
         expert = isinstance(w, ExpertClass)
-        key = w.counts() if expert else w.state_key()
-        hit = self._rl_frac.get(key)
+        state = w.counts() if expert else w.state_key()
+        hit = self._rl_frac.get(state)
         if hit is None:
-            if expert:
-                scaled, power = self._rl(key, self._rl_u, _u_expand), _u_power(key)
-            else:
-                scaled, power = self._rl(key, self._rl_x, _x_expand), _x_power(key)
-            hit = self._rl_frac[key] = Fraction(scaled, 1 << power)
+            scaled = self._dp(state, *self._tables["rl", expert])
+            power = _u_power(state) if expert else _x_power(state)
+            hit = self._rl_frac[state] = Fraction(scaled, 1 << power)
         return hit
-
-    def _rl(self, state, memo: dict, expand) -> int:
-        """RL(state) * 2^P."""
-        if not state:
-            return EMPTY
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        self._charge()
-        m, power, dec, splits = expand(state)
-        best = 0 if dec is None else (1 << power) + (self._rl(dec, memo, expand) << m)
-        half = 1 << (power - 1)
-        for s, child0, child1 in splits:
-            v = (
-                half
-                + (self._rl(child0, memo, expand) << (s - 1))
-                + (self._rl(child1, memo, expand) << (m - s - 1))
-            )
-            if v > best:
-                best = v
-        memo[state] = best
-        return best
-
-    # -- bounded horizon -----------------------------------------------------
 
     def bounded_littlestone(self, w: WeightedClass | ExpertClass, horizon: int) -> int:
         """min(horizon, L(W)): depth caps can only shorten balanced trees."""
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        dim = self.littlestone(w)
-        if dim == EMPTY:
-            return EMPTY
-        return min(horizon, dim)
+        return min(horizon, self.littlestone(w))
 
     def bounded_randomized_littlestone(
         self, w: WeightedClass | ExpertClass, horizon: int
@@ -251,40 +293,9 @@ class Solver:
         key = (w.counts() if expert else w.state_key(), horizon)
         hit = self._brl_frac.get(key)
         if hit is None:
-            memo, expand = (self._brl_u, _u_expand) if expert else (self._brl_x, _x_expand)
-            hit = self._brl_frac[key] = Fraction(self._brl(*key, memo, expand), 1 << horizon)
+            scaled = self._dp(key, *self._tables["brl", expert])
+            hit = self._brl_frac[key] = Fraction(scaled, 1 << horizon)
         return hit
-
-    def _brl(self, state, t: int, memo: dict, expand) -> int:
-        """RL(state, t) * 2^t."""
-        if not state:
-            return -(1 << t)
-        if t == 0:
-            return 0
-        key = (state, t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        self._charge()
-        half = 1 << (t - 1)
-        _, _, dec, splits = expand(state)
-        best = 0
-        if dec is not None:
-            # Self-loop along the agreeing label; no fixed point needed
-            # since the horizon strictly decreases.
-            best = half + self._brl(state, t - 1, memo, expand) + self._brl(
-                dec, t - 1, memo, expand
-            )
-        for _, child0, child1 in splits:
-            v = half + self._brl(child0, t - 1, memo, expand) + self._brl(
-                child1, t - 1, memo, expand
-            )
-            if v > best:
-                best = v
-        memo[key] = best
-        return best
-
-    # -- strategy extraction ---------------------------------------------------
 
     def extract_optimal_tree(
         self, w: WeightedClass | ExpertClass, horizon: int
@@ -294,55 +305,43 @@ class Solver:
         The tree is shattered by the class, monotone, and satisfies
         E_T / 2 = RL(W, horizon) exactly; node labels are the first domain
         witness of the maximizing behavior (ties resolved in witness order).
-        Identical subtrees are shared structurally.
+        Structurally equal subtrees are one shared node.
         """
         if isinstance(w, ExpertClass):
             w = w.explicit()
         if w.is_empty:
             raise ValueError("cannot extract a strategy for the empty class")
         domain = w.domain.points
-        cache: dict[tuple[_XState, int], MistakeTree] = {}
+        root = (w.state_key(), horizon)
+        values = self._tables["brl", False][0]
+        self._dp(root, *self._tables["brl", False])
 
-        def ordered_behaviors(state: _XState) -> list[tuple[tuple[int, ...], int]]:
-            seen: dict[tuple[int, ...], int] = {}
-            for p, col in enumerate(zip(*(labels for labels, _ in state))):
-                seen.setdefault(col, p)
-            return list(seen.items())
+        # Every key extraction reaches was reached by the RL_T run above, so
+        # its value (at scale 2^t) is a memo entry or a leaf.
+        def value(key) -> int:
+            hit = values.get(key)
+            return _empty_or_horizon(key) if hit is None else hit
 
-        def brl(state: _XState, t: int) -> int:
-            return self._brl(state, t, self._brl_x, _x_expand)
+        interned: dict[tuple[str, int, int], MistakeTree] = {}
 
-        def build(state: _XState, t: int) -> MistakeTree:
-            # Values are compared as integers at scale 2^t.
-            value = brl(state, t)
-            if value == 0:
-                return LEAF
-            key = (state, t)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            half = 1 << (t - 1)
-            zero, one = _x_fates(state)
-            for pattern, witness in ordered_behaviors(state):
-                if len(set(pattern)) == 1:
-                    b = pattern[0]
-                    children = (
-                        (state if b == 0 else _x_decrement(state)),
-                        (_x_decrement(state) if b == 0 else state),
-                    )
-                else:
-                    children = (_x_apply(zero, pattern), _x_apply(one, pattern))
-                if half + brl(children[0], t - 1) + brl(children[1], t - 1) == value:
-                    out = node(
-                        domain[witness],
-                        build(children[0], t - 1),
-                        build(children[1], t - 1),
-                    )
-                    cache[key] = out
-                    return out
+        def body(key):
+            state, t = key
+            target = value(key)
+            t -= 1
+            half = 1 << t
+            for witness, _, child0, child1 in _x_moves(state):
+                key0, key1 = (child0, t), (child1, t)
+                if half + value(key0) + value(key1) == target:
+                    zero, one = (yield key0), (yield key1)
+                    tree = node(domain[witness], zero, one)
+                    return interned.setdefault((tree.instance, id(zero), id(one)), tree)
             raise AssertionError("no behavior attains the computed dimension")
 
-        tree = build(w.state_key(), horizon)
+        def leaf(key) -> MistakeTree | None:
+            return LEAF if value(key) == 0 else None
+
+        # The RL_T run above paid for every state; extraction only reads them.
+        tree = self._dp(root, {}, body, leaf, charge=False)
         return tree, quasi_balance_weights(tree)
 
     def horizon_for_slack(self, w: WeightedClass | ExpertClass, slack: Fraction) -> int:

@@ -11,11 +11,11 @@ one at every node, under which all branches weigh exactly ``E_T / 2``; this
 happens precisely for monotone trees (no child subtree has larger expected
 branch length than its parent), and the weight assignment is then unique.
 
-Trees are DAGs: extraction shares the subtree of each (class state,
-horizon), and parsing a tree file merges all structurally identical
-subtrees.  The branch statistics are one non-recursive fold over the
-distinct nodes, so each subtree's E_T is computed once however many paths
-reach it; weights stay addressed by root path.
+Trees are DAGs: extraction and parsing a tree file both merge all
+structurally identical subtrees.  The branch statistics are one
+non-recursive fold over the distinct nodes, so each subtree's E_T is
+computed once however many paths reach it; weights stay addressed by root
+path.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from typing import Iterator, Mapping
 from .classes import Example, ExampleSequence, ExpertClass, WeightedClass, min_mistakes
 
 # The branch statistics and weights are iterative; what still recurses once
-# per tree level is the DP in ``dimension``, nested JSON through the ``json``
-# C codec, ``truncate``, ``tree_to_dict``/``tree_from_dict`` and the
-# exact-loss walks in ``games``.
+# per tree level is nested JSON through the ``json`` C codec, ``truncate``,
+# ``tree_to_dict``/``tree_from_dict`` and the exact-loss walks in ``games``.
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 
@@ -266,45 +265,52 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
 
 
 def tree_to_dict(tree: MistakeTree, weights: WeightFunction | None = None) -> dict:
-    def rec(t: MistakeTree, pos: str) -> dict:
-        if t.is_leaf:
-            return {"leaf": True}
-        out = {
-            "instance": t.instance,
-            "zero": rec(t.zero, pos + "0"),
-            "one": rec(t.one, pos + "1"),
-        }
-        if weights is not None:
-            out["w0"] = str(weights.at(pos)[0])
-        return out
+    return _node_to_dict(tree, "", weights)
 
-    return rec(tree, "")
+
+# The two recursive helpers are module functions, not closures: a closure that
+# calls itself is a reference cycle, which keeps a tree's weights and intern
+# table alive until the next full garbage collection.
+def _node_to_dict(t: MistakeTree, pos: str, weights: WeightFunction | None) -> dict:
+    if t.is_leaf:
+        return {"leaf": True}
+    out = {
+        "instance": t.instance,
+        "zero": _node_to_dict(t.zero, pos + "0", weights),
+        "one": _node_to_dict(t.one, pos + "1", weights),
+    }
+    if weights is not None:
+        out["w0"] = str(weights.at(pos)[0])
+    return out
 
 
 def tree_from_dict(doc: dict) -> tuple[MistakeTree, WeightFunction | None]:
     """Parse the nested format; structurally identical subtrees become one
     shared node, while weights stay per path."""
     weights: dict[str, tuple[Fraction, Fraction]] = {}
-    interned: dict[tuple[str, int, int], MistakeTree] = {}
-
-    def rec(d: dict, pos: str) -> MistakeTree:
-        if not isinstance(d, dict):
-            raise ValueError(f"tree node at {pos!r}: expected an object")
-        if d.get("leaf"):
-            return LEAF
-        if "instance" not in d or "zero" not in d or "one" not in d:
-            raise ValueError(f"tree node at {pos!r}: need instance/zero/one or leaf")
-        instance = d["instance"]
-        if not isinstance(instance, str):
-            raise ValueError(f"tree node at {pos!r}: instance must be a string")
-        if "w0" in d:
-            w0 = Fraction(d["w0"])
-            weights[pos] = (w0, 1 - w0)
-        zero, one = rec(d["zero"], pos + "0"), rec(d["one"], pos + "1")
-        return interned.setdefault((instance, id(zero), id(one)), node(instance, zero, one))
-
-    tree = rec(doc, "")
+    tree = _node_from_dict(doc, "", weights, {})
     return tree, (WeightFunction(weights) if weights else None)
+
+
+def _node_from_dict(d: dict, pos: str, weights: dict, interned: dict) -> MistakeTree:
+    if not isinstance(d, dict):
+        raise ValueError(f"tree node at {pos!r}: expected an object")
+    if d.get("leaf"):
+        return LEAF
+    if "instance" not in d or "zero" not in d or "one" not in d:
+        raise ValueError(f"tree node at {pos!r}: need instance/zero/one or leaf")
+    instance = d["instance"]
+    if not isinstance(instance, str):
+        raise ValueError(f"tree node at {pos!r}: instance must be a string")
+    if "w0" in d:
+        try:
+            w0 = Fraction(d["w0"])
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValueError(f"tree node at {pos!r}: w0 is not a rational number") from None
+        weights[pos] = (w0, 1 - w0)
+    zero = _node_from_dict(d["zero"], pos + "0", weights, interned)
+    one = _node_from_dict(d["one"], pos + "1", weights, interned)
+    return interned.setdefault((instance, id(zero), id(one)), node(instance, zero, one))
 
 
 def tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:

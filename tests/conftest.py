@@ -9,6 +9,8 @@ points, which is the defining supremum for bounded-depth dimensions.
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -144,6 +146,16 @@ def random_weighted_class(
         seen.add((labels, budget))
         members.append(Member(f"h{i}", labels, budget))
     return WeightedClass(domain, tuple(members))
+
+
+@contextmanager
+def recursion_limit(limit: int):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @pytest.fixture

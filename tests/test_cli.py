@@ -230,10 +230,20 @@ def one_error_line(capsys) -> str:
 
 
 class TestFailuresExitTwo:
-    def test_recursion_too_deep(self, capsys):
+    def test_recursion_too_deep(self, tmp_path, capsys):
+        # Nested tree files are still read with one call per level.
+        d = 25_000
+        path = tmp_path / "deep.json"
+        opening, closing = '{"instance": "x", "zero": ', ', "one": {"leaf": true}}'
+        path.write_text(opening * d + '{"leaf": true}' + closing * d)
+        assert main(["tree", "analyze", str(path)]) == 2
+        assert "too deep" in one_error_line(capsys)
+
+    def test_value_too_long_to_print(self, capsys):
+        # The DP finishes; the exact numerator has more digits than int -> str allows.
         argv = ["experts", "--n", "1", "--k", "2", "--what", "dim", "--horizon", "25000"]
         assert main(argv) == 2
-        assert "too deep" in one_error_line(capsys)
+        assert "digits" in one_error_line(capsys)
 
     @pytest.mark.parametrize(
         "doc, position",
@@ -241,8 +251,24 @@ class TestFailuresExitTwo:
             ([1], "''"),
             ({"instance": "x", "zero": 5, "one": {"leaf": True}}, "'0'"),
             ({"instance": ["x"], "zero": {"leaf": True}, "one": {"leaf": True}}, "''"),
+            ({"instance": "x", "zero": {"leaf": True}, "one": {"leaf": True}, "w0": [1]}, "''"),
+            (
+                {
+                    "instance": "x",
+                    "zero": {"instance": "y", "zero": {"leaf": True}, "one": {"leaf": True},
+                             "w0": "abc"},
+                    "one": {"leaf": True},
+                },
+                "'0'",
+            ),
         ],
-        ids=["root-not-object", "child-not-object", "instance-not-string"],
+        ids=[
+            "root-not-object",
+            "child-not-object",
+            "instance-not-string",
+            "w0-not-a-number",
+            "w0-unparsable",
+        ],
     )
     def test_malformed_tree_file(self, tmp_path, capsys, doc, position):
         path = tmp_path / "tree.json"

@@ -1,9 +1,10 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import all_shattered_trees, oracle_bounded, random_weighted_class
+from conftest import all_shattered_trees, oracle_bounded, random_weighted_class, recursion_limit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from littlestone.trees import (
     min_branch_length,
     quasi_balance_weights,
     shatter_check,
+    tree_to_json,
     tree_weight,
 )
 
@@ -286,6 +288,24 @@ class TestExtraction:
         with pytest.raises(ValueError):
             solver.extract_optimal_tree(EMPTY_CLASS, 3)
 
+    @pytest.mark.parametrize(
+        "n, k, horizon, digest",
+        [
+            (2, 1, 8, "f27f192c10ddb22a"),
+            (2, 2, 12, "3ce66cf43f17e25b"),
+            (2, 3, 14, "88b4247e60833556"),
+            (2, 4, 18, "6783eaa0a0febb9e"),
+            (2, 5, 22, "79f8d4416313029c"),
+            (3, 1, 8, "ee56f4a096eea139"),
+            (3, 2, 10, "31597a5bc79dbd26"),
+            (3, 3, 12, "f5cbc735fcb5863b"),
+            (4, 1, 8, "d99cf772c487b100"),
+        ],
+    )
+    def test_extracted_bytes_pinned(self, n, k, horizon, digest):
+        text = tree_to_json(*Solver().extract_optimal_tree(universal_class(n, k), horizon))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
 
 class TestHorizonForSlack:
     def test_two_experts_attained_at_depth_one(self):
@@ -310,6 +330,32 @@ class TestHorizonForSlack:
             assert solver.bounded_randomized_littlestone(w, t) >= target
             if t > 0:
                 assert solver.bounded_randomized_littlestone(w, t - 1) < target
+
+
+class TestDeepInputs:
+    """Horizons far past the recursion limit: the DP keeps its own stack."""
+
+    def test_bounded_count_space(self):
+        with recursion_limit(1_000):
+            value = Solver().bounded_randomized_littlestone(expert_class(1, 2), 5000)
+        assert 0 < value <= 2 == solver.randomized_littlestone(expert_class(1, 2))
+
+    def test_bounded_explicit(self):
+        w = expert_class(1, 2).explicit()
+        with recursion_limit(1_000):
+            value = Solver().bounded_randomized_littlestone(w, 5000)
+        assert 0 < value <= 2 == solver.randomized_littlestone(w)
+
+    def test_extraction_is_a_left_path(self):
+        d = 3000
+        with recursion_limit(1_000):
+            tree, _ = Solver().extract_optimal_tree(single_hypothesis(1), d)
+        assert expected_branch_length(tree) == 2 - F(2, 2**d)
+        t, depth = tree, 0
+        while not t.is_leaf:
+            assert t.one.is_leaf
+            t, depth = t.zero, depth + 1
+        assert depth == d
 
 
 def test_state_budget_enforced():
@@ -414,6 +460,25 @@ class TestDyadicEngine:
         assert s.states_visited == expected
         query(s)
         assert s.states_visited == expected
+
+    @pytest.mark.parametrize(
+        "query, passing",
+        [
+            (lambda s: s.littlestone(universal_class(3, 2)), 59),
+            (lambda s: s.randomized_littlestone(expert_class(8, 2)), 160),
+            (lambda s: s.bounded_randomized_littlestone(expert_class(4, 3), 8), 327),
+            (lambda s: s.extract_optimal_tree(universal_class(2, 2), 6), 55),
+        ],
+        ids=["l-u32", "rl-e82", "brl8-e43", "extract-u22"],
+    )
+    def test_budget_fires_at_pinned_points(self, query, passing):
+        # A state is charged before it is expanded, so the smallest passing
+        # budget sits below the final count; extraction adds no charge.
+        query(Solver(state_budget=passing))
+        tight = Solver(state_budget=passing - 1)
+        with pytest.raises(ComputeBudgetError):
+            query(tight)
+        assert tight.states_visited == passing
 
     def test_public_values_are_fractions(self):
         s = Solver()

@@ -1,11 +1,10 @@
+import gc
 import json
 import random
-import sys
-from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
-from conftest import monotonize, random_tree
+from conftest import monotonize, random_tree, recursion_limit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -279,16 +278,6 @@ def subtree(tree: MistakeTree, pos: str) -> MistakeTree:
     return tree
 
 
-@contextmanager
-def recursion_limit(limit: int):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 class TestDeepTrees:
     def test_statistics_of_a_25000_deep_left_path(self):
         d = 25_000
@@ -336,9 +325,9 @@ class TestSharedDag:
         t, w = extracted
         text = tree_to_json(t, w)
         parsed, parsed_w = tree_from_json(text)
-        # Extraction shares one subtree per (class state, horizon); parsing
-        # also merges equal subtrees reached from different states.
+        # Extraction and parsing both merge every set of equal subtrees.
         distinct_subtrees = set(distinct_nodes(t))
+        assert len(distinct_nodes(t)) == len(distinct_subtrees) == 35
         assert len(distinct_nodes(parsed)) == len(distinct_subtrees)
         assert expected_branch_length(parsed) == expected_branch_length(t)
         assert tree_to_json(parsed, parsed_w) == text
@@ -353,6 +342,19 @@ class TestSharedDag:
         assert w.at("0") == (F(1, 4), F(3, 4))
         assert w.at("1") == (F(3, 4), F(1, 4))
         assert tree_to_json(t, w) == text
+
+    def test_serialization_leaves_no_cyclic_garbage(self, extracted):
+        # Garbage in a reference cycle waits for a full collection, so a big
+        # tree's weights would outlive the call that read or wrote them.
+        text = tree_to_json(*extracted)
+        gc.collect()
+        gc.disable()
+        try:
+            tree_to_json(*tree_from_json(text))
+            Solver().extract_optimal_tree(universal_class(2, 2), 6)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_weights_match_a_per_path_walk(self, extracted):
         t, _ = extracted
