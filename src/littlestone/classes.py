@@ -33,14 +33,17 @@ class Domain:
     points: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.points)) != len(self.points):
+        index = {p: i for i, p in enumerate(self.points)}
+        if len(index) != len(self.points):
             dupes = sorted({p for p in self.points if self.points.count(p) > 1})
             raise ValueError(f"domain points must be unique; repeated: {dupes}")
+        # Not a field, so equality, hashing and repr see only ``points``.
+        object.__setattr__(self, "_index", index)
 
     def index(self, point: str) -> int:
         try:
-            return self.points.index(point)
-        except ValueError:
+            return self._index[point]
+        except (KeyError, TypeError):
             raise UnknownInstanceError(point) from None
 
     def __len__(self) -> int:
@@ -50,7 +53,10 @@ class Domain:
         return iter(self.points)
 
     def __contains__(self, point: object) -> bool:
-        return point in self.points
+        try:
+            return point in self._index
+        except TypeError:  # unhashable, so not a point
+            return False
 
 
 @dataclass(frozen=True)

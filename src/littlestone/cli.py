@@ -262,12 +262,15 @@ def cmd_tree_analyze(args) -> int:
     print(f"depth              = {depth(tree)}")
     print(f"expected length    = {fmt(e)}")
     print(f"min branch length  = {min_branch_length(tree)}")
-    print(f"monotone           = {is_monotone(tree)}")
-    try:
-        quasi_balance_weights(tree)
+    monotone = is_monotone(tree)
+    print(f"monotone           = {monotone}")
+    if monotone:  # quasi-balanced exactly when monotone
         print(f"quasi-balanced     = True (branch weight {fmt(e / 2)})")
-    except NotQuasiBalancedError as err:
-        print(f"quasi-balanced     = False (violation at node {err.position!r})")
+    else:
+        try:
+            quasi_balance_weights(tree)
+        except NotQuasiBalancedError as err:
+            print(f"quasi-balanced     = False (violation at node {err.position!r})")
     if args.class_file:
         w = load_class_file(args.class_file)
         report = shatter_check(tree, w)
@@ -281,7 +284,7 @@ def cmd_check_concentration(args) -> int:
     solver = Solver(state_budget=args.budget_states)
     w = expert_class(args.n, args.k)
     horizon = solver.horizon_for_slack(w, Fraction(args.slack))
-    tree, _ = solver.extract_optimal_tree(w, horizon)
+    tree = solver._extract_tree(w, horizon)  # the weights would go unused
     e_t = float(expected_branch_length(tree))
     lengths = [len(sample_branch(tree, args.seed + i)) for i in range(args.samples)]
     n = len(lengths)
@@ -409,7 +412,14 @@ def main(argv: list[str] | None = None) -> int:
         FileNotFoundError,
         ValueError,
     ) as e:
-        print(f"error: {e}", file=sys.stderr)
+        message = str(e)
+        if "integer string conversion" in message:
+            # Python's own message names an interpreter setting, not a CLI option.
+            message = (
+                "the exact value has more digits than the "
+                f"{sys.get_int_max_str_digits()}-digit limit on printing an integer"
+            )
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

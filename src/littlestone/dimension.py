@@ -307,6 +307,11 @@ class Solver:
         witness of the maximizing behavior (ties resolved in witness order).
         Structurally equal subtrees are one shared node.
         """
+        tree = self._extract_tree(w, horizon)
+        return tree, quasi_balance_weights(tree)
+
+    def _extract_tree(self, w: WeightedClass | ExpertClass, horizon: int) -> MistakeTree:
+        """The tree of :meth:`extract_optimal_tree`, without its weights."""
         if isinstance(w, ExpertClass):
             w = w.explicit()
         if w.is_empty:
@@ -314,7 +319,9 @@ class Solver:
         domain = w.domain.points
         root = (w.state_key(), horizon)
         values = self._tables["brl", False][0]
-        self._dp(root, *self._tables["brl", False])
+        # Fill the RL_T memo through the public query, so that wrappers which
+        # time or count the queries see this work too.
+        self.bounded_randomized_littlestone(w, horizon)
 
         # Every key extraction reaches was reached by the RL_T run above, so
         # its value (at scale 2^t) is a memo entry or a leaf.
@@ -341,8 +348,7 @@ class Solver:
             return LEAF if value(key) == 0 else None
 
         # The RL_T run above paid for every state; extraction only reads them.
-        tree = self._dp(root, {}, body, leaf, charge=False)
-        return tree, quasi_balance_weights(tree)
+        return self._dp(root, {}, body, leaf, charge=False)
 
     def horizon_for_slack(self, w: WeightedClass | ExpertClass, slack: Fraction) -> int:
         """Smallest horizon T with RL(W, T) >= RL(W) - slack.

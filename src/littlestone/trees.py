@@ -14,8 +14,11 @@ branch length than its parent), and the weight assignment is then unique.
 Trees are DAGs: extraction and parsing a tree file both merge all
 structurally identical subtrees.  The branch statistics are one
 non-recursive fold over the distinct nodes, so each subtree's E_T is
-computed once however many paths reach it; weights stay addressed by root
-path.
+computed once however many paths reach it, and the shatter check is one
+pass over the distinct (node, class state) pairs.  Weights stay addressed
+by root path and tree files still nest one level per tree level, so the
+codec walks every root path, but it parses each distinct ``w0`` once and
+renders each distinct weight pair once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .classes import Example, ExampleSequence, ExpertClass, WeightedClass, min_mistakes
+from .classes import (
+    Example,
+    ExampleSequence,
+    ExpertClass,
+    WeightedClass,
+    min_mistakes,
+    restrict,
+)
 
 # The branch statistics and weights are iterative; what still recurses once
 # per tree level is nested JSON through the ``json`` C codec, ``truncate``,
@@ -252,10 +262,70 @@ class ShatterReport:
         return self.ok
 
 
+def _preorder(tree: MistakeTree) -> list[MistakeTree]:
+    """Every distinct node (by identity) once, in left-first preorder."""
+    seen: set[int] = set()
+    order: list[MistakeTree] = []
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            order.append(t)
+            if not t.is_leaf:
+                stack += (t.one, t.zero)
+    return order
+
+
 def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterReport:
-    """Whether every branch's example sequence is realizable by the class."""
-    failing = tuple(tuple(b) for b in branches(tree) if not min_mistakes(b, w).realizable)
-    return ShatterReport(ok=not failing, failing_branches=failing)
+    """Whether every branch's example sequence is realizable by the class.
+
+    A branch is realizable exactly when the class restricted along it is
+    non-empty, so this is one pass over the distinct (node, class state)
+    pairs the tree reaches, not over its root paths.  Failing branches are
+    listed left first, read off the failing pairs only.  An instance outside
+    the class's domain raises :class:`UnknownInstanceError` wherever it sits.
+    """
+    for x in dict.fromkeys(t.instance for t in _preorder(tree) if not t.is_leaf):
+        min_mistakes([(x, 0)], w)  # raises exactly where a branch through x would
+
+    def pair(t: MistakeTree, v: WeightedClass | ExpertClass) -> tuple:
+        state = v.budgets if isinstance(v, ExpertClass) else v.state_key()
+        return t, v, (id(t), state)
+
+    ok: dict[tuple, bool] = {}
+    children: dict[tuple, tuple[tuple, tuple]] = {}
+    root = pair(tree, w)
+    stack = [root]
+    while stack:
+        t, v, key = stack[-1]
+        if key in ok:
+            stack.pop()
+        elif t.is_leaf or v.is_empty:
+            ok[key] = t.is_leaf and not v.is_empty
+            stack.pop()
+        elif key in children:
+            zero, one = children[key]
+            ok[key] = ok[zero[2]] and ok[one[2]]
+            stack.pop()
+        else:
+            zero = pair(t.zero, restrict(v, t.instance, 0))
+            one = pair(t.one, restrict(v, t.instance, 1))
+            children[key] = (zero, one)
+            stack += (one, zero)
+
+    failing: list[tuple[Example, ...]] = []
+    walk: list[tuple[tuple, tuple[Example, ...]]] = [(root, ())]
+    while walk:
+        (t, v, key), prefix = walk.pop()
+        if ok[key]:
+            continue
+        if key not in children:  # a leaf, or every branch below fails
+            failing += (prefix + tuple(b) for b in branches(t))
+            continue
+        zero, one = children[key]
+        walk += ((one, prefix + ((t.instance, 1),)), (zero, prefix + ((t.instance, 0),)))
+    return ShatterReport(ok=not failing, failing_branches=tuple(failing))
 
 
 # ---------------------------------------------------------------------------
@@ -265,34 +335,42 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
 
 
 def tree_to_dict(tree: MistakeTree, weights: WeightFunction | None = None) -> dict:
-    return _node_to_dict(tree, "", weights)
+    return _node_to_dict(tree, "", weights, {})
 
 
 # The two recursive helpers are module functions, not closures: a closure that
 # calls itself is a reference cycle, which keeps a tree's weights and intern
 # table alive until the next full garbage collection.
-def _node_to_dict(t: MistakeTree, pos: str, weights: WeightFunction | None) -> dict:
+def _node_to_dict(
+    t: MistakeTree, pos: str, weights: WeightFunction | None, rendered: dict[int, tuple]
+) -> dict:
     if t.is_leaf:
         return {"leaf": True}
     out = {
         "instance": t.instance,
-        "zero": _node_to_dict(t.zero, pos + "0", weights),
-        "one": _node_to_dict(t.one, pos + "1", weights),
+        "zero": _node_to_dict(t.zero, pos + "0", weights, rendered),
+        "one": _node_to_dict(t.one, pos + "1", weights, rendered),
     }
     if weights is not None:
-        out["w0"] = str(weights.at(pos)[0])
+        # Paths through one node share its pair; holding the pair keeps its id unique.
+        pair = weights.at(pos)
+        hit = rendered.get(id(pair))
+        if hit is None:
+            hit = rendered[id(pair)] = (pair, str(pair[0]))
+        out["w0"] = hit[1]
     return out
 
 
 def tree_from_dict(doc: dict) -> tuple[MistakeTree, WeightFunction | None]:
     """Parse the nested format; structurally identical subtrees become one
-    shared node, while weights stay per path."""
+    shared node, while weights stay per path (equal ``"w0"`` values share
+    one pair object)."""
     weights: dict[str, tuple[Fraction, Fraction]] = {}
-    tree = _node_from_dict(doc, "", weights, {})
+    tree = _node_from_dict(doc, "", weights, {}, {})
     return tree, (WeightFunction(weights) if weights else None)
 
 
-def _node_from_dict(d: dict, pos: str, weights: dict, interned: dict) -> MistakeTree:
+def _node_from_dict(d: dict, pos: str, weights: dict, interned: dict, pairs: dict) -> MistakeTree:
     if not isinstance(d, dict):
         raise ValueError(f"tree node at {pos!r}: expected an object")
     if d.get("leaf"):
@@ -303,14 +381,22 @@ def _node_from_dict(d: dict, pos: str, weights: dict, interned: dict) -> Mistake
     if not isinstance(instance, str):
         raise ValueError(f"tree node at {pos!r}: instance must be a string")
     if "w0" in d:
+        raw = d["w0"]
         try:
-            w0 = Fraction(d["w0"])
-        except (TypeError, ValueError, ArithmeticError):
-            raise ValueError(f"tree node at {pos!r}: w0 is not a rational number") from None
-        weights[pos] = (w0, 1 - w0)
-    zero = _node_from_dict(d["zero"], pos + "0", weights, interned)
-    one = _node_from_dict(d["one"], pos + "1", weights, interned)
-    return interned.setdefault((instance, id(zero), id(one)), node(instance, zero, one))
+            weights[pos] = pairs[raw]
+        except (KeyError, TypeError):  # not parsed yet, or unhashable
+            try:
+                w0 = Fraction(raw)
+            except (TypeError, ValueError, ArithmeticError):
+                raise ValueError(f"tree node at {pos!r}: w0 is not a rational number") from None
+            weights[pos] = pairs[raw] = (w0, 1 - w0)
+    zero = _node_from_dict(d["zero"], pos + "0", weights, interned, pairs)
+    one = _node_from_dict(d["one"], pos + "1", weights, interned, pairs)
+    key = (instance, id(zero), id(one))
+    t = interned.get(key)
+    if t is None:
+        t = interned[key] = node(instance, zero, one)
+    return t
 
 
 def tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:

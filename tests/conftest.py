@@ -15,10 +15,18 @@ from fractions import Fraction
 
 import pytest
 
-from littlestone.classes import Domain, Member, WeightedClass, restrict
+from littlestone.classes import (
+    Domain,
+    ExpertClass,
+    Member,
+    WeightedClass,
+    min_mistakes,
+    restrict,
+)
 from littlestone.trees import (
     LEAF,
     MistakeTree,
+    branches,
     expected_branch_length,
     node,
 )
@@ -75,6 +83,18 @@ def all_shattered_trees(w: WeightedClass, depth: int) -> list[MistakeTree]:
                 for t1 in all_shattered_trees(w1, depth - 1):
                     out.append(node(x, t0, t1))
     return out
+
+
+def reference_shatter(
+    tree: MistakeTree, w: WeightedClass | ExpertClass
+) -> tuple[bool, tuple[tuple[tuple[str, int], ...], ...]]:
+    """(ok, failing branches) by matching every root path against the class.
+
+    Exponential in the depth of a shared DAG; the production check works
+    per (node, class state) pair instead.
+    """
+    failing = tuple(tuple(b) for b in branches(tree) if not min_mistakes(b, w).realizable)
+    return not failing, failing
 
 
 def random_tree(

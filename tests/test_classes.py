@@ -249,6 +249,17 @@ def test_domain_uniqueness_enforced():
         Domain(("p", "p"))
 
 
+def test_domain_lookup_table_is_invisible():
+    d = Domain(("p", "q", "r"))
+    assert d == Domain(("p", "q", "r")) and hash(d) == hash(Domain(("p", "q", "r")))
+    assert repr(d) == "Domain(points=('p', 'q', 'r'))"
+    assert [d.index(p) for p in ("r", "p")] == [2, 0]
+    assert "q" in d and "s" not in d and ["q"] not in d
+    for bad in ("s", ["q"]):
+        with pytest.raises(UnknownInstanceError):
+            d.index(bad)
+
+
 def test_universal_round_trips_through_document():
     w = universal_class(2, 1)
     doc = {

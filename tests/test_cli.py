@@ -222,6 +222,21 @@ class TestTree:
         assert "monotone           = False" in out
         assert "violation at node ''" in out
 
+    def test_analyze_output_of_a_tree_violating_below_the_root(self, tmp_path, capsys):
+        from littlestone.trees import complete_tree, node, tree_to_json
+
+        lopsided = node("r", complete_tree(4, "a"), complete_tree(1, "c"))
+        path = tmp_path / "t.json"
+        path.write_text(tree_to_json(node("s", complete_tree(3, "b"), lopsided)))
+        assert main(["tree", "analyze", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "depth              = 6\n"
+            "expected length    = 17/4 (4.25)\n"
+            "min branch length  = 3\n"
+            "monotone           = False\n"
+            "quasi-balanced     = False (violation at node '1')\n"
+        )
+
 
 def one_error_line(capsys) -> str:
     err = capsys.readouterr().err
@@ -243,7 +258,9 @@ class TestFailuresExitTwo:
         # The DP finishes; the exact numerator has more digits than int -> str allows.
         argv = ["experts", "--n", "1", "--k", "2", "--what", "dim", "--horizon", "25000"]
         assert main(argv) == 2
-        assert "digits" in one_error_line(capsys)
+        line = one_error_line(capsys)
+        assert "digits" in line
+        assert "set_int_max_str_digits" not in line
 
     @pytest.mark.parametrize(
         "doc, position",
@@ -286,6 +303,16 @@ class TestCheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_concentration_computes_no_weights(self, monkeypatch, capsys):
+        import littlestone.dimension
+
+        def unused(tree):
+            raise AssertionError("the concentration check reads no weights")
+
+        monkeypatch.setattr(littlestone.dimension, "quasi_balance_weights", unused)
+        argv = ["check", "concentration", "--n", "2", "--k", "2", "--samples", "500"]
+        assert main(argv) == 0
 
 
 def test_exact_rendering_round_trips(capsys):

@@ -4,11 +4,24 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import monotonize, random_tree, recursion_limit
+from conftest import (
+    monotonize,
+    random_tree,
+    random_weighted_class,
+    recursion_limit,
+    reference_shatter,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littlestone.classes import Domain, Member, WeightedClass, universal_class
+from littlestone.classes import (
+    Domain,
+    ExpertClass,
+    Member,
+    UnknownInstanceError,
+    WeightedClass,
+    universal_class,
+)
 from littlestone.dimension import Solver
 from littlestone.trees import (
     LEAF,
@@ -365,3 +378,98 @@ class TestSharedDag:
             by_node.setdefault(id(subtree(t, pos)), []).append(pos)
         first, second = max(by_node.values(), key=len)[:2]
         assert w.at(first) is w.at(second)
+
+
+class TestShatterPairs:
+    """The (node, class state) pass against the per-branch reference."""
+
+    @staticmethod
+    def check(tree: MistakeTree, w):
+        report = shatter_check(tree, w)
+        assert (report.ok, report.failing_branches) == reference_shatter(tree, w)
+        return report
+
+    def check_random(self, rng, w, points) -> set[bool]:
+        # The shared copy reaches one subtree under two class states.
+        t = random_tree(rng, max_depth=5, leaf_prob=0.3, points=points)
+        return {self.check(t, w).ok, self.check(node(rng.choice(points), t, t), w).ok}
+
+    def test_random_weighted_classes(self, rng):
+        outcomes = set()
+        for _ in range(400):
+            w = random_weighted_class(rng, max_points=3, max_members=4, max_budget=2)
+            outcomes |= self.check_random(rng, w, w.domain.points)
+        assert outcomes == {True, False}
+
+    def test_random_expert_classes(self, rng):
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            advice = tuple(format(v, f"0{n}b") for v in range(2**n))
+            w = ExpertClass(tuple(rng.choice([None, 0, 1, 2]) for _ in range(n)))
+            outcomes |= self.check_random(rng, w, advice)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_fails_at_the_last_level(self, k):
+        assert not self.check(complete_tree(2 * k + 2, "01"), universal_class(2, k)).ok
+
+    def test_every_branch_below_an_empty_class_fails(self):
+        # x=0 then x=1 leaves no member, two levels above the leaves.
+        w = TestShatterCheck.two_constants()
+        assert len(self.check(complete_tree(4, "x"), w).failing_branches) == 14
+
+    def test_extracted_dag_under_a_smaller_budget(self):
+        t, _ = Solver().extract_optimal_tree(universal_class(2, 3), 12)
+        assert self.check(t, universal_class(2, 3)).ok
+        assert not self.check(t, universal_class(2, 2)).ok
+
+    def test_exponentially_many_branches_in_dag_time(self):
+        # 2^60 root paths over 61 distinct nodes.  A member with budget 60
+        # realizes every branch; with budget 59 only the all-ones one fails.
+        d = 60
+        t = complete_tree(d, "x")
+        one_point = Domain(("x",))
+        assert shatter_check(t, WeightedClass(one_point, (Member("zero", (0,), d),))).ok
+        report = shatter_check(t, WeightedClass(one_point, (Member("zero", (0,), d - 1),)))
+        assert report.failing_branches == ((("x", 1),) * d,)
+
+    @pytest.mark.parametrize(
+        "w, known, unknown",
+        [(TestShatterCheck.two_constants(), "x", "zz"), (ExpertClass((0, 0)), "01", "2")],
+        ids=["weighted", "experts"],
+    )
+    def test_unknown_instance_below_an_empty_class_raises(self, w, known, unknown):
+        # The class is empty at position "01"; the unknown instance sits there.
+        t = node(known, node(known, LEAF, node(unknown, LEAF, LEAF)), LEAF)
+        with pytest.raises(UnknownInstanceError):
+            shatter_check(t, w)
+
+
+class TestParseOnce:
+    @pytest.fixture(scope="class")
+    def u25(self):
+        solver = Solver()
+        w = universal_class(2, 5)
+        tree, weights = solver.extract_optimal_tree(w, solver.horizon_for_slack(w, F(1, 64)))
+        return tree_to_json(tree, weights), weights
+
+    def test_weights_equal_the_written_ones(self, u25):
+        text, weights = u25
+        parsed, parsed_w = tree_from_json(text)
+        assert len(parsed_w.weights) == 43_399
+        assert parsed_w.weights == weights.weights
+        assert shatter_check(parsed, universal_class(2, 5)).ok
+
+    def test_equal_w0_strings_share_one_pair(self, u25):
+        text, _ = u25
+        _, parsed_w = tree_from_json(text)
+        pairs_by_text: dict[str, set[int]] = {}
+        stack = [(json.loads(text), "")]
+        while stack:
+            d, pos = stack.pop()
+            if "w0" in d:
+                pairs_by_text.setdefault(d["w0"], set()).add(id(parsed_w.at(pos)))
+                stack += [(d["zero"], pos + "0"), (d["one"], pos + "1")]
+        assert all(len(ids) == 1 for ids in pairs_by_text.values())
+        assert len(pairs_by_text) < 100
