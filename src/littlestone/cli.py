@@ -2,7 +2,8 @@
 game playback, and the branch-length concentration check.
 
 Every numeric result is printed as an exact rational alongside a decimal
-rendering.  Exit codes: 0 success, 2 precondition or parse failure, 3
+rendering.  Exit codes: 0 success, 1 a checked bound failed (``check
+concentration`` printed a ``FAIL`` line), 2 precondition or parse failure, 3
 compute-budget exhaustion.
 """
 
@@ -199,10 +200,11 @@ def cmd_play(args) -> int:
             if args.horizon is not None
             else solver.horizon_for_slack(w, Fraction(args.slack))
         )
-        tree, weights = solver.extract_optimal_tree(w, horizon)
         if args.adversary == "threshold":
+            tree, weights = solver.extract_optimal_tree(w, horizon)
             return threshold_adversary(tree, weights, declared_class=w, check=False)
         if args.adversary == "branch":
+            tree = solver._extract_tree(w, horizon)  # fair coins read no weights
             return random_branch_adversary(tree, declared_class=w, check=False)
         raise AdversaryPreconditionError(f"unknown adversary {args.adversary!r}")
 

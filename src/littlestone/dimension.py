@@ -21,6 +21,14 @@ Universal expert classes additionally compress states to counts of
 surviving experts per remaining budget, which keeps n experts tractable
 without materializing a 2^n domain.
 
+Explicit states are packed into one int each, within a frame built once from
+a root class's canonical members: one bit per member slot, one column mask
+per domain point, and layer j of the int masking the members with remaining
+budget at least j.  A child is then a few bitwise operations on its parent,
+and a memo lookup hashes one int.  Each frame keeps its own memos; a query
+uses the first frame with a slot for each of its members, so every version
+space of a class shares the class's memo, and opens a new frame otherwise.
+
 Randomized values are dyadic, and the DP runs on their integer
 numerators.  RL(W) * 2^P is an integer for P = sum over members of
 (budget + 1); a move that charges s of the m members lowers P by exactly s,
@@ -39,76 +47,106 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
-from operator import add, getitem, sub
+from operator import add, sub
 
 from .classes import ExpertClass, WeightedClass
 from .trees import LEAF, MistakeTree, WeightFunction, node, quasi_balance_weights
 
 EMPTY = -1
 
-# Canonical explicit state: members as sorted ((labels...), budget) pairs.
-# The labels tuples alone determine every behavior, so states are reusable
-# across classes sharing a member matrix.
-_XState = tuple[tuple[tuple[int, ...], int], ...]
 _UState = tuple[int, ...]
 
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+def _ranked(key):
+    """((labels, occurrence), budget) per member of a canonical key; members
+    with equal labels take occurrences 0, 1, ... from the highest budget down."""
+    prev, occurrence = None, 0
+    for labels, budget in reversed(key):
+        occurrence = occurrence + 1 if labels == prev else 0
+        prev = labels
+        yield (labels, occurrence), budget
 
 
-def _x_power(state: _XState) -> int:
-    return len(state) + sum(budget for _, budget in state)
+class _Frame:
+    """Packed-integer encoding of explicit states over one root class's rows.
+
+    Each ``(labels, occurrence)`` slot of the root's canonical members owns
+    one of ``width`` bits, same-label members ranked by budget, descending.
+    A state is the int sum over j of L_j << (j * width), where L_j masks the
+    members whose remaining budget is at least j, so the empty class is 0,
+    ``state & mask`` holds the live members and ``state.bit_count()`` is
+    P = sum of (budget + 1).  Members with equal labels share every column,
+    so a transition keeps each row's slots a prefix with descending budgets,
+    and each canonical state has exactly one encoding.  Budgets grow the
+    layer count on demand; an existing state's value is unaffected.
+    """
+
+    def __init__(self, key):
+        self.slots = {slot: bit for bit, (slot, _) in enumerate(_ranked(key))}
+        self.width = len(self.slots)
+        self.mask = (1 << self.width) - 1
+        # One mask per domain point; ``moves`` keeps the first witness of
+        # each column up to label swap, which no state can tell apart.
+        columns = [
+            sum(labels[x] << bit for (labels, _), bit in self.slots.items())
+            for x in range(len(key[0][0]) if key else 0)
+        ]
+        seen: set[int] = set()
+        self.moves = []
+        for witness, column in enumerate(columns):
+            if column not in seen:
+                seen.update((column, self.mask ^ column))
+                self.moves.append((witness, column))
+        # Copies a slot mask into every layer of the deepest budget encoded.
+        self.repeat = 1
+
+    def encode(self, key) -> int | None:
+        """The packed state of a canonical key, or None if a member has no slot."""
+        state = 0
+        for slot, budget in _ranked(key):
+            bit = self.slots.get(slot)
+            if bit is None:
+                return None
+            layers = ((1 << (budget + 1) * self.width) - 1) // self.mask  # slot 0, layers 0..budget
+            self.repeat = max(self.repeat, layers)
+            state |= layers << bit
+        return state
 
 
-def _x_fates(state: _XState) -> tuple[list, list]:
-    """Per member, its fate under labels 0 and 1, indexed by its own label:
-    itself when it agrees, else charged one unit (None once dropped)."""
-    charged = [(labels, budget - 1) if budget else None for labels, budget in state]
-    return list(zip(state, charged)), list(zip(charged, state))
-
-
-def _x_apply(fates: list, pattern) -> _XState:
-    # Members with equal labels share their fate, so the order stays sorted.
-    return tuple(filter(None, map(getitem, fates, pattern)))
-
-
-def _x_decrement(state: _XState) -> _XState:
-    return tuple((labels, budget - 1) for labels, budget in state if budget)
-
-
-def _x_moves(state: _XState):
+def _x_moves(frame: _Frame, state: int):
     """(first witness, s, child under 0, child under 1) per behavior up to
     label swap, in witness order; ``s`` members label it 1 and are charged
-    under label 0.  A constant behavior leaves the state unchanged under its
-    own label and decrements every member under the other."""
-    m = len(state)
-    zero, one = _x_fates(state)
-    seen: set[bytes] = set()
-    for witness, col in enumerate(map(bytes, zip(*(labels for labels, _ in state)))):
-        if col in seen:
+    under label 0.  Charging drops a member's top layer, so with
+    ``low = state >> width`` the child under 0 takes ``low`` on the members
+    labeling 1 and ``state`` elsewhere, and the child under 1 the reverse.
+    A constant behavior thus gives the state itself and ``low``."""
+    live = state & frame.mask
+    low = state >> frame.width
+    diff = state ^ low
+    repeat = frame.repeat
+    seen: set[int] = set()
+    for witness, column in frame.moves:
+        ones = column & live
+        if ones in seen:
             continue
-        seen.add(col)
-        seen.add(col.translate(_FLIP))
-        s = sum(col)
-        if s == 0:
-            yield witness, s, state, _x_decrement(state)
-        elif s == m:
-            yield witness, s, _x_decrement(state), state
-        else:
-            yield witness, s, _x_apply(zero, col), _x_apply(one, col)
+        seen.add(ones)
+        seen.add(live ^ ones)
+        charged = diff & (ones * repeat)
+        yield witness, ones.bit_count(), state ^ charged, low ^ charged
 
 
-def _x_expand(state: _XState):
+def _x_expand(frame: _Frame, state: int):
     """(m, P, decremented state if some behavior is constant else None,
     [(s, child under 0, child under 1)] per other behavior up to label swap)."""
-    m = len(state)
+    m = (state & frame.mask).bit_count()
     dec = None
     splits = []
-    for _, s, child0, child1 in _x_moves(state):
+    for _, s, child0, child1 in _x_moves(frame, state):
         if 0 < s < m:
             splits.append((s, child0, child1))
         else:
             dec = child1 if s == 0 else child0
-    return m, _x_power(state), dec, splits
+    return m, state.bit_count(), dec, splits
 
 
 def _u_power(counts: _UState) -> int:
@@ -183,6 +221,11 @@ def _brl_rule(expand, key):
     return best
 
 
+def _key(w: WeightedClass | ExpertClass):
+    """Canonical key: counts per budget level, or sorted (labels, budget) pairs."""
+    return w.counts() if isinstance(w, ExpertClass) else w.state_key()
+
+
 def _empty(state) -> int | None:
     """Leaf of L and RL: the empty class."""
     return None if state else EMPTY
@@ -196,6 +239,18 @@ def _empty_or_horizon(key) -> int | None:
     return 0 if t == 0 else None
 
 
+def _tables(expand) -> dict:
+    """One (memo, rule, leaf) table per value over one state space."""
+    return {
+        value: ({}, partial(rule, expand), leaf)
+        for value, rule, leaf in (
+            ("l", _l_rule, _empty),
+            ("rl", _rl_rule, _empty),
+            ("brl", _brl_rule, _empty_or_horizon),
+        )
+    }
+
+
 class ComputeBudgetError(RuntimeError):
     """A configured cap on visited dynamic-programming states was exceeded."""
 
@@ -203,34 +258,52 @@ class ComputeBudgetError(RuntimeError):
 class Solver:
     """Shared-memo dimension computations over weighted and expert classes.
 
-    One (memo, rule, leaf) table per value and state space; the RL memos
-    hold RL * 2^P and the RL_T memos RL_T * 2^T as ints.  The ``Fraction``
-    of each publicly queried key is cached apart and is not a visited state.
+    One (memo, rule, leaf) table per value and state space: the count space,
+    and each :class:`_Frame` of packed explicit states.  The RL memos hold
+    RL * 2^P and the RL_T memos RL_T * 2^T as ints.  The answer of each
+    publicly queried canonical key is cached apart and is not a visited
+    state, so a repeated query neither encodes its class nor walks a memo.
     """
 
     def __init__(self, state_budget: int | None = None):
         self.state_budget = state_budget
-        self._tables = {
-            (value, expert): ({}, partial(rule, _u_expand if expert else _x_expand), leaf)
-            for value, rule, leaf in (
-                ("l", _l_rule, _empty),
-                ("rl", _rl_rule, _empty),
-                ("brl", _brl_rule, _empty_or_horizon),
-            )
-            for expert in (False, True)
-        }
+        self._counts = _tables(_u_expand)
+        # Each frame with its tables; the tables' rules hold the frame, so
+        # the frame must not hold them back, or a dropped Solver is a cycle.
+        self._frames: list[tuple[_Frame, dict]] = []
         # Count and explicit keys never collide: their entries are ints and
         # tuples respectively, and both empty keys () have value -1.
+        self._l_value: dict = {}
         self._rl_frac: dict = {}
         self._brl_frac: dict = {}
 
     @property
     def states_visited(self) -> int:
-        return sum(len(memo) for memo, _, _ in self._tables.values())
+        tables = [self._counts, *(tables for _, tables in self._frames)]
+        return sum(len(memo) for table in tables for memo, _, _ in table.values())
 
     def _charge(self) -> None:
         if self.state_budget is not None and self.states_visited > self.state_budget:
             raise ComputeBudgetError(f"state budget of {self.state_budget} exceeded")
+
+    def _frame(self, key) -> tuple[_Frame, dict, int]:
+        """The first frame with a slot for every member of ``key``, opening
+        one from ``key`` if none has; its tables; the packed state of ``key``."""
+        for frame, tables in self._frames:
+            state = frame.encode(key)
+            if state is not None:
+                return frame, tables, state
+        frame = _Frame(key)
+        tables = _tables(partial(_x_expand, frame))
+        self._frames.append((frame, tables))
+        return frame, tables, frame.encode(key)
+
+    def _root(self, w: WeightedClass | ExpertClass, key) -> tuple[object, dict]:
+        """The DP state of ``w`` (canonical ``key``) and its state space's tables."""
+        if isinstance(w, ExpertClass):
+            return key, self._counts
+        _, tables, state = self._frame(key)
+        return state, tables
 
     def _dp(self, root, memo: dict, body, leaf, charge: bool = True):
         """The value of ``root``: its ``memo`` entry, else ``leaf(root)`` unless
@@ -263,19 +336,22 @@ class Solver:
 
     def littlestone(self, w: WeightedClass | ExpertClass) -> int:
         """Optimal deterministic mistake bound; EMPTY (-1) for the empty class."""
-        expert = isinstance(w, ExpertClass)
-        state = w.counts() if expert else w.state_key()
-        return self._dp(state, *self._tables["l", expert])
+        key = _key(w)
+        hit = self._l_value.get(key)
+        if hit is None:
+            state, tables = self._root(w, key)
+            hit = self._l_value[key] = self._dp(state, *tables["l"])
+        return hit
 
     def randomized_littlestone(self, w: WeightedClass | ExpertClass) -> Fraction:
         """Optimal expected mistake bound; Fraction(-1) for the empty class."""
-        expert = isinstance(w, ExpertClass)
-        state = w.counts() if expert else w.state_key()
-        hit = self._rl_frac.get(state)
+        key = _key(w)
+        hit = self._rl_frac.get(key)
         if hit is None:
-            scaled = self._dp(state, *self._tables["rl", expert])
-            power = _u_power(state) if expert else _x_power(state)
-            hit = self._rl_frac[state] = Fraction(scaled, 1 << power)
+            state, tables = self._root(w, key)
+            scaled = self._dp(state, *tables["rl"])
+            power = _u_power(key) if isinstance(w, ExpertClass) else state.bit_count()
+            hit = self._rl_frac[key] = Fraction(scaled, 1 << power)
         return hit
 
     def bounded_littlestone(self, w: WeightedClass | ExpertClass, horizon: int) -> int:
@@ -289,11 +365,11 @@ class Solver:
     ) -> Fraction:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        expert = isinstance(w, ExpertClass)
-        key = (w.counts() if expert else w.state_key(), horizon)
+        key = (_key(w), horizon)
         hit = self._brl_frac.get(key)
         if hit is None:
-            scaled = self._dp(key, *self._tables["brl", expert])
+            state, tables = self._root(w, key[0])
+            scaled = self._dp((state, horizon), *tables["brl"])
             hit = self._brl_frac[key] = Fraction(scaled, 1 << horizon)
         return hit
 
@@ -317,11 +393,11 @@ class Solver:
         if w.is_empty:
             raise ValueError("cannot extract a strategy for the empty class")
         domain = w.domain.points
-        root = (w.state_key(), horizon)
-        values = self._tables["brl", False][0]
         # Fill the RL_T memo through the public query, so that wrappers which
         # time or count the queries see this work too.
         self.bounded_randomized_littlestone(w, horizon)
+        frame, tables, state = self._frame(w.state_key())
+        values = tables["brl"][0]
 
         # Every key extraction reaches was reached by the RL_T run above, so
         # its value (at scale 2^t) is a memo entry or a leaf.
@@ -336,7 +412,7 @@ class Solver:
             target = value(key)
             t -= 1
             half = 1 << t
-            for witness, _, child0, child1 in _x_moves(state):
+            for witness, _, child0, child1 in _x_moves(frame, state):
                 key0, key1 = (child0, t), (child1, t)
                 if half + value(key0) + value(key1) == target:
                     zero, one = (yield key0), (yield key1)
@@ -348,7 +424,7 @@ class Solver:
             return LEAF if value(key) == 0 else None
 
         # The RL_T run above paid for every state; extraction only reads them.
-        return self._dp(root, {}, body, leaf, charge=False)
+        return self._dp((state, horizon), {}, body, leaf, charge=False)
 
     def horizon_for_slack(self, w: WeightedClass | ExpertClass, slack: Fraction) -> int:
         """Smallest horizon T with RL(W, T) >= RL(W) - slack.

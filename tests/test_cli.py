@@ -198,6 +198,25 @@ class TestPlay:
         assert rc == 0
         assert len(calls) == 1
 
+    def test_branch_adversary_computes_no_weights(self, monkeypatch, capsys):
+        import littlestone.cli
+        import littlestone.dimension
+
+        argv = ["play", "--n", "2", "--k", "2", "--learner", "randsoa",
+                "--adversary", "branch", "--trials", "5", "--slack", "1/64"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+
+        def unused(tree):
+            raise AssertionError("the branch adversary reads no weights")
+
+        for module in (littlestone.cli, littlestone.dimension):
+            monkeypatch.setattr(module, "quasi_balance_weights", unused)
+        assert main(argv) == 0
+        after = capsys.readouterr().out
+        assert after == before
+        assert [line for line in after.splitlines() if line.startswith("trial ")]
+
 
 class TestTree:
     def test_extract_then_analyze(self, tmp_path, u2k2_file, capsys):
@@ -313,6 +332,15 @@ class TestCheck:
         monkeypatch.setattr(littlestone.dimension, "quasi_balance_weights", unused)
         argv = ["check", "concentration", "--n", "2", "--k", "2", "--samples", "500"]
         assert main(argv) == 0
+
+    def test_failed_bound_exits_1(self, monkeypatch, capsys):
+        import littlestone.cli
+
+        # Every sampled branch is empty, so each lower tail is 1.
+        monkeypatch.setattr(littlestone.cli, "sample_branch", lambda tree, seed: "")
+        argv = ["check", "concentration", "--n", "2", "--k", "1", "--samples", "100"]
+        assert main(argv) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 def test_exact_rendering_round_trips(capsys):

@@ -17,14 +17,7 @@ from littlestone.classes import (
     restrict,
     universal_class,
 )
-from littlestone.dimension import (
-    EMPTY,
-    ComputeBudgetError,
-    Solver,
-    _x_apply,
-    _x_decrement,
-    _x_fates,
-)
+from littlestone.dimension import EMPTY, ComputeBudgetError, Solver, _Frame, _x_moves
 from littlestone.trees import (
     expected_branch_length,
     is_monotone,
@@ -493,20 +486,132 @@ class TestDyadicEngine:
         assert s.bounded_randomized_littlestone(EMPTY_CLASS, 3) == -1
 
 
-_sorted_states = st.lists(
-    st.tuples(st.tuples(*[st.integers(0, 1)] * 3), st.integers(0, 2)),
-    min_size=1,
-    max_size=6,
-    unique=True,
-).map(lambda members: tuple(sorted(members)))
+@st.composite
+def repeated_row_classes(draw) -> WeightedClass:
+    """Classes whose label rows are each shared by members at different budgets."""
+    npts = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(0, 1)] * npts)
+    rows = draw(st.lists(row, min_size=1, max_size=3, unique=True))
+    members = []
+    for labels in rows:
+        for budget in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+            members.append(Member(f"h{len(members)}", labels, budget))
+    return WeightedClass(Domain(tuple(f"p{i}" for i in range(npts))), tuple(members))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_sorted_states, st.data())
-def test_transitions_keep_states_sorted(state, data):
-    pattern = tuple(labels[data.draw(st.integers(0, 2))] for labels, _ in state)
-    for fates in _x_fates(state):
-        out = _x_apply(fates, pattern)
-        assert out == tuple(sorted(out))
-    out = _x_decrement(state)
-    assert out == tuple(sorted(out))
+def _decremented(key):
+    return tuple((labels, budget - 1) for labels, budget in key if budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_row_classes())
+def test_packed_transitions_match_restrict(w):
+    """Every packed child is the encoding of the restricted class in W's frame,
+    for every state within two steps of W, and distinct states stay distinct."""
+    frame = _Frame(w.state_key())
+
+    def encode(v):
+        state = frame.encode(v.state_key())
+        assert state is not None
+        return state
+
+    encodings: dict = {}
+    level = [w]
+    for _ in range(3):
+        nxt = []
+        for v in level:
+            if v.is_empty:
+                assert encode(v) == 0
+                continue
+            state = encode(v)
+            encodings[v.state_key()] = state
+            assert frame.encode(_decremented(v.state_key())) == state >> frame.width
+            pairs = set()
+            for witness, s, child0, child1 in _x_moves(frame, state):
+                x = v.domain.points[witness]
+                assert s == sum(v.column(x))
+                assert (child0, child1) == (encode(restrict(v, x, 0)), encode(restrict(v, x, 1)))
+                pairs.add((child0, child1))
+            for x in v.domain:
+                v0, v1 = restrict(v, x, 0), restrict(v, x, 1)
+                pair = (encode(v0), encode(v1))
+                assert pair in pairs or pair[::-1] in pairs
+                nxt += [v0, v1]
+        level = nxt
+    assert len(set(encodings.values())) == len(encodings)
+
+
+class TestFrames:
+    def test_version_spaces_reuse_the_class_memo(self, rng):
+        classes = [universal_class(3, 2)] + [random_weighted_class(rng) for _ in range(3)]
+        for w in classes:
+            s = Solver()
+            s.littlestone(w)
+            s.randomized_littlestone(w)
+            if w == classes[0]:
+                assert s.states_visited == 126
+            horizon = 4
+            s.bounded_randomized_littlestone(w, horizon)
+            before = s.states_visited
+            v = w
+            for depth in range(horizon):
+                x = rng.choice(v.domain.points)
+                v = restrict(v, x, rng.randint(0, 1))
+                fresh = Solver()
+                assert s.littlestone(v) == fresh.littlestone(v)
+                assert s.randomized_littlestone(v) == fresh.randomized_littlestone(v)
+                assert s.bounded_randomized_littlestone(
+                    v, horizon - depth - 1
+                ) == fresh.bounded_randomized_littlestone(v, horizon - depth - 1)
+            assert s.states_visited == before
+
+    @pytest.mark.parametrize(
+        "sub",
+        [
+            lambda w: WeightedClass(w.domain, w.members[:2]),  # fewer rows
+            lambda w: WeightedClass(  # same rows, lower budgets
+                w.domain, tuple(Member(m.name, m.labels, m.budget - 1) for m in w.members)
+            ),
+            lambda w: WeightedClass(w.domain, w.members[1:]),  # fewer members on a row
+        ],
+        ids=["rows", "budgets", "occurrences"],
+    )
+    def test_subclass_then_superclass(self, sub):
+        pts = ("a", "b", "c")
+        w = WeightedClass(
+            Domain(pts),
+            (
+                Member("p", (0, 1, 1), 2),
+                Member("q", (0, 1, 1), 1),
+                Member("r", (1, 0, 1), 2),
+                Member("s", (0, 0, 0), 1),
+            ),
+        )
+        v = sub(w)
+
+        def values(solver, cls):
+            return (
+                solver.littlestone(cls),
+                solver.randomized_littlestone(cls),
+                [solver.bounded_randomized_littlestone(cls, t) for t in range(6)],
+            )
+
+        s = Solver()
+        first = values(s, v)
+        assert values(s, w) == values(Solver(), w)
+        assert first == values(Solver(), v) == values(s, v)
+
+    def test_empty_class_and_empty_domain(self):
+        for order in ((EMPTY_CLASS, EMPTY_DOMAIN), (EMPTY_DOMAIN, EMPTY_CLASS)):
+            s = Solver()
+            rl = s.randomized_littlestone(universal_class(2, 1))
+            for w in order:
+                expected = EMPTY if w is EMPTY_CLASS else 0
+                assert s.littlestone(w) == expected
+                assert s.randomized_littlestone(w) == expected
+                assert s.bounded_randomized_littlestone(w, 3) == expected
+            assert rl == s.randomized_littlestone(universal_class(2, 1)) == F(7, 4)
+        s = Solver()
+        assert s.littlestone(EMPTY_CLASS) == EMPTY
+        assert s.littlestone(EMPTY_DOMAIN) == 0
+        assert s.randomized_littlestone(universal_class(2, 1)) == F(7, 4)
