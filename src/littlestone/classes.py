@@ -244,6 +244,16 @@ def restrict(w: WeightedClass | ExpertClass, x: str, y: int) -> WeightedClass | 
     return WeightedClass(domain=w.domain, members=tuple(kept))
 
 
+def with_budget(w: WeightedClass | ExpertClass, k: int) -> WeightedClass | ExpertClass:
+    """The class with budget k on every member, and on every expert slot."""
+    if isinstance(w, ExpertClass):
+        return ExpertClass(tuple(k for _ in w.budgets))
+    return WeightedClass(
+        domain=w.domain,
+        members=tuple(Member(m.name, m.labels, k) for m in w.members),
+    )
+
+
 def behaviors(w: WeightedClass) -> list[Behavior]:
     """The distinct label columns of the class, with all witnessing points.
 
@@ -278,10 +288,13 @@ def min_mistakes(s: ExampleSequence, w: WeightedClass | ExpertClass) -> Realizab
     if isinstance(w, ExpertClass):
         best: tuple[int, str] | None = None
         ok = False
+        advice = None
         for i, b in enumerate(w.budgets):
             if b is None:
                 continue
-            errs = sum(1 for x, y in s if _parse_advice(x, w.n)[i] != y)
+            if advice is None:  # parsed once, and only if some expert is alive
+                advice = [(_parse_advice(x, w.n), y) for x, y in s]
+            errs = sum(1 for a, y in advice if a[i] != y)
             if best is None or errs < best[0]:
                 best = (errs, f"e{i + 1}")
             ok = ok or errs <= b

@@ -28,6 +28,9 @@ budget at least j.  A child is then a few bitwise operations on its parent,
 and a memo lookup hashes one int.  Each frame keeps its own memos; a query
 uses the first frame with a slot for each of its members, so every version
 space of a class shares the class's memo, and opens a new frame otherwise.
+A :class:`VersionSpace` is a class held as such a state (an expert class as
+its budget vector): an example steps it by the same bitwise charge, with no
+class built, and every query accepts it in place of a class.
 
 Randomized values are dyadic, and the DP runs on their integer
 numerators.  RL(W) * 2^P is an integer for P = sum over members of
@@ -49,7 +52,7 @@ from functools import partial
 from itertools import islice, product
 from operator import add, sub
 
-from .classes import ExpertClass, WeightedClass
+from .classes import ExpertClass, WeightedClass, restrict
 from .trees import LEAF, MistakeTree, WeightFunction, node, quasi_balance_weights
 
 EMPTY = -1
@@ -87,13 +90,13 @@ class _Frame:
         self.mask = (1 << self.width) - 1
         # One mask per domain point; ``moves`` keeps the first witness of
         # each column up to label swap, which no state can tell apart.
-        columns = [
+        self.columns = [
             sum(labels[x] << bit for (labels, _), bit in self.slots.items())
             for x in range(len(key[0][0]) if key else 0)
         ]
         seen: set[int] = set()
         self.moves = []
-        for witness, column in enumerate(columns):
+        for witness, column in enumerate(self.columns):
             if column not in seen:
                 seen.update((column, self.mask ^ column))
                 self.moves.append((witness, column))
@@ -151,6 +154,77 @@ def _x_expand(frame: _Frame, state: int):
 
 def _u_power(counts: _UState) -> int:
     return sum(level * c for level, c in enumerate(counts, 1))
+
+
+class VersionSpace:
+    """A class as a state of a :class:`Solver`'s state space, stepped by examples.
+
+    An explicit class is its packed state in a frame: one example charges
+    the members labeling against it as :func:`_x_moves` does, and a column
+    mask stands in for the domain point.  An expert class is its budget
+    vector, valued at its counts.  Values come from the tables the space was
+    built over, so every step of a class reads the class's memo.  Immutable.
+    """
+
+    __slots__ = ("tables", "state", "frame", "domain", "experts")
+
+    def __init__(self, solver: "Solver", w: WeightedClass | ExpertClass):
+        if isinstance(w, ExpertClass):
+            self.tables, self.state, self.experts = solver._counts, w.counts(), w
+            self.frame = self.domain = None
+        else:
+            self.frame, self.tables, self.state = solver._frame(w.state_key())
+            self.domain, self.experts = w.domain, None
+
+    def _child(self, state, experts: ExpertClass | None = None) -> "VersionSpace":
+        child = object.__new__(VersionSpace)
+        child.tables, child.state, child.frame = self.tables, state, self.frame
+        child.domain, child.experts = self.domain, experts
+        return child
+
+    def _charge(self, x: str) -> tuple[int, int]:
+        """(members charged under label 0 at each of their layers, the state
+        one layer down); the children are ``state ^ charged`` and ``low ^ charged``."""
+        frame, state = self.frame, self.state
+        i = self.domain.index(x)
+        low = state >> frame.width
+        # The empty class may sit in a frame opened without columns.
+        return (state ^ low) & frame.columns[i] * frame.repeat if state else 0, low
+
+    def split(self, x: str) -> tuple["VersionSpace", "VersionSpace"]:
+        """The version spaces after (x, 0) and after (x, 1)."""
+        if self.frame is None:
+            return self.step(x, 0), self.step(x, 1)
+        charged, low = self._charge(x)
+        return self._child(self.state ^ charged), self._child(low ^ charged)
+
+    def step(self, x: str, y: int) -> "VersionSpace":
+        """The version space after the example (x, y), as :func:`restrict`."""
+        if self.frame is None:
+            experts = restrict(self.experts, x, y)
+            return self._child(experts.counts(), experts)
+        if y not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {y!r}")
+        charged, low = self._charge(x)
+        return self._child(low ^ charged if y else self.state ^ charged)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.state
+
+    @property
+    def key(self):
+        """Hashable, and equal only for equal version spaces of one Solver."""
+        return self.experts if self.frame is None else (self.frame, self.state)
+
+    @property
+    def power(self) -> int:
+        """P = sum over members of (budget + 1); RL * 2^P is an integer."""
+        return _u_power(self.state) if self.frame is None else self.state.bit_count()
+
+    def __deepcopy__(self, memo) -> "VersionSpace":
+        # The tables belong to the Solver, which a copied learner shares.
+        return self
 
 
 def _trim(counts: list[int]) -> _UState:
@@ -221,11 +295,6 @@ def _brl_rule(expand, key):
     return best
 
 
-def _key(w: WeightedClass | ExpertClass):
-    """Canonical key: counts per budget level, or sorted (labels, budget) pairs."""
-    return w.counts() if isinstance(w, ExpertClass) else w.state_key()
-
-
 def _empty(state) -> int | None:
     """Leaf of L and RL: the empty class."""
     return None if state else EMPTY
@@ -260,9 +329,8 @@ class Solver:
 
     One (memo, rule, leaf) table per value and state space: the count space,
     and each :class:`_Frame` of packed explicit states.  The RL memos hold
-    RL * 2^P and the RL_T memos RL_T * 2^T as ints.  The answer of each
-    publicly queried canonical key is cached apart and is not a visited
-    state, so a repeated query neither encodes its class nor walks a memo.
+    RL * 2^P and the RL_T memos RL_T * 2^T as ints.  Every query takes a
+    class or a :class:`VersionSpace` and reads its state's memo entry.
     """
 
     def __init__(self, state_budget: int | None = None):
@@ -271,11 +339,6 @@ class Solver:
         # Each frame with its tables; the tables' rules hold the frame, so
         # the frame must not hold them back, or a dropped Solver is a cycle.
         self._frames: list[tuple[_Frame, dict]] = []
-        # Count and explicit keys never collide: their entries are ints and
-        # tuples respectively, and both empty keys () have value -1.
-        self._l_value: dict = {}
-        self._rl_frac: dict = {}
-        self._brl_frac: dict = {}
 
     @property
     def states_visited(self) -> int:
@@ -298,12 +361,9 @@ class Solver:
         self._frames.append((frame, tables))
         return frame, tables, frame.encode(key)
 
-    def _root(self, w: WeightedClass | ExpertClass, key) -> tuple[object, dict]:
-        """The DP state of ``w`` (canonical ``key``) and its state space's tables."""
-        if isinstance(w, ExpertClass):
-            return key, self._counts
-        _, tables, state = self._frame(key)
-        return state, tables
+    def version_space(self, w: WeightedClass | ExpertClass | VersionSpace) -> VersionSpace:
+        """``w`` as a state of this solver's state spaces; a VersionSpace as is."""
+        return w if isinstance(w, VersionSpace) else VersionSpace(self, w)
 
     def _dp(self, root, memo: dict, body, leaf, charge: bool = True):
         """The value of ``root``: its ``memo`` entry, else ``leaf(root)`` unless
@@ -334,44 +394,31 @@ class Solver:
 
     # -- queries -------------------------------------------------------------
 
-    def littlestone(self, w: WeightedClass | ExpertClass) -> int:
+    def littlestone(self, w: WeightedClass | ExpertClass | VersionSpace) -> int:
         """Optimal deterministic mistake bound; EMPTY (-1) for the empty class."""
-        key = _key(w)
-        hit = self._l_value.get(key)
-        if hit is None:
-            state, tables = self._root(w, key)
-            hit = self._l_value[key] = self._dp(state, *tables["l"])
-        return hit
+        v = self.version_space(w)
+        return self._dp(v.state, *v.tables["l"])
 
-    def randomized_littlestone(self, w: WeightedClass | ExpertClass) -> Fraction:
+    def randomized_littlestone(self, w: WeightedClass | ExpertClass | VersionSpace) -> Fraction:
         """Optimal expected mistake bound; Fraction(-1) for the empty class."""
-        key = _key(w)
-        hit = self._rl_frac.get(key)
-        if hit is None:
-            state, tables = self._root(w, key)
-            scaled = self._dp(state, *tables["rl"])
-            power = _u_power(key) if isinstance(w, ExpertClass) else state.bit_count()
-            hit = self._rl_frac[key] = Fraction(scaled, 1 << power)
-        return hit
+        v = self.version_space(w)
+        return Fraction(self._dp(v.state, *v.tables["rl"]), 1 << v.power)
 
-    def bounded_littlestone(self, w: WeightedClass | ExpertClass, horizon: int) -> int:
+    def bounded_littlestone(
+        self, w: WeightedClass | ExpertClass | VersionSpace, horizon: int
+    ) -> int:
         """min(horizon, L(W)): depth caps can only shorten balanced trees."""
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         return min(horizon, self.littlestone(w))
 
     def bounded_randomized_littlestone(
-        self, w: WeightedClass | ExpertClass, horizon: int
+        self, w: WeightedClass | ExpertClass | VersionSpace, horizon: int
     ) -> Fraction:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        key = (_key(w), horizon)
-        hit = self._brl_frac.get(key)
-        if hit is None:
-            state, tables = self._root(w, key[0])
-            scaled = self._dp((state, horizon), *tables["brl"])
-            hit = self._brl_frac[key] = Fraction(scaled, 1 << horizon)
-        return hit
+        v = self.version_space(w)
+        return Fraction(self._dp((v.state, horizon), *v.tables["brl"]), 1 << horizon)
 
     def extract_optimal_tree(
         self, w: WeightedClass | ExpertClass, horizon: int
@@ -393,11 +440,12 @@ class Solver:
         if w.is_empty:
             raise ValueError("cannot extract a strategy for the empty class")
         domain = w.domain.points
+        v = self.version_space(w)
+        frame = v.frame
         # Fill the RL_T memo through the public query, so that wrappers which
         # time or count the queries see this work too.
-        self.bounded_randomized_littlestone(w, horizon)
-        frame, tables, state = self._frame(w.state_key())
-        values = tables["brl"][0]
+        self.bounded_randomized_littlestone(v, horizon)
+        values = v.tables["brl"][0]
 
         # Every key extraction reaches was reached by the RL_T run above, so
         # its value (at scale 2^t) is a memo entry or a leaf.
@@ -424,7 +472,7 @@ class Solver:
             return LEAF if value(key) == 0 else None
 
         # The RL_T run above paid for every state; extraction only reads them.
-        return self._dp((state, horizon), {}, body, leaf, charge=False)
+        return self._dp((v.state, horizon), {}, body, leaf, charge=False)
 
     def horizon_for_slack(self, w: WeightedClass | ExpertClass, slack: Fraction) -> int:
         """Smallest horizon T with RL(W, T) >= RL(W) - slack.

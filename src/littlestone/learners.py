@@ -11,6 +11,11 @@ dimensions of the two candidate restrictions:
   randomized dimensions are within 1 of each other, and saturates at 0 or 1
   otherwise, which equalizes the adversary's two options each round.
 
+The version space is a :class:`~littlestone.dimension.VersionSpace`: a packed
+state in the class's frame (budgets, for an expert class).  A round splits it
+into its two candidate children with a few bitwise operations and reads their
+values from the solver's memo; no restricted class is ever built.
+
 Predictions are probabilities of answering 1, reported as exact rationals;
 the per-round loss |y - p| is then the exact mistake probability.
 """
@@ -20,12 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
-import numpy as np
+from .classes import ExpertClass, WeightedClass, with_budget
+from .classes import restrict  # noqa: F401  # bench/tracing.py wraps learners.restrict
+from .dimension import Solver, VersionSpace
 
-from .classes import ExpertClass, WeightedClass, Member, restrict
-from .dimension import Solver
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EmptyVersionSpaceError(RuntimeError):
@@ -79,62 +86,78 @@ class ConstantLearner(Learner):
         return ("const", self.p)
 
 
-def _vs_key(v: WeightedClass | ExpertClass) -> Hashable:
-    if isinstance(v, ExpertClass):
-        return ("u", v.budgets)
-    return ("x", v.state_key())
+def _balanced(rl0: Fraction, rl1: Fraction) -> Fraction:
+    """The randomized rule: p = (1 + rl1 - rl0) / 2, saturated at 0 and 1.
+
+    Worked on the numerators over the common denominator d, so that one
+    Fraction is built instead of five.
+    """
+    d = math.lcm(rl0.denominator, rl1.denominator)
+    a0 = rl0.numerator * (d // rl0.denominator)
+    a1 = rl1.numerator * (d // rl1.denominator)
+    if a0 + d < a1:
+        return Fraction(1)
+    if a1 + d < a0:
+        return Fraction(0)
+    return Fraction(d + a1 - a0, 2 * d)
 
 
 class SOALearner(Learner):
     """Deterministic version-space learner; ties predict 0."""
 
-    def __init__(self, version_space: WeightedClass | ExpertClass, solver: Solver | None = None):
-        self.version_space = version_space
+    def __init__(
+        self,
+        version_space: WeightedClass | ExpertClass | VersionSpace,
+        solver: Solver | None = None,
+    ):
         self.solver = solver or Solver()
+        self.version_space = self.solver.version_space(version_space)
 
     def predict(self, x: str) -> Fraction:
         if self.version_space.is_empty:
             raise EmptyVersionSpaceError("no hypothesis left to predict with")
-        d0 = self.solver.littlestone(restrict(self.version_space, x, 0))
-        d1 = self.solver.littlestone(restrict(self.version_space, x, 1))
+        v0, v1 = self.version_space.split(x)
+        d0 = self.solver.littlestone(v0)
+        d1 = self.solver.littlestone(v1)
         return Fraction(1) if d1 > d0 else Fraction(0)
 
     def update(self, x: str, y: int) -> None:
-        self.version_space = restrict(self.version_space, x, y)
+        self.version_space = self.version_space.step(x, y)
 
     def clone(self) -> "SOALearner":
         return SOALearner(self.version_space, self.solver)
 
     def state_key(self):
-        return ("soa", _vs_key(self.version_space))
+        return ("soa", self.version_space.key)
 
 
 class RandSOALearner(Learner):
     """Randomized version-space learner achieving the optimal expected loss."""
 
-    def __init__(self, version_space: WeightedClass | ExpertClass, solver: Solver | None = None):
-        self.version_space = version_space
+    def __init__(
+        self,
+        version_space: WeightedClass | ExpertClass | VersionSpace,
+        solver: Solver | None = None,
+    ):
         self.solver = solver or Solver()
+        self.version_space = self.solver.version_space(version_space)
 
     def predict(self, x: str) -> Fraction:
         if self.version_space.is_empty:
             raise EmptyVersionSpaceError("no hypothesis left to predict with")
-        rl0 = self.solver.randomized_littlestone(restrict(self.version_space, x, 0))
-        rl1 = self.solver.randomized_littlestone(restrict(self.version_space, x, 1))
-        if rl0 + 1 < rl1:
-            return Fraction(1)
-        if rl1 + 1 < rl0:
-            return Fraction(0)
-        return (1 + rl1 - rl0) / 2
+        v0, v1 = self.version_space.split(x)
+        return _balanced(
+            self.solver.randomized_littlestone(v0), self.solver.randomized_littlestone(v1)
+        )
 
     def update(self, x: str, y: int) -> None:
-        self.version_space = restrict(self.version_space, x, y)
+        self.version_space = self.version_space.step(x, y)
 
     def clone(self) -> "RandSOALearner":
         return RandSOALearner(self.version_space, self.solver)
 
     def state_key(self):
-        return ("randsoa", _vs_key(self.version_space))
+        return ("randsoa", self.version_space.key)
 
 
 class BoundedRandSOALearner(Learner):
@@ -142,15 +165,15 @@ class BoundedRandSOALearner(Learner):
 
     def __init__(
         self,
-        version_space: WeightedClass | ExpertClass,
+        version_space: WeightedClass | ExpertClass | VersionSpace,
         horizon: int,
         solver: Solver | None = None,
     ):
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        self.version_space = version_space
         self.remaining = horizon
         self.solver = solver or Solver()
+        self.version_space = self.solver.version_space(version_space)
 
     def predict(self, x: str) -> Fraction:
         if self.remaining < 1:
@@ -158,29 +181,23 @@ class BoundedRandSOALearner(Learner):
         if self.version_space.is_empty:
             raise EmptyVersionSpaceError("no hypothesis left to predict with")
         t = self.remaining - 1
-        rl0 = self.solver.bounded_randomized_littlestone(
-            restrict(self.version_space, x, 0), t
+        v0, v1 = self.version_space.split(x)
+        return _balanced(
+            self.solver.bounded_randomized_littlestone(v0, t),
+            self.solver.bounded_randomized_littlestone(v1, t),
         )
-        rl1 = self.solver.bounded_randomized_littlestone(
-            restrict(self.version_space, x, 1), t
-        )
-        if rl0 + 1 < rl1:
-            return Fraction(1)
-        if rl1 + 1 < rl0:
-            return Fraction(0)
-        return (1 + rl1 - rl0) / 2
 
     def update(self, x: str, y: int) -> None:
         if self.remaining < 1:
             raise HorizonExhaustedError("no rounds left")
-        self.version_space = restrict(self.version_space, x, y)
+        self.version_space = self.version_space.step(x, y)
         self.remaining -= 1
 
     def clone(self) -> "BoundedRandSOALearner":
         return BoundedRandSOALearner(self.version_space, self.remaining, self.solver)
 
     def state_key(self):
-        return ("brandsoa", _vs_key(self.version_space), self.remaining)
+        return ("brandsoa", self.version_space.key, self.remaining)
 
 
 class FollowTheLeader(Learner):
@@ -220,15 +237,6 @@ class FollowTheLeader(Learner):
         return ("ftl", self.survivors)
 
 
-def _with_budget(base: WeightedClass | ExpertClass, k: int) -> WeightedClass | ExpertClass:
-    if isinstance(base, ExpertClass):
-        return ExpertClass(tuple(k for _ in base.budgets))
-    return WeightedClass(
-        domain=base.domain,
-        members=tuple(Member(m.name, m.labels, k) for m in base.members),
-    )
-
-
 class AdaptiveAggregator(Learner):
     """Budget-adaptive learner: second-order weights over optimal sub-learners.
 
@@ -263,7 +271,7 @@ class AdaptiveAggregator(Learner):
         """Add the budget-k sub-learner, replaying it over the stored history
         so its regret statistics match what tracking it from round one would
         have produced."""
-        learner = RandSOALearner(_with_budget(self.base, k), self.solver)
+        learner = RandSOALearner(with_budget(self.base, k), self.solver)
         regret = 0.0
         variance = 0.0
         alive = True
@@ -291,20 +299,23 @@ class AdaptiveAggregator(Learner):
         for k, sub in self._pool.items():
             if sub is not None:
                 preds[k] = sub.predict(x)
+        exps = {
+            k: [eta * self._regret[k] - eta**2 * self._variance[k] for eta in _ETAS]
+            for k in preds
+        }
         # Normalize by the largest exponent for stability; the common factor
         # cancels in the convex combination.
-        exps = {
-            (k, eta): float(eta) * self._regret[k] - float(eta) ** 2 * self._variance[k]
-            for k in preds
-            for eta in self.ETA_GRID
-        }
-        top = max(exps.values())
+        top = max(map(max, exps.values()))
         num = 0.0
         den = 0.0
-        for (k, eta), e in exps.items():
-            w = float(self.prior(k)) / len(self.ETA_GRID) * math.exp(e - top)
-            num += w * float(preds[k])
-            den += w
+        for k, row in exps.items():
+            # float(prior(k)) / len(ETA_GRID), and the same float of preds[k].
+            scale = 1 / ((k + 1) * (k + 2)) / len(_ETAS)
+            p_k = float(preds[k])
+            for e in row:
+                w = scale * math.exp(e - top)
+                num += w * p_k
+                den += w
         p = min(max(Fraction(num / den), Fraction(0)), Fraction(1))
         self._last = (x, p, preds)
         return p
@@ -347,6 +358,9 @@ class AdaptiveAggregator(Learner):
         return None
 
 
+_ETAS = tuple(float(eta) for eta in AdaptiveAggregator.ETA_GRID)
+
+
 @dataclass
 class PerceptronInstance:
     """A labeled point stream with its planted margin and recomputed radius."""
@@ -357,6 +371,10 @@ class PerceptronInstance:
     radius: float = 0.0
 
     def __post_init__(self) -> None:
+        # Only the perceptron needs numpy, so importing the package (every
+        # CLI command, every game) does not load it.
+        import numpy as np
+
         self.vectors = np.asarray(self.vectors, dtype=float)
         self.labels = np.asarray(self.labels)
         if self.vectors.ndim != 2 or len(self.vectors) != len(self.labels):
@@ -377,6 +395,8 @@ class PerceptronRun:
 
 def perceptron_run(data: PerceptronInstance) -> PerceptronRun:
     """Single pass of the mistake-driven perceptron from the zero vector."""
+    import numpy as np
+
     w = np.zeros(data.vectors.shape[1] if data.vectors.size else 0)
     mistakes = 0
     for x, y in zip(data.vectors, data.labels):

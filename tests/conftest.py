@@ -8,6 +8,7 @@ points, which is the defining supremum for bounded-depth dimensions.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -95,6 +96,109 @@ def reference_shatter(
     """
     failing = tuple(tuple(b) for b in branches(tree) if not min_mistakes(b, w).realizable)
     return not failing, failing
+
+
+def reference_prediction(
+    selection: str,
+    solver,
+    v: WeightedClass | ExpertClass,
+    x: str,
+    remaining: int | None = None,
+) -> Fraction:
+    """The version-space rules on the class itself: restrict it by both labels
+    and compare the two dimensions, in Fraction arithmetic throughout.
+
+    ``selection`` is soa, randsoa or bounded-randsoa (with ``remaining``
+    rounds left).  The learners step packed states instead of classes.
+    """
+    v0, v1 = restrict(v, x, 0), restrict(v, x, 1)
+    if selection == "soa":
+        return Fraction(1) if solver.littlestone(v1) > solver.littlestone(v0) else Fraction(0)
+    if selection == "randsoa":
+        rl0, rl1 = solver.randomized_littlestone(v0), solver.randomized_littlestone(v1)
+    else:
+        rl0 = solver.bounded_randomized_littlestone(v0, remaining - 1)
+        rl1 = solver.bounded_randomized_littlestone(v1, remaining - 1)
+    if rl0 + 1 < rl1:
+        return Fraction(1)
+    if rl1 + 1 < rl0:
+        return Fraction(0)
+    return (1 + rl1 - rl0) / 2
+
+
+class ReferenceAggregator:
+    """The adaptive aggregator's rule over restrict-stepped RandSOA classes,
+    converting every Fraction to float where it is used."""
+
+    ETA_GRID = tuple(Fraction(1, 2**j) for j in range(1, 13))
+
+    def __init__(self, base: WeightedClass | ExpertClass, solver):
+        self.base = base
+        self.solver = solver
+        self.history: list[tuple[str, int, float]] = []
+        self.ceiling = 1
+        # k -> [version space or None once empty, regret, variance]
+        self.pool: dict[int, list] = {}
+        for k in range(self.ceiling + 1):
+            self._spawn(k)
+
+    def _spawn(self, k: int) -> None:
+        if isinstance(self.base, ExpertClass):
+            v = ExpertClass(tuple(k for _ in self.base.budgets))
+        else:
+            v = WeightedClass(
+                self.base.domain, tuple(Member(m.name, m.labels, k) for m in self.base.members)
+            )
+        regret = variance = 0.0
+        for x, y, agg_loss in self.history:
+            if v.is_empty:
+                break
+            r = agg_loss - abs(float(reference_prediction("randsoa", self.solver, v, x)) - y)
+            regret += r
+            variance += r * r
+            v = restrict(v, x, y)
+        self.pool[k] = [None if v.is_empty else v, regret, variance]
+
+    def _ensure_alive(self) -> None:
+        while self.pool.get(self.ceiling, [None])[0] is None:
+            for k in range(self.ceiling + 1, 2 * self.ceiling + 1):
+                self._spawn(k)
+            self.ceiling *= 2
+
+    def predict(self, x: str) -> tuple[Fraction, dict[int, Fraction]]:
+        self._ensure_alive()
+        preds = {
+            k: reference_prediction("randsoa", self.solver, v, x)
+            for k, (v, _, _) in self.pool.items()
+            if v is not None
+        }
+        exps = {
+            (k, eta): float(eta) * self.pool[k][1] - float(eta) ** 2 * self.pool[k][2]
+            for k in preds
+            for eta in self.ETA_GRID
+        }
+        top = max(exps.values())
+        num = den = 0.0
+        for (k, eta), e in exps.items():
+            w = float(Fraction(1, (k + 1) * (k + 2))) / len(self.ETA_GRID) * math.exp(e - top)
+            num += w * float(preds[k])
+            den += w
+        return min(max(Fraction(num / den), Fraction(0)), Fraction(1)), preds
+
+    def update(self, x: str, y: int) -> None:
+        p, preds = self.predict(x)
+        loss = abs(float(p) - y)
+        for k, p_k in preds.items():
+            r = loss - abs(float(p_k) - y)
+            self.pool[k][1] += r
+            self.pool[k][2] += r * r
+        for entry in self.pool.values():
+            if entry[0] is not None:
+                entry[0] = restrict(entry[0], x, y)
+                if entry[0].is_empty:
+                    entry[0] = None
+        self.history.append((x, y, loss))
+        self._ensure_alive()
 
 
 def random_tree(

@@ -1,12 +1,19 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
+from conftest import ReferenceAggregator, random_weighted_class, reference_prediction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littlestone.classes import (
     Domain,
+    ExpertClass,
     Member,
     WeightedClass,
     expert_class,
@@ -14,6 +21,12 @@ from littlestone.classes import (
     universal_class,
 )
 from littlestone.dimension import Solver
+from littlestone.games import (
+    exact_expected_loss,
+    play,
+    random_branch_adversary,
+    threshold_adversary,
+)
 from littlestone.learners import (
     AdaptiveAggregator,
     BoundedRandSOALearner,
@@ -29,6 +42,7 @@ from littlestone.learners import (
     perceptron_bound,
     perceptron_run,
 )
+from littlestone.trees import expected_branch_length
 
 solver = Solver()
 
@@ -345,3 +359,164 @@ class TestMakeLearner:
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_learner("oracle", universal_class(2, 0), solver)
+
+
+# -- version spaces on packed states -----------------------------------------------
+
+VERSION_SPACE_LEARNERS = ("soa", "randsoa", "bounded-randsoa")
+
+
+def random_expert_class(rng):
+    budgets = [rng.choice([None, 0, 1, 2]) for _ in range(rng.randint(1, 4))]
+    budgets[rng.randrange(len(budgets))] = rng.randint(0, 2)
+    return ExpertClass(tuple(budgets))
+
+
+def _points(w):
+    if isinstance(w, ExpertClass):
+        return ["".join(bits) for bits in product("01", repeat=w.n)]
+    return list(w.domain.points)
+
+
+def _error(call):
+    try:
+        call()
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), experts=st.booleans())
+def test_learners_match_the_restrict_reference(seed, experts):
+    """Every prediction along random realizable walks equals the restrict-based
+    reference Fraction for Fraction; equal learner keys mean equal reference
+    classes; an unknown instance and the label 2 raise as restrict does."""
+    rng = random.Random(seed)
+    if experts:
+        w = random_expert_class(rng)
+    else:
+        w = random_weighted_class(rng, max_points=4, max_members=4, max_budget=2)
+    points = _points(w)
+    length = 5
+    own, ref_solver = Solver(), Solver()
+    selections = [*VERSION_SPACE_LEARNERS, "squint"]
+    if _error(lambda: ReferenceAggregator(w, ref_solver)) is not None:
+        # Members sharing a label row collide once every budget is set to k.
+        assert _error(lambda: AdaptiveAggregator(w, own)) == _error(
+            lambda: ReferenceAggregator(w, ref_solver)
+        )
+        selections.remove("squint")
+
+    def fresh(selection):
+        return make_learner(selection, w, own, horizon=length)
+
+    for selection in selections:
+        for call, reference in (
+            (lambda: fresh(selection).predict("nope"), lambda: restrict(w, "nope", 0)),
+            (lambda: fresh(selection).update(points[0], 2), lambda: restrict(w, points[0], 2)),
+            (lambda: fresh(selection).update("nope", 1), lambda: restrict(w, "nope", 1)),
+        ):
+            error = _error(reference)
+            assert error is not None and _error(call) == error
+
+    keys: dict = {}
+    for _ in range(3):
+        learners = {selection: fresh(selection) for selection in selections}
+        aggregator = ReferenceAggregator(w, ref_solver) if "squint" in selections else None
+        cur = w
+        for step in range(length):
+            x = rng.choice(points)
+            y = rng.randint(0, 1)
+            if restrict(cur, x, y).is_empty:
+                y = 1 - y
+            for selection, learner in learners.items():
+                p = learner.predict(x)
+                if selection == "squint":
+                    expected = aggregator.predict(x)[0]
+                else:
+                    expected = reference_prediction(selection, ref_solver, cur, x, length - step)
+                assert type(p) is F and p == expected, (selection, step)
+                key = learner.state_key()
+                if key is not None:
+                    ref_key = cur if isinstance(cur, ExpertClass) else cur.state_key()
+                    assert keys.setdefault(key, ref_key) == ref_key
+                learner.update(x, y)
+            if aggregator is not None:
+                aggregator.update(x, y)
+            cur = restrict(cur, x, y)
+
+
+@lru_cache(maxsize=None)
+def _pinned_setup(n, k):
+    w = universal_class(n, k)
+    s = Solver()
+    horizon = s.horizon_for_slack(w, F(1, 16))
+    tree, weights = s.extract_optimal_tree(w, horizon)
+    adversaries = {
+        "branch": random_branch_adversary(tree, w),
+        "threshold": threshold_adversary(tree, weights, w),
+    }
+    return w, s, horizon, adversaries
+
+
+# sha256[:16] of Transcript.to_jsonl() at seeds 3, 17 and 2024, computed with
+# the restrict-stepped learners; a threshold game ignores its seed.
+@pytest.mark.parametrize(
+    "nk,adversary,selection,digests",
+    [
+        ((2, 2), "branch", "soa", ("6c7397fc08733649", "19454ffab9d3a933", "75d7ea722168a982")),
+        ((2, 2), "branch", "randsoa", ("619b12637cb47314", "fe6809cc9175a96d", "0b3cb26161b25c65")),
+        ((2, 2), "branch", "bounded-randsoa", ("8c606e21786171d4", "848b5f9ba4074291", "90a5898fe9100c1e")),
+        ((2, 2), "branch", "squint", ("2ff4b64859503bfe", "45d999bc66f90a5b", "b9984669644ae7d3")),
+        ((2, 2), "branch", "constant:1/2", ("a8f42b0be379ce37", "d076ce31bb46d9dd", "4af1cc4a2f7ed841")),
+        ((2, 2), "threshold", "soa", ("0371ae56f2140e21",) * 3),
+        ((2, 2), "threshold", "randsoa", ("e3dae3cbd2f83bc4",) * 3),
+        ((2, 2), "threshold", "bounded-randsoa", ("207a1179b6bc151e",) * 3),
+        ((2, 2), "threshold", "squint", ("b48b16b76055dd1c",) * 3),
+        ((2, 2), "threshold", "constant:1/2", ("c3725357197088c9",) * 3),
+        ((3, 1), "branch", "soa", ("3b78b46428e5082e", "de3b83a984091f50", "b7ae71a44967ca00")),
+        ((3, 1), "branch", "randsoa", ("18329e9cf357b034", "a2dfefc87bbd4bfb", "b0557f1f6b5775d2")),
+        ((3, 1), "branch", "bounded-randsoa", ("2ed7a0aa168d961a", "0647dd59a8d86570", "df516f9edf37097a")),
+        ((3, 1), "branch", "squint", ("d611b371dc0f82b5", "7fe961c56aec10b1", "6c7435f376835b77")),
+        ((3, 1), "branch", "constant:1/2", ("b8f47e35704a9f35", "a51ca53afede1ba4", "1d86909927ed6f3f")),
+        ((3, 1), "threshold", "soa", ("745587a567874296",) * 3),
+        ((3, 1), "threshold", "randsoa", ("83e5e2b89fc468f0",) * 3),
+        ((3, 1), "threshold", "bounded-randsoa", ("d25b5690e9b03213",) * 3),
+        ((3, 1), "threshold", "squint", ("e920183e80d002de",) * 3),
+        ((3, 1), "threshold", "constant:1/2", ("a757f4b263c4c2b8",) * 3),
+    ],
+)
+def test_transcripts_pinned(nk, adversary, selection, digests):
+    w, s, horizon, adversaries = _pinned_setup(*nk)
+    found = tuple(
+        hashlib.sha256(
+            play(make_learner(selection, w, s, horizon=horizon), adversaries[adversary], seed=seed)
+            .to_jsonl()
+            .encode()
+        ).hexdigest()[:16]
+        for seed in (3, 17, 2024)
+    )
+    assert found == digests
+
+
+def test_games_read_the_class_memo(rng):
+    """After L, RL and RL_T of a class, games by the version-space learners visit
+    no new state, and the prefix-cached expected loss equals the plain walk."""
+    for w in (universal_class(3, 2), random_weighted_class(rng, max_points=4, max_budget=2)):
+        s = Solver()
+        s.littlestone(w)
+        s.randomized_littlestone(w)
+        horizon = s.horizon_for_slack(w, F(1, 16))
+        tree, weights = s.extract_optimal_tree(w, horizon)
+        before = s.states_visited
+        adversaries = [threshold_adversary(tree, weights, w), random_branch_adversary(tree, w)]
+        for selection in VERSION_SPACE_LEARNERS:
+            for adversary in adversaries:
+                for seed in range(5):
+                    play(make_learner(selection, w, s, horizon=horizon), adversary, seed=seed)
+            learner = make_learner(selection, w, s, horizon=horizon)
+            plain = exact_expected_loss(learner, tree)
+            assert exact_expected_loss(learner, tree, use_prefix_cache=True) == plain
+            assert plain == expected_branch_length(tree) / 2
+        assert s.states_visited == before
