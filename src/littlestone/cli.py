@@ -133,7 +133,20 @@ def cmd_experts(args) -> int:
     return 0
 
 
+def _n_list(text: str) -> list[int]:
+    """The expert counts of ``--n-list``: comma-separated integers >= 1."""
+    try:
+        ns = [int(v) for v in text.split(",")]
+    except ValueError:
+        ns = []
+    if not ns or min(ns) < 1:
+        raise ValueError(f"--n-list needs comma-separated integers >= 1, got {text!r}")
+    return ns
+
+
 def cmd_tables(args) -> int:
+    # Validate before the stream is opened, so a bad list writes nothing.
+    ns = _n_list(args.n_list) if args.kind == "dnk" else []
     stream, close = _out_stream(args.out)
     writer = csv.writer(stream)
     try:
@@ -152,7 +165,6 @@ def cmd_tables(args) -> int:
             writer.writerow(
                 ["n", "k", "D", "L_k", "RL_k_num", "RL_k_den", "mstar2", "d_star", "up_min"]
             )
-            ns = [int(v) for v in args.n_list.split(",")]
             for n in ns:
                 for k in range(args.max_k + 1):
                     cls = expert_class(n, k)
@@ -209,12 +221,11 @@ def cmd_play(args) -> int:
         raise AdversaryPreconditionError(f"unknown adversary {args.adversary!r}")
 
     adversary = build_adversary()  # play() resets it with each trial's seed
+    horizon = args.horizon if args.horizon is not None else args.max_rounds
     totals = []
     out_lines = []
     for trial in range(args.trials):
-        learner = make_learner(
-            args.learner, w, solver, horizon=args.horizon or args.max_rounds, n_experts=n_experts
-        )
+        learner = make_learner(args.learner, w, solver, horizon=horizon, n_experts=n_experts)
         transcript = play(learner, adversary, max_rounds=args.max_rounds, seed=args.seed + trial)
         totals.append(transcript.total)
         out_lines.append(transcript.to_jsonl())
@@ -332,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["det", "rand"], default="rand")
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--json", action="store_true", help="emit the result as a JSON record")
-    p.set_defaults(func=cmd_dim)
+    p.set_defaults(func="cmd_dim")
 
     p = sub.add_parser("experts", help="expert-advice quantities for (n, k)")
     p.add_argument("--n", type=int, required=True)
@@ -340,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=["dim", "D", "dstar", "up"], default="dim")
     p.add_argument("--beta", default=None)
     p.add_argument("--horizon", type=int, default=None)
-    p.set_defaults(func=cmd_experts)
+    p.set_defaults(func="cmd_experts")
 
     p = sub.add_parser("tables", help="emit CSV tables")
     p.add_argument("--kind", choices=["mstar2", "dnk", "proper"], required=True)
     p.add_argument("--max-k", type=int, default=8)
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--n-list", default="2,4")
-    p.set_defaults(func=cmd_tables)
+    p.set_defaults(func="cmd_tables")
 
     p = sub.add_parser("play", help="run learner-vs-adversary games")
     p.add_argument("--class-file", default=None)
@@ -361,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--slack", default="1/16")
-    p.set_defaults(func=cmd_play)
+    p.set_defaults(func="cmd_play")
 
     p = sub.add_parser("tree", help="extract or analyze adversary trees")
     tree_sub = p.add_subparsers(dest="tree_command", required=True)
@@ -369,11 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("class_file")
     pe.add_argument("--horizon", type=int, default=None)
     pe.add_argument("--slack", default="1/16")
-    pe.set_defaults(func=cmd_tree_extract)
+    pe.set_defaults(func="cmd_tree_extract")
     pa = tree_sub.add_parser("analyze")
     pa.add_argument("tree_file")
     pa.add_argument("--class-file", default=None)
-    pa.set_defaults(func=cmd_tree_analyze)
+    pa.set_defaults(func="cmd_tree_analyze")
 
     p = sub.add_parser("check", help="statistical checks")
     check_sub = p.add_subparsers(dest="check_command", required=True)
@@ -383,16 +394,22 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--slack", default="1/64")
     pc.add_argument("--samples", type=int, default=100_000)
     pc.add_argument("--eps", default="0.1,0.2,0.3")
-    pc.set_defaults(func=cmd_check_concentration)
+    pc.set_defaults(func="cmd_check_concentration")
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process; parsing leaves it unchanged
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # By name at call time, so that a replaced ``cmd_*`` is the one run.
+        return globals()[args.func](args)
     except ComputeBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -19,7 +19,11 @@ member matrix matters, never the raw domain size.  A move and its label
 swap lead to the same two children, so only one of each pair is scored.
 Universal expert classes additionally compress states to counts of
 surviving experts per remaining budget, which keeps n experts tractable
-without materializing a 2^n domain.
+without materializing a 2^n domain.  A count state is one int too: level
+j's count in bits [32j, 32(j + 1)), the same field width in every Solver.
+A split charging O (the ones vector, packed alike) of the counts C has
+children C - O + (O >> 32) and O + ((C - O) >> 32), and the decremented
+state is C >> 32.
 
 Explicit states are packed into one int each, within a frame built once from
 a root class's canonical members: one bit per member slot, one column mask
@@ -47,17 +51,19 @@ values, and the driver keeps the memo on an explicit stack, not recursion.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
-from operator import add, sub
+from itertools import compress, islice
+from operator import mul
 
 from .classes import ExpertClass, WeightedClass, restrict
 from .trees import LEAF, MistakeTree, WeightFunction, node, quasi_balance_weights
 
 EMPTY = -1
 
-_UState = tuple[int, ...]
+# Bits per budget level of a packed count state.
+_W = 32
 
 
 def _ranked(key):
@@ -152,8 +158,50 @@ def _x_expand(frame: _Frame, state: int):
     return m, state.bit_count(), dec, splits
 
 
-def _u_power(counts: _UState) -> int:
-    return sum(level * c for level, c in enumerate(counts, 1))
+def _pack(counts) -> int:
+    """The packed count state of per-level counts (index = remaining budget)."""
+    state = 0
+    for level, c in enumerate(counts):
+        if c >> _W:
+            raise ValueError(f"{c} experts on one budget level exceed the {_W}-bit count field")
+        state |= c << level * _W
+    return state
+
+
+def _levels(state: int) -> memoryview:
+    """The per-level counts of a packed count state, decoded by ``to_bytes``,
+    never a shift loop."""
+    data = state.to_bytes(-(-state.bit_length() // _W) * 4, sys.byteorder)
+    levels = memoryview(data).cast("I")  # native 32-bit words
+    return levels if sys.byteorder == "little" else levels[::-1]
+
+
+def _u_expand(state: int):
+    """As :func:`_x_expand` for a packed count state; the all-zero split is
+    always a self-loop, and ``s`` experts predict 1 and are charged under 0.
+
+    Splits are ones vectors O in product order over the occupied levels,
+    the lowest level slowest; the label swap of split j then sits at index
+    size - 1 - j, so the first half, past the all-zero one, holds one of
+    each pair.  With D = O - (O >> _W), the children of the counts C are
+    C - D and (C >> _W) + D.
+    """
+    levels = _levels(state)
+    low = state >> _W
+    # Per split in product order: s, and D built from each level's share.
+    ss = [0]
+    ds = [0]
+    m = power = 0
+    for level, c in compress(enumerate(levels), levels):
+        m += c
+        power += (level + 1) * c
+        share = (1 << level * _W) - (1 << (level - 1) * _W) if level else 1
+        counts = range(c + 1)
+        ss = [s + o for s in ss for o in counts]
+        ds = [d + o * share for d in ds for o in counts]
+    half = (len(ss) + 1) // 2
+    splits = [(s, state - d, low + d) for s, d in zip(islice(ss, 1, half), islice(ds, 1, half))]
+    return m, power, low, splits
 
 
 class VersionSpace:
@@ -162,15 +210,16 @@ class VersionSpace:
     An explicit class is its packed state in a frame: one example charges
     the members labeling against it as :func:`_x_moves` does, and a column
     mask stands in for the domain point.  An expert class is its budget
-    vector, valued at its counts.  Values come from the tables the space was
-    built over, so every step of a class reads the class's memo.  Immutable.
+    vector, valued at its packed counts.  Values come from the tables the
+    space was built over, so every step of a class reads the class's memo.
+    Immutable.
     """
 
     __slots__ = ("tables", "state", "frame", "domain", "experts")
 
     def __init__(self, solver: "Solver", w: WeightedClass | ExpertClass):
         if isinstance(w, ExpertClass):
-            self.tables, self.state, self.experts = solver._counts, w.counts(), w
+            self.tables, self.state, self.experts = solver._counts, _pack(w.counts()), w
             self.frame = self.domain = None
         else:
             self.frame, self.tables, self.state = solver._frame(w.state_key())
@@ -202,7 +251,7 @@ class VersionSpace:
         """The version space after the example (x, y), as :func:`restrict`."""
         if self.frame is None:
             experts = restrict(self.experts, x, y)
-            return self._child(experts.counts(), experts)
+            return self._child(_pack(experts.counts()), experts)
         if y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {y!r}")
         charged, low = self._charge(x)
@@ -220,41 +269,14 @@ class VersionSpace:
     @property
     def power(self) -> int:
         """P = sum over members of (budget + 1); RL * 2^P is an integer."""
-        return _u_power(self.state) if self.frame is None else self.state.bit_count()
+        if self.frame is None:
+            levels = _levels(self.state)
+            return sum(map(mul, levels, range(1, len(levels) + 1)))
+        return self.state.bit_count()
 
     def __deepcopy__(self, memo) -> "VersionSpace":
         # The tables belong to the Solver, which a copied learner shares.
         return self
-
-
-def _trim(counts: list[int]) -> _UState:
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
-
-
-def _u_splits(counts: _UState):
-    """(s, child under 0, child under 1) for every non-constant split, one per
-    label-swap pair; ``s`` experts predict 1 and are charged under label 0.
-
-    In product order the label swap of split j sits at index size - 1 - j,
-    so the first half, past the all-zero self-loop, holds one of each pair.
-    """
-    size = 1
-    for c in counts:
-        size *= c + 1
-    for ones in islice(product(*(range(c + 1) for c in counts)), 1, (size + 1) // 2):
-        zeros = tuple(map(sub, counts, ones))
-        child0 = list(map(add, zeros, ones[1:]))
-        child0.append(zeros[-1])
-        child1 = list(map(add, ones, zeros[1:]))
-        child1.append(ones[-1])
-        yield sum(ones), _trim(child0), _trim(child1)
-
-
-def _u_expand(counts: _UState):
-    """As :func:`_x_expand`; the all-zero split is always a self-loop."""
-    return sum(counts), _u_power(counts), _trim(list(counts[1:])), _u_splits(counts)
 
 
 def _l_rule(expand, state):

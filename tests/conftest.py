@@ -13,6 +13,8 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice, product
+from operator import add, sub
 
 import pytest
 
@@ -96,6 +98,34 @@ def reference_shatter(
     """
     failing = tuple(tuple(b) for b in branches(tree) if not min_mistakes(b, w).realizable)
     return not failing, failing
+
+
+def trim_counts(counts: list[int]) -> tuple[int, ...]:
+    """A per-level count list without its empty top levels, as a tuple."""
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return tuple(counts)
+
+
+def reference_count_splits(counts: tuple[int, ...]):
+    """(s, child under 0, child under 1) for every non-constant split of a
+    count tuple, one per label-swap pair, by per-level tuple arithmetic;
+    ``s`` experts predict 1 and are charged under label 0.
+
+    In product order the label swap of split j sits at index size - 1 - j,
+    so the first half, past the all-zero self-loop, holds one of each pair.
+    The production count space packs each tuple into one int instead.
+    """
+    size = 1
+    for c in counts:
+        size *= c + 1
+    for ones in islice(product(*(range(c + 1) for c in counts)), 1, (size + 1) // 2):
+        zeros = tuple(map(sub, counts, ones))
+        child0 = list(map(add, zeros, ones[1:]))
+        child0.append(zeros[-1])
+        child1 = list(map(add, ones, zeros[1:]))
+        child1.append(ones[-1])
+        yield sum(ones), trim_counts(child0), trim_counts(child1)
 
 
 def reference_prediction(

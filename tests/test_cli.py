@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import littlestone.cli
 from littlestone.cli import main
 from littlestone.classes import universal_class
 from littlestone.dimension import Solver
@@ -128,6 +129,16 @@ class TestTables:
         assert main(["--out", str(out), "tables", "--kind", "proper", "--max-n", "3"]) == 0
         assert "5/6" in out.read_text()
 
+    @pytest.mark.parametrize("n_list", ["2,x", "0", "2,-1", "", "2,,3"])
+    def test_bad_n_list_writes_nothing(self, tmp_path, capsys, n_list):
+        assert main(["tables", "--kind", "dnk", "--n-list", n_list, "--max-k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --n-list")
+        out = tmp_path / "t.csv"
+        assert main(["--out", str(out), "tables", "--kind", "dnk", "--n-list", n_list]) == 2
+        assert not out.exists()
+
 
 class TestPlay:
     def test_randsoa_threshold(self, capsys):
@@ -166,6 +177,16 @@ class TestPlay:
         lines = out.read_text().strip().splitlines()
         assert json.loads(lines[0])["round"] == 1
         assert "summary" in json.loads(lines[-1])
+
+    @pytest.mark.parametrize("learner", ["bounded-randsoa", "randsoa", "soa", "constant:1/2"])
+    def test_horizon_zero_plays_no_rounds(self, tmp_path, capsys, learner):
+        out = tmp_path / "games.jsonl"
+        rc = main(["--out", str(out), "play", "--n", "2", "--k", "1", "--learner", learner,
+                   "--adversary", "threshold", "--horizon", "0"])
+        assert rc == 0
+        assert "trial 0: total = 0 (0)" in capsys.readouterr().out
+        (summary,) = out.read_text().splitlines()
+        assert json.loads(summary)["summary"]["total"] == "0"
 
     def test_incompatible_selection(self, capsys):
         assert main(["play", "--n", "2", "--learner", "constant:0", "--adversary", "proper"]) == 2
@@ -350,3 +371,45 @@ def test_exact_rendering_round_trips(capsys):
     from littlestone.classes import expert_class
 
     assert F(token) == Solver().randomized_littlestone(expert_class(2, 4))
+
+
+class TestRepeatedCalls:
+    """One parser serves every ``main`` call of a process; no call leaks into the next."""
+
+    def test_json_flag_does_not_stick(self, u2k2_file, capsys):
+        assert main(["dim", u2k2_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "47/16"
+        assert main(["dim", u2k2_file]) == 0
+        assert capsys.readouterr().out.startswith("RL = 47/16 (2.9375)")
+
+    def test_seed_does_not_stick(self, tmp_path, capsys):
+        def transcript(*argv):
+            out = tmp_path / "games.jsonl"
+            assert main(["--out", str(out), *argv, "play", "--n", "2", "--k", "2",
+                         "--learner", "randsoa", "--adversary", "branch"]) == 0
+            return out.read_text()
+
+        seeded = transcript("--seed", "5")
+        default = transcript()
+        assert default == transcript("--seed", "0") != seeded
+
+    def test_usage_error_exits_2_every_time(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["dim"])
+            assert exc.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+
+    def test_parser_built_once_and_commands_looked_up_per_call(
+        self, u2k2_file, monkeypatch, capsys
+    ):
+        assert main(["dim", u2k2_file]) == 0
+
+        def unused():
+            raise AssertionError("the parser was rebuilt")
+
+        calls = []
+        monkeypatch.setattr(littlestone.cli, "build_parser", unused)
+        monkeypatch.setattr(littlestone.cli, "cmd_dim", lambda args: calls.append(args) or 7)
+        assert main(["dim", u2k2_file, "--mode", "det"]) == 7
+        assert [(a.class_file, a.mode) for a in calls] == [(u2k2_file, "det")]

@@ -4,7 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import all_shattered_trees, oracle_bounded, random_weighted_class, recursion_limit
+from conftest import (
+    all_shattered_trees,
+    oracle_bounded,
+    random_weighted_class,
+    recursion_limit,
+    reference_count_splits,
+    trim_counts,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +24,18 @@ from littlestone.classes import (
     restrict,
     universal_class,
 )
-from littlestone.dimension import EMPTY, ComputeBudgetError, Solver, _Frame, _x_moves
+from littlestone.dimension import (
+    EMPTY,
+    ComputeBudgetError,
+    Solver,
+    _Frame,
+    _levels,
+    _pack,
+    _u_expand,
+    _W,
+    _x_moves,
+)
+from littlestone.experts import mstar2_closed_form
 from littlestone.trees import (
     expected_branch_length,
     is_monotone,
@@ -539,6 +557,46 @@ def test_packed_transitions_match_restrict(w):
                 nxt += [v0, v1]
         level = nxt
     assert len(set(encodings.values())) == len(encodings)
+
+
+class TestPackedCounts:
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_expansion_matches_the_tuple_reference(self, n, k):
+        """Every state reachable from e(n, k) expands, decoded, to the tuple
+        reference's m, P, decremented state and splits, in the same order."""
+        seen = set()
+        stack = [expert_class(n, k).counts()]
+        while stack:
+            counts = stack.pop()
+            if not counts or counts in seen:
+                continue
+            seen.add(counts)
+            dec = trim_counts(list(counts[1:]))
+            splits = list(reference_count_splits(counts))
+            m, power, packed_dec, packed_splits = _u_expand(_pack(counts))
+            assert m == sum(counts)
+            assert power == sum(level * c for level, c in enumerate(counts, 1))
+            assert tuple(_levels(packed_dec)) == dec
+            decoded = [(s, tuple(_levels(c0)), tuple(_levels(c1))) for s, c0, c1 in packed_splits]
+            assert decoded == splits
+            stack.append(dec)
+            for _, child0, child1 in splits:
+                stack += [child0, child1]
+        assert len(seen) > k
+
+    def test_deep_budgets(self):
+        s = Solver()
+        assert s.randomized_littlestone(expert_class(1, 2000)) == 2000
+        assert s.randomized_littlestone(expert_class(2, 200)) == mstar2_closed_form(200)
+
+    def test_count_field_overflow_rejected(self):
+        top = (1 << _W) - 1
+        assert tuple(_levels(_pack((0, top, 1)))) == (0, top, 1)
+        # A plain tuple: an expert class this large would materialize its budgets.
+        for counts in ((1 << _W,), (3, 1 << _W), (1, 2, 1 << _W + 1)):
+            with pytest.raises(ValueError, match="count field"):
+                _pack(counts)
 
 
 class TestFrames:
