@@ -163,12 +163,13 @@ class ThresholdAdversary(Adversary):
         self.tree = tree
         self.weights = weights
         self.declared_class = declared_class
-        self._node = tree
-        self._pos = ""
+        self.reset(random.Random(0))
 
     def reset(self, rng: random.Random) -> None:
+        # The walk steps through the tree and its weight nodes side by side.
         self._node = self.tree
-        self._pos = ""
+        self._weight_node = self.weights.root
+        self._labels: list[str] = []
 
     def next_instance(self, learner: Learner) -> str | None:
         if self._node.is_leaf:
@@ -176,15 +177,15 @@ class ThresholdAdversary(Adversary):
         return self._node.instance
 
     def answer(self, p: Fraction) -> int:
-        try:
-            w0, _ = self.weights.at(self._pos)
-        except KeyError:
-            raise AdversaryPreconditionError(
-                f"weight function has no entry for node {self._pos!r}"
-            ) from None
-        y = 0 if p >= w0 else 1
-        self._node = self._node.one if y else self._node.zero
-        self._pos += str(y)
+        n = self._weight_node
+        if n is None or n[0] is None:
+            position = "".join(self._labels)
+            raise AdversaryPreconditionError(f"weight function has no entry for node {position!r}")
+        if p >= n[0]:
+            self._node, self._weight_node, y = self._node.zero, n[1], 0
+        else:
+            self._node, self._weight_node, y = self._node.one, n[2], 1
+        self._labels.append("01"[y])
         return y
 
 

@@ -11,14 +11,13 @@ one at every node, under which all branches weigh exactly ``E_T / 2``; this
 happens precisely for monotone trees (no child subtree has larger expected
 branch length than its parent), and the weight assignment is then unique.
 
-Trees are DAGs: extraction and parsing a tree file both merge all
-structurally identical subtrees.  The branch statistics are one
-non-recursive fold over the distinct nodes, so each subtree's E_T is
-computed once however many paths reach it, and the shatter check is one
-pass over the distinct (node, class state) pairs.  Weights stay addressed
-by root path and tree files still nest one level per tree level, so the
-codec walks every root path, but it parses each distinct ``w0`` once and
-renders each distinct weight pair once.
+Trees are DAGs: extraction and parsing both merge structurally identical
+subtrees, and nothing here walks every root path.  Statistics and weights
+are folds over the distinct nodes (one ``w0`` per node, read by root path
+through a lazy view), and the shatter check is one pass over the distinct
+(node, class state) pairs.  Tree files nest one level per tree level; the
+writer renders each distinct subtree once and the reader interns subtrees
+as it decodes them, so both cost the distinct nodes plus the file's bytes.
 """
 
 from __future__ import annotations
@@ -26,9 +25,10 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 from .classes import (
     Example,
@@ -39,9 +39,9 @@ from .classes import (
     restrict,
 )
 
-# The branch statistics and weights are iterative; what still recurses once
-# per tree level is nested JSON through the ``json`` C codec, ``truncate``,
-# ``tree_to_dict``/``tree_from_dict`` and the exact-loss walks in ``games``.
+# Nothing in this module recurses; what still does once per tree level is the
+# ``json`` C decoder reading a nested tree file and the two exact-loss walks
+# in ``games`` (``exact_expected_loss`` and ``worst_case_loss``).
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 
@@ -49,8 +49,8 @@ if sys.getrecursionlimit() < 20000:
 class NotQuasiBalancedError(ValueError):
     """The tree admits no equal-branch-weight assignment.
 
-    ``position`` is the first node in preorder where the induced weight
-    leaves [0,1].
+    ``position`` is the first root path in preorder at which the induced
+    weight leaves [0,1].
     """
 
     def __init__(self, position: str):
@@ -91,34 +91,45 @@ def complete_tree(depth: int, instance: str = "x") -> MistakeTree:
     return t
 
 
-def _postorder(tree: MistakeTree) -> list[MistakeTree]:
-    """Every distinct node (by identity) once, children first, without recursion."""
+def _walk(tree: MistakeTree) -> tuple[list[tuple[MistakeTree, tuple]], list[MistakeTree]]:
+    """Every distinct node once, without recursion: in left-first preorder, with
+    the root path of that first visit as a link list ``(parent's link, bit)``
+    (no root path to the node comes earlier in preorder), and children first."""
     seen: set[int] = set()
-    order: list[MistakeTree] = []
-    stack = [(tree, False)]
+    preorder: list[tuple[MistakeTree, tuple]] = []
+    postorder: list[MistakeTree] = []
+    stack: list[tuple[MistakeTree, tuple, bool]] = [(tree, (), False)]
     while stack:
-        t, children_done = stack.pop()
+        t, link, children_done = stack.pop()
         if children_done:
-            order.append(t)
+            postorder.append(t)
         elif id(t) not in seen:
             seen.add(id(t))
-            stack.append((t, True))
+            preorder.append((t, link))
+            stack.append((t, link, True))
             if not t.is_leaf:
-                stack += ((t.one, False), (t.zero, False))
-    return order
+                stack += ((t.one, (link, "1"), False), (t.zero, (link, "0"), False))
+    return preorder, postorder
 
 
-def _fold(tree: MistakeTree, leaf, step) -> dict:
-    """Per distinct node, by ``id``: ``leaf``, or ``step(zero's value, one's value)``."""
-    out: dict = {}
-    for t in _postorder(tree):
-        out[id(t)] = leaf if t.is_leaf else step(out[id(t.zero)], out[id(t.one)])
-    return out
-
-
-def _expected_lengths(tree: MistakeTree) -> dict[int, Fraction]:
-    """E_T of every distinct subtree: E = 0 at a leaf, 1 + (E_0 + E_1) / 2 above."""
-    return _fold(tree, Fraction(0), lambda e0, e1: 1 + (e0 + e1) / 2)
+def _fold(tree: MistakeTree, leaf, step):
+    """The root's value of ``leaf`` at leaves and ``step(node, zero's, one's)``
+    above, once per distinct node; a value is dropped once its last parent
+    has read it, so a deep path holds a few values, not one per level."""
+    order = _walk(tree)[1]
+    readers = Counter(id(c) for t in order if not t.is_leaf for c in (t.zero, t.one))
+    values: dict = {}
+    for t in order:
+        if t.is_leaf:
+            values[id(t)] = leaf
+            continue
+        z, o = id(t.zero), id(t.one)
+        values[id(t)] = step(t, values[z], values[o])
+        for c in (z, o):
+            readers[c] -= 1
+            if not readers[c]:
+                del values[c]
+    return values[id(tree)]
 
 
 def expected_branch_length(tree: MistakeTree) -> Fraction:
@@ -127,16 +138,16 @@ def expected_branch_length(tree: MistakeTree) -> Fraction:
     Satisfies E_T = 1 + (E_{T0} + E_{T1}) / 2 at internal nodes and equals
     the explicit sum over branches of |b| * 2^-|b|.
     """
-    return _expected_lengths(tree)[id(tree)]
+    return _fold(tree, Fraction(0), lambda _, e0, e1: 1 + (e0 + e1) / 2)
 
 
 def min_branch_length(tree: MistakeTree) -> int:
     """m_T: length of the shortest root-to-leaf branch."""
-    return _fold(tree, 0, lambda a, b: 1 + min(a, b))[id(tree)]
+    return _fold(tree, 0, lambda _, a, b: 1 + min(a, b))
 
 
 def depth(tree: MistakeTree) -> int:
-    return _fold(tree, 0, lambda a, b: 1 + max(a, b))[id(tree)]
+    return _fold(tree, 0, lambda _, a, b: 1 + max(a, b))
 
 
 def branches(tree: MistakeTree) -> Iterator[ExampleSequence]:
@@ -156,8 +167,72 @@ def is_monotone(tree: MistakeTree) -> bool:
     Equivalently |E_{T0} - E_{T1}| <= 2 at every internal node, and exactly
     the condition under which :func:`quasi_balance_weights` succeeds.
     """
-    e = _expected_lengths(tree)
-    return all(t.is_leaf or abs(e[id(t.zero)] - e[id(t.one)]) <= 2 for t in _postorder(tree))
+
+    def step(_, a, b):  # (E, monotone) of a subtree from its children's
+        (e0, ok0), (e1, ok1) = a, b
+        return 1 + (e0 + e1) / 2, ok0 and ok1 and abs(e0 - e1) <= 2
+
+    return _fold(tree, (Fraction(0), True), step)[1]
+
+
+# A weight node is ``(w0, zero's node, one's node, weighted paths from it)``;
+# ``w0`` is None where a tree file gives none, and a node is None where no
+# path below it is weighted.  Computed weights mirror the tree node for node.
+_CHILD = {"0": 1, "1": 2}
+
+
+def _weight_node(w0, zero: tuple | None, one: tuple | None) -> tuple | None:
+    paths = (w0 is not None) + (zero[3] if zero else 0) + (one[3] if one else 0)
+    return (w0, zero, one, paths) if paths else None
+
+
+class PathWeights(Mapping):
+    """Root path -> (w0, w1) over a DAG of weight nodes, never expanded: lookup
+    walks from the root, iteration is preorder, views compare node by node.
+    A pair is built at first lookup and shared by all paths to its ``w0``."""
+
+    __slots__ = ("root", "_pairs")
+
+    def __init__(self, root: tuple | None):
+        self.root, self._pairs = root, {}
+
+    def __getitem__(self, position: str) -> tuple[Fraction, Fraction]:
+        n = self.root
+        try:
+            for c in position:
+                n = n[_CHILD[c]]
+            w0 = n[0]
+        except (KeyError, TypeError):  # not a 0/1 string, or below every weight
+            w0 = None
+        if w0 is None:
+            raise KeyError(position)
+        return self._pairs.setdefault(id(w0), (w0, 1 - w0))
+
+    def __iter__(self) -> Iterator[str]:
+        stack = [(self.root, "")]
+        while stack:
+            n, pos = stack.pop()
+            if n is not None:
+                if n[0] is not None:
+                    yield pos
+                stack += ((n[2], pos + "1"), (n[1], pos + "0"))
+
+    def __len__(self) -> int:
+        return 0 if self.root is None else self.root[3]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PathWeights):
+            return Mapping.__eq__(self, other)
+        seen: set[tuple[int, int]] = set()
+        stack = [(self.root, other.root)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b and (id(a), id(b)) not in seen:
+                if a is None or b is None or a[0] != b[0]:
+                    return False
+                seen.add((id(a), id(b)))
+                stack += ((a[1], b[1]), (a[2], b[2]))
+        return True
 
 
 @dataclass(frozen=True)
@@ -165,21 +240,35 @@ class WeightFunction:
     """Per-edge weights addressed by root-to-node label strings.
 
     ``weights[pos]`` holds (w0, w1) for the internal node reached from the
-    root by following the bits of ``pos``; w0 + w1 = 1 always.
+    root by following the bits of ``pos``; w0 + w1 = 1 always.  Computed and
+    parsed weights are a :class:`PathWeights` view, and a plain mapping is
+    accepted too; ``root`` is their weight-node DAG, for walks that step
+    node to node.
     """
 
     weights: Mapping[str, tuple[Fraction, Fraction]]
+    root: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        w = self.weights
+        if not isinstance(w, PathWeights):  # build the nodes bottom up, one per path prefix
+            nodes: dict[str, tuple | None] = {}
+            paths = [p for p in w if isinstance(p, str) and not p.strip("01")]
+            for p in sorted({p[:i] for p in paths for i in range(len(p) + 1)}, key=len, reverse=True):
+                nodes[p] = _weight_node(w[p][0] if p in w else None, nodes.get(p + "0"), nodes.get(p + "1"))
+            w = PathWeights(nodes.get(""))
+        object.__setattr__(self, "root", w.root)
 
     def at(self, position: str) -> tuple[Fraction, Fraction]:
         return self.weights[position]
 
     def branch_weight(self, labels: Iterator[int] | list[int]) -> Fraction:
-        total = Fraction(0)
-        pos = ""
-        for y in labels:
-            w0, w1 = self.weights[pos]
-            total += w0 if y == 0 else w1
-            pos += str(y)
+        total, n, labels = Fraction(0), self.root, list(labels)
+        for i, y in enumerate(labels):
+            if n is None or n[0] is None:
+                raise KeyError("".join(map(str, labels[:i])))
+            total += n[0] if y == 0 else 1 - n[0]
+            n = n[1] if y == 0 else n[2]
         return total
 
 
@@ -195,47 +284,45 @@ def quasi_balance_weights(tree: MistakeTree) -> WeightFunction:
     (1 + lam1 - lam0) / 2 and its complement; the tree is quasi-balanced iff
     these stay within [0,1] everywhere, i.e. iff the tree is monotone.
     Raises :class:`NotQuasiBalancedError` at the first preorder violation.
-    Each distinct node's pair is computed once and shared by every path
-    that reaches it.
+    Each distinct node's ``w0`` is computed once and read by every path
+    that reaches the node.
     """
-    e = _expected_lengths(tree)
-    pairs: dict[int, tuple[Fraction, Fraction]] = {}
-    weights: dict[str, tuple[Fraction, Fraction]] = {}
-    stack: list[tuple[MistakeTree, str]] = [(tree, "")]
-    while stack:
-        t, pos = stack.pop()
-        if t.is_leaf:
-            continue
-        pair = pairs.get(id(t))
-        if pair is None:
-            w0 = (2 + e[id(t.one)] - e[id(t.zero)]) / 4  # (1 + lam1 - lam0) / 2
-            if w0 < 0 or w0 > 1:
-                raise NotQuasiBalancedError(pos)
-            pair = pairs[id(t)] = (w0, 1 - w0)
-        weights[pos] = pair
-        stack += ((t.one, pos + "1"), (t.zero, pos + "0"))
-    return WeightFunction(weights)
+    violations: set[int] = set()
+
+    def step(t, a, b):
+        (e0, n0), (e1, n1) = a, b
+        w0 = (2 + e1 - e0) / 4  # (1 + lam1 - lam0) / 2
+        if w0 < 0 or w0 > 1:
+            violations.add(id(t))
+        return 1 + (e0 + e1) / 2, _weight_node(w0, n0, n1)
+
+    _, root = _fold(tree, (Fraction(0), None), step)
+    if violations:
+        raise NotQuasiBalancedError(_unlink(next(p for t, p in _walk(tree)[0] if id(t) in violations)))
+    return WeightFunction(PathWeights(root))
+
+
+def _unlink(link: tuple) -> str:
+    """The root path of a link list ``(parent's link, bit)``."""
+    bits = []
+    while link:
+        link, bit = link
+        bits.append(bit)
+    return "".join(reversed(bits))
 
 
 def truncate(tree: MistakeTree, max_depth: int) -> MistakeTree:
     """Replace every node at the given depth by a leaf."""
-    cache: dict[tuple[int, int], MistakeTree] = {}
-
-    def rec(t: MistakeTree, d: int) -> MistakeTree:
-        if t.is_leaf:
-            return t
-        if d == 0:
-            return LEAF
-        key = (id(t), d)
-        hit = cache.get(key)
-        if hit is None:
-            hit = node(t.instance, rec(t.zero, d - 1), rec(t.one, d - 1))
-            cache[key] = hit
-        return hit
-
     if max_depth < 0:
         raise ValueError("depth must be non-negative")
-    return rec(tree, max_depth)
+    levels = [{id(tree): tree}]  # the distinct nodes at each depth, top down
+    while len(levels) <= max_depth and levels[-1]:
+        levels.append({id(c): c for t in levels[-1].values() if not t.is_leaf for c in (t.zero, t.one)})
+    cut = {k: t if t.is_leaf else LEAF for k, t in levels.pop().items()}
+    for level in reversed(levels):  # each level's cut subtrees from the level below
+        cut = {k: t if t.is_leaf else node(t.instance, cut[id(t.zero)], cut[id(t.one)])
+               for k, t in level.items()}
+    return cut[id(tree)]
 
 
 def sample_branch(tree: MistakeTree, seed: int) -> ExampleSequence:
@@ -262,21 +349,6 @@ class ShatterReport:
         return self.ok
 
 
-def _preorder(tree: MistakeTree) -> list[MistakeTree]:
-    """Every distinct node (by identity) once, in left-first preorder."""
-    seen: set[int] = set()
-    order: list[MistakeTree] = []
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            order.append(t)
-            if not t.is_leaf:
-                stack += (t.one, t.zero)
-    return order
-
-
 def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterReport:
     """Whether every branch's example sequence is realizable by the class.
 
@@ -286,7 +358,7 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
     listed left first, read off the failing pairs only.  An instance outside
     the class's domain raises :class:`UnknownInstanceError` wherever it sits.
     """
-    for x in dict.fromkeys(t.instance for t in _preorder(tree) if not t.is_leaf):
+    for x in dict.fromkeys(t.instance for t, _ in _walk(tree)[0] if not t.is_leaf):
         min_mistakes([(x, 0)], w)  # raises exactly where a branch through x would
 
     def pair(t: MistakeTree, v: WeightedClass | ExpertClass) -> tuple:
@@ -329,79 +401,96 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
 
 
 # ---------------------------------------------------------------------------
-# Serialization: {"leaf":true} | {"instance":..., "zero":..., "one":...},
-# with optional exact-rational weight annotations as "w0" strings.
+# Serialization: {"leaf": true} | {"instance": ..., "zero": ..., "one": ...},
+# with optional exact-rational weight annotations as "w0" strings, in the
+# layout ``json.dumps`` gives the nested dicts.
 # ---------------------------------------------------------------------------
 
 
-def tree_to_dict(tree: MistakeTree, weights: WeightFunction | None = None) -> dict:
-    return _node_to_dict(tree, "", weights, {})
-
-
-# The two recursive helpers are module functions, not closures: a closure that
-# calls itself is a reference cycle, which keeps a tree's weights and intern
-# table alive until the next full garbage collection.
-def _node_to_dict(
-    t: MistakeTree, pos: str, weights: WeightFunction | None, rendered: dict[int, tuple]
-) -> dict:
-    if t.is_leaf:
-        return {"leaf": True}
-    out = {
-        "instance": t.instance,
-        "zero": _node_to_dict(t.zero, pos + "0", weights, rendered),
-        "one": _node_to_dict(t.one, pos + "1", weights, rendered),
-    }
-    if weights is not None:
-        # Paths through one node share its pair; holding the pair keeps its id unique.
-        pair = weights.at(pos)
-        hit = rendered.get(id(pair))
-        if hit is None:
-            hit = rendered[id(pair)] = (pair, str(pair[0]))
-        out["w0"] = hit[1]
-    return out
-
-
-def tree_from_dict(doc: dict) -> tuple[MistakeTree, WeightFunction | None]:
-    """Parse the nested format; structurally identical subtrees become one
-    shared node, while weights stay per path (equal ``"w0"`` values share
-    one pair object)."""
-    weights: dict[str, tuple[Fraction, Fraction]] = {}
-    tree = _node_from_dict(doc, "", weights, {}, {})
-    return tree, (WeightFunction(weights) if weights else None)
-
-
-def _node_from_dict(d: dict, pos: str, weights: dict, interned: dict, pairs: dict) -> MistakeTree:
-    if not isinstance(d, dict):
-        raise ValueError(f"tree node at {pos!r}: expected an object")
-    if d.get("leaf"):
-        return LEAF
-    if "instance" not in d or "zero" not in d or "one" not in d:
-        raise ValueError(f"tree node at {pos!r}: need instance/zero/one or leaf")
-    instance = d["instance"]
-    if not isinstance(instance, str):
-        raise ValueError(f"tree node at {pos!r}: instance must be a string")
-    if "w0" in d:
-        raw = d["w0"]
-        try:
-            weights[pos] = pairs[raw]
-        except (KeyError, TypeError):  # not parsed yet, or unhashable
-            try:
-                w0 = Fraction(raw)
-            except (TypeError, ValueError, ArithmeticError):
-                raise ValueError(f"tree node at {pos!r}: w0 is not a rational number") from None
-            weights[pos] = pairs[raw] = (w0, 1 - w0)
-    zero = _node_from_dict(d["zero"], pos + "0", weights, interned, pairs)
-    one = _node_from_dict(d["one"], pos + "1", weights, interned, pairs)
-    key = (instance, id(zero), id(one))
-    t = interned.get(key)
-    if t is None:
-        t = interned[key] = node(instance, zero, one)
-    return t
-
-
 def tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:
-    return json.dumps(tree_to_dict(tree, weights))
+    """The nested tree file, rendering each distinct (node, weight node) once;
+    a missing weight raises ``KeyError`` at the first such node in postorder."""
+    root = None if weights is None else weights.root
+    text: dict[tuple[int, int], str] = {}
+    stack = [(tree, root, ())]  # path as (parent's link, bit), for the error
+    while stack:
+        t, n, link = stack[-1]
+        if t.is_leaf:
+            text[id(t), id(n)] = '{"leaf": true}'
+        elif (id(t), id(n)) not in text:
+            zn, on = (None, None) if n is None else n[1:3]
+            zero, one = text.get((id(t.zero), id(zn))), text.get((id(t.one), id(on)))
+            if zero is None or one is None:
+                stack += ((t.one, on, (link, "1")), (t.zero, zn, (link, "0")))
+                continue
+            w0 = ""
+            if weights is not None:
+                if n is None or n[0] is None:
+                    raise KeyError(_unlink(link))
+                w0 = f', "w0": {json.dumps(str(n[0]))}'
+            text[id(t), id(n)] = f'{{"instance": {json.dumps(t.instance)}, "zero": {zero}, "one": {one}{w0}}}'
+        stack.pop()
+    return text[id(tree), id(root)]
+
+
+class _Invalid:
+    """Stands in for a malformed object of a tree file; ancestors add their bits."""
+
+    __slots__ = ("message", "bits", "nonempty")
+
+    def __init__(self, message: str, nonempty: bool = True):
+        self.message, self.bits, self.nonempty = message, [], nonempty
+
+    def under(self, bit: str) -> _Invalid:
+        self.bits.append(bit)
+        return self
+
+    def __bool__(self) -> bool:  # the object's truth value, as a "leaf" field reads it
+        return self.nonempty
+
+
+_DECODED_LEAF = (LEAF, None)  # (node, weight node)
 
 
 def tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
-    return tree_from_dict(json.loads(text))
+    """Parse the nested format in one ``json.loads``.  Equal subtrees become one
+    node; copies weighed differently keep their own weight nodes.  Each object
+    checks its own fields before its children's verdicts, so a ``ValueError``
+    names the first malformed node in preorder."""
+    decoded: dict[tuple, tuple] = {}  # (instance, raw w0, zero's, one's) -> (node, weight node)
+    trees: dict[tuple, MistakeTree] = {}
+    w0s: dict = {}  # raw "w0" value -> its Fraction, parsed once
+
+    def decode(d: dict):
+        if d.get("leaf"):
+            return _DECODED_LEAF
+        try:
+            instance, zero, one = d["instance"], d["zero"], d["one"]
+        except KeyError:
+            return _Invalid("need instance/zero/one or leaf", bool(d))
+        if instance.__class__ is not str:
+            return _Invalid("instance must be a string")
+        raw = d.get("w0")
+        if (raw is not None or "w0" in d) and (raw.__class__ is not str or raw not in w0s):
+            try:  # Fraction() rejects an unhashable value before it is stored
+                w0s[raw] = Fraction(raw)
+            except (TypeError, ValueError, ArithmeticError):
+                return _Invalid("w0 is not a rational number")
+        if zero.__class__ is not tuple:  # decoded objects are tuples or _Invalid
+            return (zero if zero.__class__ is _Invalid else _Invalid("expected an object")).under("0")
+        if one.__class__ is not tuple:
+            return (one if one.__class__ is _Invalid else _Invalid("expected an object")).under("1")
+        key = (instance, raw, id(zero), id(one))
+        hit = decoded.get(key)
+        if hit is None:
+            (zt, zw), (ot, ow) = zero, one
+            t = trees.setdefault((instance, id(zt), id(ot)), node(instance, zt, ot))
+            hit = decoded[key] = (t, _weight_node(None if raw is None else w0s[raw], zw, ow))
+        return hit
+
+    doc = json.loads(text, object_hook=decode)
+    if doc.__class__ is not tuple:
+        bad = doc if doc.__class__ is _Invalid else _Invalid("expected an object")
+        raise ValueError(f"tree node at {''.join(reversed(bad.bits))!r}: {bad.message}")
+    tree, root = doc
+    return tree, (None if root is None else WeightFunction(PathWeights(root)))

@@ -8,6 +8,7 @@ points, which is the defining supremum for bounded-depth dimensions.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -29,6 +30,7 @@ from littlestone.classes import (
 from littlestone.trees import (
     LEAF,
     MistakeTree,
+    WeightFunction,
     branches,
     expected_branch_length,
     node,
@@ -229,6 +231,67 @@ class ReferenceAggregator:
                     entry[0] = None
         self.history.append((x, y, loss))
         self._ensure_alive()
+
+
+def reference_tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:
+    """The nested tree file as ``json.dumps`` of nested dicts, built by
+    recursion over every root path and looking each weight up by its path
+    after both children (so a missing one raises at the first in postorder)."""
+    return json.dumps(_reference_node_to_dict(tree, "", weights))
+
+
+def _reference_node_to_dict(t: MistakeTree, pos: str, weights: WeightFunction | None) -> dict:
+    if t.is_leaf:
+        return {"leaf": True}
+    out = {
+        "instance": t.instance,
+        "zero": _reference_node_to_dict(t.zero, pos + "0", weights),
+        "one": _reference_node_to_dict(t.one, pos + "1", weights),
+    }
+    if weights is not None:
+        out["w0"] = str(weights.at(pos)[0])
+    return out
+
+
+def reference_tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
+    """Parse the nested format by recursion over every root path: equal
+    subtrees are interned, weights stay keyed by path, and each node is
+    checked before its 0-subtree, which is checked before its 1-subtree."""
+    weights: dict[str, tuple[Fraction, Fraction]] = {}
+    tree = _reference_node_from_dict(json.loads(text), "", weights, {})
+    return tree, (WeightFunction(weights) if weights else None)
+
+
+def _reference_node_from_dict(d, pos: str, weights: dict, interned: dict) -> MistakeTree:
+    if not isinstance(d, dict):
+        raise ValueError(f"tree node at {pos!r}: expected an object")
+    if d.get("leaf"):
+        return LEAF
+    if "instance" not in d or "zero" not in d or "one" not in d:
+        raise ValueError(f"tree node at {pos!r}: need instance/zero/one or leaf")
+    instance = d["instance"]
+    if not isinstance(instance, str):
+        raise ValueError(f"tree node at {pos!r}: instance must be a string")
+    if "w0" in d:
+        try:
+            w0 = Fraction(d["w0"])
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValueError(f"tree node at {pos!r}: w0 is not a rational number") from None
+        weights[pos] = (w0, 1 - w0)
+    zero = _reference_node_from_dict(d["zero"], pos + "0", weights, interned)
+    one = _reference_node_from_dict(d["one"], pos + "1", weights, interned)
+    return interned.setdefault((instance, id(zero), id(one)), node(instance, zero, one))
+
+
+def random_dag(
+    rng: random.Random, size: int = 12, points: tuple[str, ...] = ("a", "b", "c")
+) -> MistakeTree:
+    """A tree built bottom up from ``size`` nodes, each over two earlier ones,
+    so that subtrees are shared (and sometimes structurally equal)."""
+    pool = [LEAF]
+    for _ in range(size):
+        pool.append(node(rng.choice(points), rng.choice(pool[-4:]), rng.choice(pool)))
+    return pool[-1]
 
 
 def random_tree(

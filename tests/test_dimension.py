@@ -299,6 +299,12 @@ class TestExtraction:
         with pytest.raises(ValueError):
             solver.extract_optimal_tree(EMPTY_CLASS, 3)
 
+    def test_u28_at_slack_1_64_weighs_every_path_in_dag_time(self):
+        w = universal_class(2, 8)
+        fresh = Solver()
+        _, weights = fresh.extract_optimal_tree(w, fresh.horizon_for_slack(w, F(1, 64)))
+        assert len(weights.weights) == 12_949_081
+
     @pytest.mark.parametrize(
         "n, k, horizon, digest",
         [

@@ -192,6 +192,15 @@ class TestThresholdAdversary:
 
 
 class TestOnlineOptimalAdversary:
+    def test_u28_at_slack_1_64_in_dag_time(self):
+        # Horizon 29: about 2^29 root paths over a few hundred distinct nodes,
+        # so the weights and the walk must go node by node.
+        w, slack = universal_class(2, 8), F(1, 64)
+        adversary = online_optimal_adversary(w, slack, solver)
+        bound = solver.bounded_randomized_littlestone(w, solver.horizon_for_slack(w, slack))
+        for seed in range(3):
+            assert play(RandSOALearner(w, solver), adversary, seed=seed).total >= bound
+
     def test_two_experts_depth_one(self):
         adversary = online_optimal_adversary(universal_class(2, 0), F(1, 4), solver)
         assert adversary.tree.zero.is_leaf and adversary.tree.one.is_leaf

@@ -1,15 +1,19 @@
 import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from conftest import (
     monotonize,
+    random_dag,
     random_tree,
     random_weighted_class,
     recursion_limit,
     reference_shatter,
+    reference_tree_from_json,
+    reference_tree_to_json,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +31,7 @@ from littlestone.trees import (
     LEAF,
     MistakeTree,
     NotQuasiBalancedError,
+    WeightFunction,
     branches,
     complete_tree,
     depth,
@@ -187,6 +192,23 @@ class TestTruncate:
             t = random_tree(rng, max_depth=7)
             assert depth(truncate(t, 3)) <= 3
 
+    def test_shared_dags_match_a_per_path_cut(self, rng):
+        def reference(t, d):
+            if t.is_leaf or d == 0:
+                return LEAF
+            return node(t.instance, reference(t.zero, d - 1), reference(t.one, d - 1))
+
+        for _ in range(100):
+            t, d = random_dag(rng, size=10), rng.randint(0, 11)
+            assert truncate(t, d) == reference(t, d)
+
+    def test_path_deeper_than_the_recursion_limit(self):
+        t = deep_left_path(5_000)
+        with recursion_limit(1_000):
+            cut, whole = truncate(t, 3_000), truncate(t, 10_000)
+        assert depth(cut) == 3_000 and depth(whole) == 5_000
+        assert expected_branch_length(cut) == expected_branch_length(deep_left_path(3_000))
+
 
 class TestSampleBranch:
     def test_leaf_empty_any_seed(self):
@@ -301,8 +323,7 @@ class TestDeepTrees:
         assert is_monotone(t)
 
     def test_weights_of_a_path_deeper_than_the_recursion_limit(self):
-        # Weight keys are root paths, d^2 / 2 characters in all, so the path
-        # is kept at 4,000 levels and the recursion limit lowered below it.
+        # The recursion limit is lowered below the depth: nothing recurses.
         d = 4_000
         t = deep_left_path(d)
         with recursion_limit(1_000):
@@ -310,6 +331,20 @@ class TestDeepTrees:
         assert len(w.weights) == d
         assert w.at("") == (F(1, 2**d), 1 - F(1, 2**d))
         assert w.at("0" * (d - 1)) == (F(1, 2), F(1, 2))
+
+    def test_weights_of_a_25000_deep_left_path_in_linear_memory(self):
+        # One w0 per node; path keys would take d^2 / 2 characters (~850 MB).
+        d = 25_000
+        t = deep_left_path(d)
+        tracemalloc.start()
+        try:
+            w = quasi_balance_weights(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w.weights) == d
+        assert w.at("0" * (d - 1)) == (F(1, 2), F(1, 2))
+        assert peak < 64 * 2**20
 
 
 def reference_weights(tree: MistakeTree) -> dict[str, tuple[F, F]]:
@@ -473,3 +508,180 @@ class TestParseOnce:
                 stack += [(d["zero"], pos + "0"), (d["one"], pos + "1")]
         assert all(len(ids) == 1 for ids in pairs_by_text.values())
         assert len(pairs_by_text) < 100
+
+
+def reference_violation(tree: MistakeTree) -> str | None:
+    """The first root path in preorder whose induced w0 leaves [0, 1]."""
+
+    def e(t: MistakeTree) -> F:
+        return F(0) if t.is_leaf else 1 + (e(t.zero) + e(t.one)) / 2
+
+    stack = [(tree, "")]
+    while stack:
+        t, pos = stack.pop()
+        if not t.is_leaf:
+            if not 0 <= (1 + e(t.one) / 2 - e(t.zero) / 2) / 2 <= 1:
+                return pos
+            stack += [(t.one, pos + "1"), (t.zero, pos + "0")]
+    return None
+
+
+class TestViolationPosition:
+    def test_random_trees_match_the_per_path_walk(self, rng):
+        seen = set()
+        for i in range(300):
+            t = random_dag(rng, size=9) if i % 2 else random_tree(rng, max_depth=7, leaf_prob=0.3)
+            expected = reference_violation(t)
+            try:
+                quasi_balance_weights(t)
+                position = None
+            except NotQuasiBalancedError as err:
+                position = err.position
+            assert position == expected
+            seen.add(len(position) if position is not None else None)
+        assert None in seen and len(seen) > 3
+
+    def test_a_dag_with_2_to_the_60_paths(self):
+        # The one violating node sits below 60 shared levels; its first root
+        # path in preorder is all zeros.
+        t = node("r", complete_tree(4), LEAF)
+        for _ in range(60):
+            t = node("x", t, t)
+        with pytest.raises(NotQuasiBalancedError) as err:
+            quasi_balance_weights(t)
+        assert err.value.position == "0" * 60
+
+
+def tree_positions(tree: MistakeTree) -> list[str]:
+    """Every root path of a (small) tree, leaves included."""
+    out, stack = [], [(tree, "")]
+    while stack:
+        t, pos = stack.pop()
+        out.append(pos)
+        if not t.is_leaf:
+            stack += [(t.one, pos + "1"), (t.zero, pos + "0")]
+    return out
+
+
+def path_weights(tree: MistakeTree, rng: random.Random, per_node: bool) -> dict[str, tuple[F, F]]:
+    """Random w0 per root path: one per distinct node, or one per path."""
+    by_node: dict[int, F] = {}
+    out, stack = {}, [(tree, "")]
+    while stack:
+        t, pos = stack.pop()
+        if not t.is_leaf:
+            w0 = by_node.setdefault(id(t), F(rng.randint(0, 8), 8)) if per_node else F(rng.randint(0, 8), 8)
+            out[pos] = (w0, 1 - w0)
+            stack += [(t.one, pos + "1"), (t.zero, pos + "0")]
+    return out
+
+
+def json_objects(doc) -> list[dict]:
+    """Every JSON object of a decoded tree file, in preorder."""
+    out, stack = [], [doc]
+    while stack:
+        d = stack.pop()
+        if isinstance(d, dict):
+            out.append(d)
+            stack += [d.get("one"), d.get("zero")]
+    return out
+
+
+def outcome(parse, text: str):
+    """(tree, weight per root path) of a parse, or its error's type and message."""
+    try:
+        tree, weights = parse(text)
+    except ValueError as err:
+        return type(err), str(err)
+    at = {}
+    for pos in tree_positions(tree):
+        try:
+            at[pos] = weights.at(pos) if weights is not None else None
+        except KeyError:
+            at[pos] = "missing"
+    return tree, len(distinct_nodes(tree)), at
+
+
+class TestCodecReference:
+    """The per-node codec against the per-path recursive one it replaced."""
+
+    KINDS = ("node", "path", "partial", "absent")
+
+    def document(self, rng, kind: str) -> tuple[MistakeTree, str]:
+        t = random_dag(rng, size=rng.randint(0, 10))
+        if kind == "absent":
+            return t, reference_tree_to_json(t)
+        text = reference_tree_to_json(t, WeightFunction(path_weights(t, rng, kind == "node")))
+        if kind == "partial":
+            doc = json.loads(text)
+            for d in json_objects(doc):
+                if "w0" in d and rng.random() < 0.4:
+                    del d["w0"]
+            text = json.dumps(doc)
+        return t, text
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reader_matches(self, rng, kind):
+        for _ in range(60):
+            _, text = self.document(rng, kind)
+            assert outcome(tree_from_json, text) == outcome(reference_tree_from_json, text)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_writer_is_byte_equal(self, rng, kind):
+        for _ in range(60):
+            t, text = self.document(rng, kind)
+            parsed = tree_from_json(text)
+            for args in (parsed, reference_tree_from_json(text)):
+                try:
+                    expected = reference_tree_to_json(*args)
+                except KeyError as err:  # partial weights: the same missing position
+                    with pytest.raises(KeyError) as ours:
+                        tree_to_json(*args)
+                    assert ours.value.args == err.args
+                    continue
+                assert tree_to_json(*args) == expected == text
+
+    def test_writer_with_computed_weights(self, rng):
+        for _ in range(60):
+            t = monotonize(random_dag(rng, size=10))
+            w = quasi_balance_weights(t)
+            assert tree_to_json(t, w) == reference_tree_to_json(t, w)
+
+    @staticmethod
+    def mutate(d: dict, mutation: str, rng: random.Random) -> None:
+        if mutation == "child-not-object":
+            d[rng.choice(["zero", "one"])] = rng.choice([5, [], "x", None, [{"leaf": True}]])
+        elif mutation == "missing-field":
+            d.pop(rng.choice(["instance", "zero", "one"]), None)
+        elif mutation == "instance-not-string":
+            d["instance"] = rng.choice([5, ["x"], None, {"leaf": True}, {}])
+        elif mutation == "w0-unhashable":
+            d["w0"] = rng.choice([[1], {"a": 1}, {}])
+        elif mutation == "w0-not-rational":
+            d["w0"] = rng.choice(["abc", None, "1/0", float("nan"), "", True, 0.5])
+        else:  # a leaf, or something read as one, carrying other keys
+            junk = [{"leaf": True, "junk": [1]}, {"leaf": 1, "instance": 5}, {"leaf": {"x": 1}},
+                    {"leaf": {}}, {"leaf": []}, {"leaf": False, "instance": "a"}, {}]
+            d.clear()
+            d.update(rng.choice(junk))
+
+    @pytest.mark.parametrize("mutation", [
+        "child-not-object", "missing-field", "instance-not-string", "w0-unhashable",
+        "w0-not-rational", "leaf-with-junk", "root-not-object",
+    ])
+    def test_malformed_documents_fail_alike(self, rng, mutation):
+        failures = 0
+        for _ in range(80):
+            _, text = self.document(rng, rng.choice(self.KINDS))
+            doc = json.loads(text)
+            if mutation == "root-not-object":
+                doc = rng.choice([[doc], 5, "x", None, []])
+            else:  # one or two objects, so that malformed siblings compete
+                objects = json_objects(doc)
+                for d in rng.sample(objects, min(len(objects), rng.randint(1, 2))):
+                    self.mutate(d, mutation, rng)
+            text = json.dumps(doc)
+            expected = outcome(reference_tree_from_json, text)
+            assert outcome(tree_from_json, text) == expected
+            failures += expected[0] is ValueError
+        assert failures > 0
