@@ -13,8 +13,10 @@ import argparse
 import csv
 import json
 import math
+import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from .classes import (
@@ -142,6 +144,32 @@ def _n_list(text: str) -> list[int]:
     if not ns or min(ns) < 1:
         raise ValueError(f"--n-list needs comma-separated integers >= 1, got {text!r}")
     return ns
+
+
+def _eps_list(text: str) -> list[float]:
+    """The tolerances of ``--eps``: comma-separated finite numbers > 0."""
+    try:
+        eps = [float(v) for v in text.split(",")]
+    except ValueError:
+        eps = []
+    if not eps or not all(math.isfinite(e) and e > 0 for e in eps):
+        raise ValueError(f"--eps needs comma-separated finite numbers > 0, got {text!r}")
+    return eps
+
+
+def _count(minimum: int):
+    """The argparse type of a count flag: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"needs an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def cmd_tables(args) -> int:
@@ -294,19 +322,24 @@ def cmd_tree_analyze(args) -> int:
 
 
 def cmd_check_concentration(args) -> int:
+    # Validate before any work, so a bad value prints nothing on stdout.
+    if args.samples < 1:
+        raise ValueError(f"--samples needs an integer >= 1, got {args.samples}")
+    eps_list = _eps_list(args.eps)
     solver = Solver(state_budget=args.budget_states)
     w = expert_class(args.n, args.k)
     horizon = solver.horizon_for_slack(w, Fraction(args.slack))
     tree = solver._extract_tree(w, horizon)  # the weights would go unused
     e_t = float(expected_branch_length(tree))
-    lengths = [len(sample_branch(tree, args.seed + i)) for i in range(args.samples)]
-    n = len(lengths)
+    rng = random.Random(args.seed)  # every sample continues one stream
+    lengths = Counter(len(sample_branch(tree, rng)) for _ in range(args.samples))
+    n = args.samples
     ok = True
     print(f"tree horizon {horizon}, E_T = {e_t:.6f}, samples = {n}")
-    for eps_text in args.eps.split(","):
-        eps = float(eps_text)
-        lower = sum(1 for v in lengths if v < (1 - eps) * e_t) / n
-        upper = sum(1 for v in lengths if v > (1 + eps) * e_t) / n
+    for eps in eps_list:
+        below, above = (1 - eps) * e_t, (1 + eps) * e_t
+        lower = sum(c for v, c in lengths.items() if v < below) / n
+        upper = sum(c for v, c in lengths.items() if v > above) / n
         bound_lower = math.exp(-eps * eps * e_t / 4)
         bound_upper = math.exp(-eps * eps * e_t / (4 * (1 + eps)))
         slack_lower = 3 * math.sqrt(max(lower * (1 - lower), 1e-12) / n)
@@ -328,10 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="littlestone",
         description="Exact optimal online prediction: dimensions, learners, adversaries.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="RNG seed (default 0): play seeds trial i with seed + i, "
+        "check concentration draws every sample from one stream",
+    )
     parser.add_argument(
         "--budget-states",
-        type=int,
+        type=_count(0),
         default=None,
         help="cap on dynamic-programming states before aborting with exit code 3",
     )
@@ -355,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="emit CSV tables")
     p.add_argument("--kind", choices=["mstar2", "dnk", "proper"], required=True)
-    p.add_argument("--max-k", type=int, default=8)
-    p.add_argument("--max-n", type=int, default=10)
+    p.add_argument("--max-k", type=_count(0), default=8)
+    p.add_argument("--max-n", type=_count(0), default=10)
     p.add_argument("--n-list", default="2,4")
     p.set_defaults(func="cmd_tables")
 
@@ -368,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--adversary", choices=["branch", "threshold", "optimal", "proper"], required=True
     )
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--trials", type=_count(1), default=1)
+    p.add_argument("--max-rounds", type=_count(0), default=None)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--slack", default="1/16")
     p.set_defaults(func="cmd_play")

@@ -325,17 +325,22 @@ def truncate(tree: MistakeTree, max_depth: int) -> MistakeTree:
     return cut[id(tree)]
 
 
-def sample_branch(tree: MistakeTree, seed: int) -> ExampleSequence:
-    """Walk from the root taking a fair-coin edge at each node; deterministic per seed."""
-    return sample_branch_rng(tree, random.Random(seed))
+def sample_branch(tree: MistakeTree, seed_or_rng: int | random.Random) -> ExampleSequence:
+    """Walk from the root taking a fair-coin edge at each node.
 
-
-def sample_branch_rng(tree: MistakeTree, rng: random.Random) -> ExampleSequence:
+    ``seed_or_rng`` is an ``int`` seed, read through a fresh
+    ``random.Random(seed)`` so the branch is deterministic per seed, or a
+    ``random.Random`` that the walk consumes, one ``getrandbits(1)`` per
+    level, so successive calls on one generator draw independent branches.
+    """
+    rng = random.Random(seed_or_rng) if isinstance(seed_or_rng, int) else seed_or_rng
+    bit = rng.getrandbits
     out: ExampleSequence = []
+    append = out.append
     t = tree
-    while not t.is_leaf:
-        y = rng.getrandbits(1)
-        out.append((t.instance, y))
+    while t.instance is not None:
+        y = bit(1)
+        append((t.instance, y))
         t = t.one if y else t.zero
     return out
 

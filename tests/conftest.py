@@ -294,6 +294,18 @@ def random_dag(
     return pool[-1]
 
 
+def reference_sample_branch(tree: MistakeTree, rng: random.Random) -> list:
+    """The fair-coin walk that ``sample_branch`` pins: from the root, one
+    ``rng.getrandbits(1)`` per level, 0 taking the ``zero`` edge."""
+    out = []
+    t = tree
+    while not t.is_leaf:
+        y = rng.getrandbits(1)
+        out.append((t.instance, y))
+        t = t.one if y else t.zero
+    return out
+
+
 def random_tree(
     rng: random.Random,
     max_depth: int = 6,

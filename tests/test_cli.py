@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -362,6 +364,93 @@ class TestCheck:
         argv = ["check", "concentration", "--n", "2", "--k", "1", "--samples", "100"]
         assert main(argv) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_one_generator_per_command(self, monkeypatch, capsys):
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        argv = ["--seed", "9", "check", "concentration", "--n", "2", "--k", "1",
+                "--samples", "300"]
+        assert main(argv) == 0
+        assert built == [(9,)]
+
+    def test_output_reproducible_per_seed(self, capsys):
+        def run(seed):
+            assert main(["--seed", str(seed), "check", "concentration", "--n", "2",
+                         "--k", "2", "--samples", "400", "--eps", "0.05,0.1"]) == 0
+            return capsys.readouterr().out
+
+        assert run(3) == run(3) != run(4)
+
+    def test_tails_equal_per_sample_counts(self, monkeypatch, capsys):
+        # E_T = 6 puts (1 - eps) E_T and (1 + eps) E_T on the lengths 3 and 9 at
+        # eps = 0.5 and on 0 and 12 at eps = 1; ties count in neither tail.
+        rng = random.Random(1)
+        lengths = [rng.choice([0, 1, 3, 3, 4, 5, 6, 7, 8, 9, 9, 10, 12, 13]) for _ in range(40)]
+        draws = iter(lengths)
+        monkeypatch.setattr(littlestone.cli, "expected_branch_length", lambda tree: F(6))
+        monkeypatch.setattr(littlestone.cli, "sample_branch", lambda tree, rng: [None] * next(draws))
+        eps_list = [0.5, 1.0, 0.25, 0.1, 1 / 3]
+        argv = ["check", "concentration", "--n", "2", "--k", "1", "--samples", "40",
+                "--eps", ",".join(map(repr, eps_list))]
+        main(argv)
+        printed = re.findall(r"P\[X<\(1-eps\)E\]=([0-9.]+).*P\[X>\(1\+eps\)E\]=([0-9.]+)",
+                             capsys.readouterr().out)
+        expected = [
+            (f"{sum(1 for v in lengths if v < (1 - eps) * 6.0) / 40:.5f}",
+             f"{sum(1 for v in lengths if v > (1 + eps) * 6.0) / 40:.5f}")
+            for eps in eps_list
+        ]
+        assert printed == expected
+        assert expected[0] == (f"{sum(v < 3 for v in lengths) / 40:.5f}",
+                               f"{sum(v > 9 for v in lengths) / 40:.5f}")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "0"), ("--samples", "-3"), ("--eps", "-1"), ("--eps", "0"),
+        ("--eps", "x"), ("--eps", "0.1,,0.2"), ("--eps", "nan"), ("--eps", "inf"),
+    ])
+    def test_bad_input_exits_2_before_any_work(self, monkeypatch, capsys, flag, value):
+        def unused(*args, **kwargs):
+            raise AssertionError("validation comes before the horizon search")
+
+        monkeypatch.setattr(littlestone.cli, "Solver", unused)
+        assert main(["check", "concentration", flag, value]) == 2
+        assert flag in one_error_line(capsys)
+        assert capsys.readouterr().out == ""
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["play", "--n", "2", "--learner", "soa", "--adversary", "branch", "--trials", "0"],
+         "--trials"),
+        (["play", "--n", "2", "--learner", "soa", "--adversary", "branch", "--trials", "-2"],
+         "--trials"),
+        (["play", "--n", "2", "--learner", "soa", "--adversary", "branch",
+          "--max-rounds", "-1"], "--max-rounds"),
+        (["tables", "--kind", "mstar2", "--max-k", "-1"], "--max-k"),
+        (["tables", "--kind", "proper", "--max-n", "-1"], "--max-n"),
+        (["tables", "--kind", "proper", "--max-n", "2.5"], "--max-n"),
+        (["--budget-states", "-1", "experts", "--n", "2"], "--budget-states"),
+    ])
+    def test_out_of_range_exits_2_at_parse_time(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: needs an integer >= " in captured.err
+
+    def test_lowest_values_are_accepted(self, capsys):
+        assert main(["tables", "--kind", "mstar2", "--max-k", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["k,exact,decimal", "0,1/2,0.5"]
+        assert main(["play", "--n", "2", "--learner", "soa", "--adversary", "branch",
+                     "--trials", "1", "--max-rounds", "0"]) == 0
+        assert capsys.readouterr().out.startswith("trial 0: total = 0 (0)")
 
 
 def test_exact_rendering_round_trips(capsys):

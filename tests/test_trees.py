@@ -11,6 +11,7 @@ from conftest import (
     random_tree,
     random_weighted_class,
     recursion_limit,
+    reference_sample_branch,
     reference_shatter,
     reference_tree_from_json,
     reference_tree_to_json,
@@ -234,6 +235,29 @@ class TestSampleBranch:
         n = 100_000
         mean = sum(len(sample_branch(t, s)) for s in range(n)) / n
         assert abs(mean - 1.75) < 0.02
+
+    def test_int_seed_walks_a_fresh_generator(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            t = random_dag(rng, size=rng.randrange(1, 30))
+            for seed in range(200):
+                assert sample_branch(t, seed) == reference_sample_branch(t, random.Random(seed))
+
+    def test_generator_is_consumed_one_bit_per_level(self):
+        rng = random.Random(6)
+        for seed in range(200):
+            t = random_dag(rng, size=rng.randrange(1, 30))
+            shared, ref = random.Random(seed), random.Random(seed)
+            first, second = sample_branch(t, shared), sample_branch(t, shared)
+            assert first == reference_sample_branch(t, ref)
+            assert second == reference_sample_branch(t, ref)
+            assert shared.getstate() == ref.getstate()
+
+    def test_pinned_branches(self):
+        # An int seed's branch is part of every seeded replay: these must not move.
+        t = complete_tree(6)
+        bits = ["".join(str(y) for _, y in sample_branch(t, s)) for s in range(4)]
+        assert bits == ["101100", "011110", "111100", "011001"]
 
 
 class TestShatterCheck:
