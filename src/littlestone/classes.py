@@ -124,6 +124,10 @@ class WeightedClass:
         return tuple(sorted((m.labels, m.budget) for m in self.members))
 
 
+# The most experts whose 2^n-point advice domain is materialized by default.
+EXPLICIT_MAX_BITS = 16
+
+
 @dataclass(frozen=True)
 class ExpertClass:
     """The n projection hypotheses over {0,1}^n, with per-expert budgets.
@@ -171,7 +175,7 @@ class ExpertClass:
         advice = _parse_advice(instance, self.n)
         return tuple(advice[i] for i, b in enumerate(self.budgets) if b is not None)
 
-    def explicit(self, max_bits: int = 16) -> WeightedClass:
+    def explicit(self, max_bits: int = EXPLICIT_MAX_BITS) -> WeightedClass:
         """Materialize the 2^n-point domain as a plain weighted class."""
         if self.n > max_bits:
             raise ValueError(
@@ -199,7 +203,7 @@ def _parse_advice(instance: str, n: int) -> tuple[int, ...]:
     return tuple(int(c) for c in instance)
 
 
-def universal_class(n: int, k: int, max_bits: int = 16) -> WeightedClass:
+def universal_class(n: int, k: int, max_bits: int = EXPLICIT_MAX_BITS) -> WeightedClass:
     """The n projection functions over an explicit {0,1}^n domain, budget k each."""
     if n < 1:
         raise ValueError("need at least one expert")

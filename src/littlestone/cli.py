@@ -3,8 +3,8 @@ game playback, and the branch-length concentration check.
 
 Every numeric result is printed as an exact rational alongside a decimal
 rendering.  Exit codes: 0 success, 1 a checked bound failed (``check
-concentration`` printed a ``FAIL`` line), 2 precondition or parse failure, 3
-compute-budget exhaustion.
+concentration`` printed a ``FAIL`` line), 2 precondition, parse or file
+failure, 3 compute-budget exhaustion.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .classes import (
+    EXPLICIT_MAX_BITS,
     ClassFileError,
     UnknownInstanceError,
     expert_class,
@@ -325,6 +326,8 @@ def cmd_check_concentration(args) -> int:
     # Validate before any work, so a bad value prints nothing on stdout.
     if args.samples < 1:
         raise ValueError(f"--samples needs an integer >= 1, got {args.samples}")
+    if args.n > EXPLICIT_MAX_BITS:  # the tree is extracted over all 2^n advice vectors
+        raise ValueError(f"--n needs an integer <= {EXPLICIT_MAX_BITS}, got {args.n}")
     eps_list = _eps_list(args.eps)
     solver = Solver(state_budget=args.budget_states)
     w = expert_class(args.n, args.k)
@@ -467,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         EmptyVersionSpaceError,
         HorizonExhaustedError,
         UnrealizableSequenceError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as e:
         message = str(e)

@@ -16,14 +16,16 @@ subtrees, and nothing here walks every root path.  Statistics and weights
 are folds over the distinct nodes (one ``w0`` per node, read by root path
 through a lazy view), and the shatter check is one pass over the distinct
 (node, class state) pairs.  Tree files nest one level per tree level; the
-writer renders each distinct subtree once and the reader interns subtrees
-as it decodes them, so both cost the distinct nodes plus the file's bytes.
+writer renders each distinct subtree once, and the reader skips each repeat
+of a subtree in a file of the writer's layout by matching its text, so both
+cost the distinct nodes plus one pass over the file's bytes.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 from collections import Counter
 from collections.abc import Iterator, Mapping
@@ -40,8 +42,9 @@ from .classes import (
 )
 
 # Nothing in this module recurses; what still does once per tree level is the
-# ``json`` C decoder reading a nested tree file and the two exact-loss walks
-# in ``games`` (``exact_expected_loss`` and ``worst_case_loss``).
+# ``json`` C decoder reading a nested tree file not in the writer's layout and
+# the two exact-loss walks in ``games`` (``exact_expected_loss`` and
+# ``worst_case_loss``).
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 
@@ -408,7 +411,9 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
 # ---------------------------------------------------------------------------
 # Serialization: {"leaf": true} | {"instance": ..., "zero": ..., "one": ...},
 # with optional exact-rational weight annotations as "w0" strings, in the
-# layout ``json.dumps`` gives the nested dicts.
+# layout ``json.dumps`` gives the nested dicts.  The reader scans exactly that
+# layout itself, skipping repeated subtrees by their text, and hands any other
+# layout of the same records to ``json.loads``.
 # ---------------------------------------------------------------------------
 
 
@@ -457,11 +462,90 @@ class _Invalid:
 _DECODED_LEAF = (LEAF, None)  # (node, weight node)
 
 
+# What ``json.dumps`` writes for a string without escapes: printable ASCII
+# other than '"' and '\\'.
+_PLAIN = r'"([ !#-\[\]-~]*)"'
+# A node's text up to its 0-child, or a whole leaf (group 1 is then None).
+_OPEN = re.compile(r'\{(?:"leaf": true\}|"instance": ' + _PLAIN + r', "zero": )')
+# A node's text after its 1-child: the optional weight and the closing brace.
+_CLOSE = re.compile(r'(?:, "w0": ' + _PLAIN + r')?\}')
+_ONE = ', "one": '
+
+
+def _scan(text: str, decode):
+    """The decoded root of ``text`` if it is laid out exactly as
+    :func:`tree_to_json` writes it (plus trailing whitespace), else None.
+
+    Iterative, one frame per open node.  Once a node's instance and 0-child
+    are decoded, an earlier node with the same two whose remaining text
+    (``, "one": ...}``) starts at the current offset decodes alike, so that
+    text is matched in one comparison and skipped; a repeated subtree thus
+    costs one comparison over its bytes.  Characters compared on failed
+    matches are capped at ``len(text)``.  Every node goes through ``decode``,
+    the object hook of the ``json`` path.
+    """
+    limit = sys.getrecursionlimit()  # deeper files go to json, which raises
+    leaf = decode({"leaf": True})
+    opening, closing, startswith = _OPEN.match, _CLOSE.match, text.startswith
+    budget = len(text)
+    # (instance, id(zero's decoded)) -> (start, stop) of a node's remaining text, its decoded
+    tails: dict[tuple[str, int], tuple[int, int, tuple]] = {}
+    # An open node: its instance while its 0-child is read, then (key, zero's
+    # decoded, offset after the 0-child) while its 1-child is read.
+    stack: list = []
+    pos = 0
+    while True:
+        m = opening(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        if m[1] is not None:
+            if len(stack) >= limit:
+                return None
+            stack.append(m[1])
+            continue
+        value = leaf
+        while stack:  # hand the finished value up until a 1-child is due
+            frame = stack[-1]
+            if frame.__class__ is str:
+                key = (frame, id(value))
+                hit = tails.get(key)
+                if hit is not None and hit[1] - hit[0] <= budget:
+                    start, stop, decoded = hit
+                    if startswith(text[start:stop], pos):
+                        value, pos = decoded, pos + stop - start
+                        stack.pop()
+                        continue
+                    budget -= stop - start
+                if not startswith(_ONE, pos):
+                    return None
+                stack[-1] = (key, value, pos)
+                pos += len(_ONE)
+                break
+            key, zero, start = stack.pop()
+            m = closing(text, pos)
+            if m is None:
+                return None
+            pos = m.end()
+            d = {"instance": key[0], "zero": zero, "one": value}
+            if m[1] is not None:
+                d["w0"] = m[1]
+            value = decode(d)
+            if value.__class__ is not tuple:
+                return None
+            tails[key] = (start, pos, value)
+        else:
+            return None if text[pos:].strip(" \t\n\r") else value
+
+
 def tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
-    """Parse the nested format in one ``json.loads``.  Equal subtrees become one
-    node; copies weighed differently keep their own weight nodes.  Each object
-    checks its own fields before its children's verdicts, so a ``ValueError``
-    names the first malformed node in preorder."""
+    """Parse the nested format.  A file laid out as :func:`tree_to_json` writes
+    it is scanned in time proportional to its distinct nodes plus one
+    comparison over its bytes; any other text goes to one ``json.loads``,
+    which alone reports parse errors.  Equal subtrees become
+    one node; copies weighed differently keep their own weight nodes.  Each
+    object checks its own fields before its children's verdicts, so a
+    ``ValueError`` names the first malformed node in preorder."""
     decoded: dict[tuple, tuple] = {}  # (instance, raw w0, zero's, one's) -> (node, weight node)
     trees: dict[tuple, MistakeTree] = {}
     w0s: dict = {}  # raw "w0" value -> its Fraction, parsed once
@@ -493,7 +577,9 @@ def tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
             hit = decoded[key] = (t, _weight_node(None if raw is None else w0s[raw], zw, ow))
         return hit
 
-    doc = json.loads(text, object_hook=decode)
+    doc = _scan(text, decode)
+    if doc is None:
+        doc = json.loads(text, object_hook=decode)
     if doc.__class__ is not tuple:
         bad = doc if doc.__class__ is _Invalid else _Invalid("expected an object")
         raise ValueError(f"tree node at {''.join(reversed(bad.bits))!r}: {bad.message}")

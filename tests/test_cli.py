@@ -304,6 +304,15 @@ class TestFailuresExitTwo:
         assert "digits" in line
         assert "set_int_max_str_digits" not in line
 
+    @pytest.mark.parametrize("argv", [
+        ["tree", "analyze", "{dir}"],
+        ["dim", "{dir}"],
+        ["--out", "{dir}", "tables", "--kind", "proper", "--max-n", "3"],
+    ], ids=["tree-analyze", "dim", "tables-out"])
+    def test_directory_given_as_a_file(self, tmp_path, capsys, argv):
+        assert main([a.format(dir=tmp_path) for a in argv]) == 2
+        assert "Is a directory" in one_error_line(capsys)
+
     @pytest.mark.parametrize(
         "doc, position",
         [
@@ -413,6 +422,7 @@ class TestCheck:
     @pytest.mark.parametrize("flag, value", [
         ("--samples", "0"), ("--samples", "-3"), ("--eps", "-1"), ("--eps", "0"),
         ("--eps", "x"), ("--eps", "0.1,,0.2"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--n", "17"), ("--n", "20"),
     ])
     def test_bad_input_exits_2_before_any_work(self, monkeypatch, capsys, flag, value):
         def unused(*args, **kwargs):

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from conftest import (
@@ -19,6 +20,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from littlestone import trees
 from littlestone.classes import (
     Domain,
     ExpertClass,
@@ -709,3 +711,127 @@ class TestCodecReference:
             assert outcome(tree_from_json, text) == expected
             failures += expected[0] is ValueError
         assert failures > 0
+
+
+# The (n, k, slack) cells whose trees the benchmark's strategy workload extracts.
+STRATEGY_CELLS = [
+    (2, 1, "1/16"), (2, 1, "1/64"), (2, 2, "1/16"), (2, 2, "1/64"), (2, 3, "1/16"),
+    (2, 3, "1/64"), (2, 4, "1/16"), (2, 4, "1/64"), (2, 5, "1/64"), (3, 1, "1/16"),
+    (3, 1, "1/64"), (3, 2, "1/16"), (3, 2, "1/64"), (3, 3, "1/16"), (3, 3, "1/64"),
+    (4, 1, "1/16"), (4, 1, "1/64"),
+]
+
+
+@pytest.fixture(scope="module")
+def strategy_files() -> dict[tuple, str]:
+    """Each strategy cell's tree file, as the CLI writes it."""
+    solver, out = Solver(), {}
+    for n, k, slack in STRATEGY_CELLS:
+        w = universal_class(n, k)
+        tree, weights = solver.extract_optimal_tree(w, solver.horizon_for_slack(w, F(slack)))
+        out[n, k, slack] = tree_to_json(tree, weights) + "\n"
+    return out
+
+
+def json_path(text: str):
+    """``tree_from_json`` with the scanner off, so that ``json.loads`` reads all."""
+    with mock.patch.object(trees, "_scan", lambda text, decode: None):
+        return tree_from_json(text)
+
+
+def assert_read_alike(text: str) -> None:
+    (tree, weights), (expected, expected_w) = tree_from_json(text), json_path(text)
+    assert tree_to_json(tree, weights) == tree_to_json(expected, expected_w)
+    assert (weights is None) == (expected_w is None)
+    assert weights is None or weights.weights == expected_w.weights
+    assert len(distinct_nodes(tree)) == len(distinct_nodes(expected))
+
+
+@st.composite
+def shared_dags(draw) -> MistakeTree:
+    """Built bottom up, each node over two earlier ones; "\u00e9" is written
+    escaped, so a tree using it is read partly by the scanner, then by json."""
+    pool = [LEAF]
+    for _ in range(draw(st.integers(0, 11))):
+        instance = draw(st.sampled_from(["a", "b", "c", "a b", "\u00e9"]))
+        pool.append(node(instance, draw(st.sampled_from(pool[-4:])), draw(st.sampled_from(pool))))
+    return pool[-1]
+
+
+def weighed(tree: MistakeTree, kind: str, seed: int) -> WeightFunction | None:
+    """No weights, one random ``w0`` per distinct node, or one per root path."""
+    if kind == "absent":
+        return None
+    return WeightFunction(path_weights(tree, random.Random(seed), kind == "node"))
+
+
+def reordered(d):
+    """A decoded JSON value with every object's keys in reverse order."""
+    return {k: reordered(v) for k, v in reversed(d.items())} if isinstance(d, dict) else d
+
+
+_SMALL = node("x", node("y", LEAF, LEAF), node("y", LEAF, LEAF))
+BASE = tree_to_json(_SMALL, quasi_balance_weights(_SMALL))
+
+
+class TestScanner:
+    """Files laid out as ``tree_to_json`` writes them skip ``json.loads``."""
+
+    def test_strategy_trees_read_alike(self, strategy_files):
+        for text in strategy_files.values():
+            assert_read_alike(text)
+
+    @given(shared_dags(), st.sampled_from(["absent", "node", "path"]), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_shared_dags_read_alike(self, tree, kind, seed):
+        assert_read_alike(tree_to_json(tree, weighed(tree, kind, seed)))
+
+    def test_written_files_never_reach_json(self, monkeypatch, strategy_files, rng):
+        texts = list(strategy_files.values())
+        for i in range(60):
+            t = random_dag(rng, size=rng.randint(0, 10))
+            texts.append(tree_to_json(t, weighed(t, ("absent", "node", "path")[i % 3], i)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads read a file laid out as tree_to_json writes it")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        for text in texts:
+            tree_from_json(text)
+
+    def test_repeated_subtrees_are_skipped(self, monkeypatch, strategy_files):
+        text = strategy_files[2, 5, "1/64"]
+        opened = []
+
+        class Counting:
+            def match(self, text, pos):
+                opened.append(pos)
+                return pattern.match(text, pos)
+
+        pattern = trees._OPEN
+        monkeypatch.setattr(trees, "_OPEN", Counting())
+        tree_from_json(text)
+        # 86,799 objects; the scanner opened 1,122 of them when this was written.
+        assert 50 * len(opened) < text.count("{")
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(json.loads(BASE), indent=2),
+        json.dumps(reordered(json.loads(BASE))),
+        BASE.replace('"instance": "x"', '"instance": "\\u0078"'),
+        BASE.replace('"instance": "x"', '"instance": "\u00e9"'),
+        " " + BASE,
+        BASE + "\n x",
+        BASE.replace('"instance": "x"', '"instance": "x", "instance": "z"'),
+        BASE.replace('"w0": "1/2"}', '"w0": "1/2", "w0": "1/3"}', 1),
+        BASE.replace('"w0": "1/2"}', '"w0": "abc"}', 1),
+        BASE.replace('"w0": "1/2"}', '"w0": "1/0"}', 1),
+        '{"leaf": 1}',
+    ], ids=["indented", "key-order", "escaped-instance", "non-ascii-instance",
+            "leading-whitespace", "trailing-garbage", "duplicate-instance", "duplicate-w0",
+            "w0-unparsable", "w0-zero-denominator", "leaf-one"])
+    def test_other_layouts_read_by_json(self, monkeypatch, text):
+        expected = outcome(json_path, text)
+        loads, calls = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda *a, **kw: calls.append(a) or loads(*a, **kw))
+        assert outcome(tree_from_json, text) == expected
+        assert calls
