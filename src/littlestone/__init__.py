@@ -26,12 +26,6 @@ from .dimension import (
     EMPTY,
     ComputeBudgetError,
     Solver,
-    bounded_littlestone,
-    bounded_randomized_littlestone,
-    extract_optimal_tree,
-    horizon_for_slack,
-    littlestone,
-    randomized_littlestone,
     result_document,
 )
 from .experts import (

@@ -124,7 +124,7 @@ class WeightedClass:
         return tuple(sorted((m.labels, m.budget) for m in self.members))
 
 
-# The most experts whose 2^n-point advice domain is materialized by default.
+# The most experts whose 2^n-point advice domain is materialized.
 EXPLICIT_MAX_BITS = 16
 
 
@@ -175,12 +175,12 @@ class ExpertClass:
         advice = _parse_advice(instance, self.n)
         return tuple(advice[i] for i, b in enumerate(self.budgets) if b is not None)
 
-    def explicit(self, max_bits: int = EXPLICIT_MAX_BITS) -> WeightedClass:
+    def explicit(self) -> WeightedClass:
         """Materialize the 2^n-point domain as a plain weighted class."""
-        if self.n > max_bits:
+        if self.n > EXPLICIT_MAX_BITS:
             raise ValueError(
                 f"explicit materialization of a {self.n}-expert class exceeds "
-                f"the {max_bits}-bit enumeration cap"
+                f"the {EXPLICIT_MAX_BITS}-bit enumeration cap"
             )
         points = tuple(format(v, f"0{self.n}b") for v in range(2**self.n))
         members = tuple(
@@ -203,13 +203,13 @@ def _parse_advice(instance: str, n: int) -> tuple[int, ...]:
     return tuple(int(c) for c in instance)
 
 
-def universal_class(n: int, k: int, max_bits: int = EXPLICIT_MAX_BITS) -> WeightedClass:
+def universal_class(n: int, k: int) -> WeightedClass:
     """The n projection functions over an explicit {0,1}^n domain, budget k each."""
     if n < 1:
         raise ValueError("need at least one expert")
     if k < 0:
         raise ValueError("budgets must be non-negative")
-    return ExpertClass((k,) * n).explicit(max_bits=max_bits)
+    return ExpertClass((k,) * n).explicit()
 
 
 def expert_class(n: int, k: int) -> ExpertClass:

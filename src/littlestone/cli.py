@@ -289,7 +289,7 @@ def cmd_tree_extract(args) -> int:
     text = tree_to_json(tree, weights)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)  # no second copy of the text with its newline
     else:
         print(text)
     e = expected_branch_length(tree)

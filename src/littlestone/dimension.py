@@ -528,43 +528,3 @@ def result_document(value, states_visited: int) -> dict:
         "decimal": float(value),
         "states_visited": states_visited,
     }
-
-
-# The free functions below share one module-level Solver.  Its memo is never
-# cleared, so it lives (and grows) as long as the process; use a Solver of
-# your own to scope the memo to a computation.
-_shared = Solver()
-
-
-def littlestone(w: WeightedClass | ExpertClass) -> int:
-    """L(W) from the process-wide shared memo."""
-    return _shared.littlestone(w)
-
-
-def randomized_littlestone(w: WeightedClass | ExpertClass) -> Fraction:
-    """RL(W) from the process-wide shared memo."""
-    return _shared.randomized_littlestone(w)
-
-
-def bounded_littlestone(w: WeightedClass | ExpertClass, horizon: int) -> int:
-    """L(W, horizon) from the process-wide shared memo."""
-    return _shared.bounded_littlestone(w, horizon)
-
-
-def bounded_randomized_littlestone(
-    w: WeightedClass | ExpertClass, horizon: int
-) -> Fraction:
-    """RL(W, horizon) from the process-wide shared memo."""
-    return _shared.bounded_randomized_littlestone(w, horizon)
-
-
-def extract_optimal_tree(
-    w: WeightedClass | ExpertClass, horizon: int
-) -> tuple[MistakeTree, WeightFunction]:
-    """Optimal adversary tree, valued through the process-wide shared memo."""
-    return _shared.extract_optimal_tree(w, horizon)
-
-
-def horizon_for_slack(w: WeightedClass | ExpertClass, slack) -> int:
-    """Horizon search through the process-wide shared memo."""
-    return _shared.horizon_for_slack(w, slack)

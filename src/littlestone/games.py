@@ -314,40 +314,51 @@ def play(
     return Transcript(tuple(rounds), total, certificate)
 
 
-def exact_expected_loss(
-    learner: Learner, tree: MistakeTree, use_prefix_cache: bool = False
-) -> Fraction:
+def _run(call):
+    """Run a recursive generator on an explicit stack: a ``yield`` of a child
+    call suspends the caller until the child returns, then sends its value."""
+    stack, value = [call], None
+    while stack:
+        try:
+            child = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(child)
+            value = None
+    return value
+
+
+def exact_expected_loss(learner: Learner, tree: MistakeTree) -> Fraction:
     """Expected total loss against the fair-coin walk on the tree, exactly.
 
     Re-simulates the learner along every branch prefix; equals E_T/2 for
-    every learner because each round's label is a fair coin.  The optional
-    prefix cache reuses results across structurally shared subtrees when
-    the learner exposes a state key; it is bit-identical to the plain walk.
+    every learner because each round's label is a fair coin.  Results are
+    reused across structurally shared subtrees when the learner exposes a
+    state key.  Any depth runs: the walk keeps its own stack.
     """
     cache: dict = {}
 
-    def rec(t: MistakeTree, ln: Learner) -> Fraction:
+    def rec(t: MistakeTree, ln: Learner):
         if t.is_leaf:
             return Fraction(0)
-        key = None
-        if use_prefix_cache:
-            ln_key = ln.state_key()
-            if ln_key is not None:
-                key = (id(t), ln_key)
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
+        ln_key = ln.state_key()
+        key = None if ln_key is None else (id(t), ln_key)
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
         p = ln.predict(t.instance)
         l0 = ln.clone()
         l0.update(t.instance, 0)
         l1 = ln.clone()
         l1.update(t.instance, 1)
-        out = (p + rec(t.zero, l0) + (1 - p) + rec(t.one, l1)) / 2
+        out = (p + (yield rec(t.zero, l0)) + (1 - p) + (yield rec(t.one, l1))) / 2
         if key is not None:
             cache[key] = out
         return out
 
-    return rec(tree, learner.clone())
+    return _run(rec(tree, learner.clone()))
 
 
 def worst_case_loss(
@@ -370,7 +381,7 @@ def worst_case_loss(
     memo: dict = {}
     visited = 0
 
-    def rec(ln: Learner, cls: WeightedClass, t: int) -> Fraction:
+    def rec(ln: Learner, cls: WeightedClass, t: int):
         nonlocal visited
         if t == 0:
             return Fraction(0)
@@ -395,11 +406,11 @@ def worst_case_loss(
                     p = ln.predict(x)
                 child = ln.clone()
                 child.update(x, y)
-                v = abs(y - p) + rec(child, nxt, t - 1)
+                v = abs(y - p) + (yield rec(child, nxt, t - 1))
                 if v > best:
                     best = v
         if key is not None:
             memo[key] = best
         return best
 
-    return rec(learner.clone(), w, horizon)
+    return _run(rec(learner.clone(), w, horizon))

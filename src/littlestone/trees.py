@@ -18,7 +18,11 @@ through a lazy view), and the shatter check is one pass over the distinct
 (node, class state) pairs.  Tree files nest one level per tree level; the
 writer renders each distinct subtree once, and the reader skips each repeat
 of a subtree in a file of the writer's layout by matching its text, so both
-cost the distinct nodes plus one pass over the file's bytes.
+cost the distinct nodes plus one pass over the file's bytes.  Nothing here
+recurses, tree equality and hashing included, and importing this module
+changes no interpreter setting.  Only the ``json`` C decoder still recurses
+once per level, on a file not in the writer's layout (or deeper than 20,000
+levels), under the interpreter's own recursion limit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 import json
 import random
 import re
-import sys
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -41,13 +44,6 @@ from .classes import (
     restrict,
 )
 
-# Nothing in this module recurses; what still does once per tree level is the
-# ``json`` C decoder reading a nested tree file not in the writer's layout and
-# the two exact-loss walks in ``games`` (``exact_expected_loss`` and
-# ``worst_case_loss``).
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
-
 
 class NotQuasiBalancedError(ValueError):
     """The tree admits no equal-branch-weight assignment.
@@ -61,9 +57,12 @@ class NotQuasiBalancedError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MistakeTree:
-    """Leaf (no fields set) or internal node with an instance and two subtrees."""
+    """Leaf (no fields set) or internal node with an instance and two subtrees.
+
+    Equality and hashing are structural and run once per distinct node (pair),
+    without recursion, so deep paths and shared DAGs compare in DAG time."""
 
     instance: str | None = None
     zero: "MistakeTree | None" = None
@@ -77,6 +76,14 @@ class MistakeTree:
     @property
     def is_leaf(self) -> bool:
         return self.instance is None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same(self, other, lambda t: t.instance, _children)
+
+    def __hash__(self) -> int:
+        return _fold(self, hash(None), lambda t, a, b: hash((t.instance, a, b)))
 
 
 LEAF = MistakeTree()
@@ -94,45 +101,70 @@ def complete_tree(depth: int, instance: str = "x") -> MistakeTree:
     return t
 
 
-def _walk(tree: MistakeTree) -> tuple[list[tuple[MistakeTree, tuple]], list[MistakeTree]]:
-    """Every distinct node once, without recursion: in left-first preorder, with
-    the root path of that first visit as a link list ``(parent's link, bit)``
-    (no root path to the node comes earlier in preorder), and children first."""
-    seen: set[int] = set()
-    preorder: list[tuple[MistakeTree, tuple]] = []
-    postorder: list[MistakeTree] = []
-    stack: list[tuple[MistakeTree, tuple, bool]] = [(tree, (), False)]
+def _children(t: MistakeTree) -> tuple:
+    return () if t.is_leaf else (t.zero, t.one)
+
+
+def _walk(root, children=_children, key=id) -> tuple[list[tuple[object, tuple]], list]:
+    """Every distinct item (node, by default) once, without recursion: in
+    left-first preorder, with the root path of that first visit as a link list
+    ``(parent's link, bit)`` (no root path to the item comes earlier in
+    preorder), and children first.  ``children`` gives an item's (zero, one)
+    or () at a leaf; items with equal ``key`` are one item."""
+    seen: set = set()
+    preorder: list[tuple[object, tuple]] = []
+    postorder: list = []
+    stack: list[tuple[object, tuple, bool]] = [(root, (), False)]
     while stack:
         t, link, children_done = stack.pop()
         if children_done:
             postorder.append(t)
-        elif id(t) not in seen:
-            seen.add(id(t))
+        elif key(t) not in seen:
+            seen.add(key(t))
             preorder.append((t, link))
             stack.append((t, link, True))
-            if not t.is_leaf:
-                stack += ((t.one, (link, "1"), False), (t.zero, (link, "0"), False))
+            kids = children(t)
+            if kids:
+                stack += ((kids[1], (link, "1"), False), (kids[0], (link, "0"), False))
     return preorder, postorder
 
 
-def _fold(tree: MistakeTree, leaf, step):
-    """The root's value of ``leaf`` at leaves and ``step(node, zero's, one's)``
-    above, once per distinct node; a value is dropped once its last parent
-    has read it, so a deep path holds a few values, not one per level."""
-    order = _walk(tree)[1]
-    readers = Counter(id(c) for t in order if not t.is_leaf for c in (t.zero, t.one))
+def _fold(root, leaf, step, children=_children, key=id):
+    """The root's value of ``leaf`` at leaves and ``step(item, zero's, one's)``
+    above, once per distinct item of :func:`_walk`; a value is dropped once
+    its last parent has read it, so a deep path holds a few values, not one
+    per level."""
+    order = _walk(root, children, key)[1]
+    readers = Counter(key(c) for t in order for c in children(t))
     values: dict = {}
     for t in order:
-        if t.is_leaf:
-            values[id(t)] = leaf
+        kids = children(t)
+        if not kids:
+            values[key(t)] = leaf
             continue
-        z, o = id(t.zero), id(t.one)
-        values[id(t)] = step(t, values[z], values[o])
+        z, o = key(kids[0]), key(kids[1])
+        values[key(t)] = step(t, values[z], values[o])
         for c in (z, o):
             readers[c] -= 1
             if not readers[c]:
                 del values[c]
-    return values[id(tree)]
+    return values[key(root)]
+
+
+def _same(a, b, label, children) -> bool:
+    """Whether two DAGs unfold to the same tree: equal ``label`` and as many
+    ``children`` at every pair of nodes, each distinct pair compared once."""
+    seen: set[tuple[int, int]] = set()
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is not b and (id(a), id(b)) not in seen:
+            seen.add((id(a), id(b)))
+            ca, cb = children(a), children(b)
+            if label(a) != label(b) or len(ca) != len(cb):
+                return False
+            stack += zip(ca, cb)
+    return True
 
 
 def expected_branch_length(tree: MistakeTree) -> Fraction:
@@ -226,16 +258,7 @@ class PathWeights(Mapping):
     def __eq__(self, other) -> bool:
         if not isinstance(other, PathWeights):
             return Mapping.__eq__(self, other)
-        seen: set[tuple[int, int]] = set()
-        stack = [(self.root, other.root)]
-        while stack:
-            a, b = stack.pop()
-            if a is not b and (id(a), id(b)) not in seen:
-                if a is None or b is None or a[0] != b[0]:
-                    return False
-                seen.add((id(a), id(b)))
-                stack += ((a[1], b[1]), (a[2], b[2]))
-        return True
+        return _same(self.root, other.root, lambda n: n and n[0], lambda n: n[1:3] if n else ())
 
 
 @dataclass(frozen=True)
@@ -418,29 +441,32 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
 
 
 def tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:
-    """The nested tree file, rendering each distinct (node, weight node) once;
-    a missing weight raises ``KeyError`` at the first such node in postorder."""
+    """The nested tree file, rendering each distinct (node, weight node) once
+    and dropping its text once its last distinct parent has read it; a
+    missing weight raises ``KeyError`` at the first such node in postorder."""
     root = None if weights is None else weights.root
-    text: dict[tuple[int, int], str] = {}
-    stack = [(tree, root, ())]  # path as (parent's link, bit), for the error
-    while stack:
-        t, n, link = stack[-1]
+
+    def children(pair):
+        t, n = pair
         if t.is_leaf:
-            text[id(t), id(n)] = '{"leaf": true}'
-        elif (id(t), id(n)) not in text:
-            zn, on = (None, None) if n is None else n[1:3]
-            zero, one = text.get((id(t.zero), id(zn))), text.get((id(t.one), id(on)))
-            if zero is None or one is None:
-                stack += ((t.one, on, (link, "1")), (t.zero, zn, (link, "0")))
-                continue
-            w0 = ""
-            if weights is not None:
-                if n is None or n[0] is None:
-                    raise KeyError(_unlink(link))
-                w0 = f', "w0": {json.dumps(str(n[0]))}'
-            text[id(t), id(n)] = f'{{"instance": {json.dumps(t.instance)}, "zero": {zero}, "one": {one}{w0}}}'
-        stack.pop()
-    return text[id(tree), id(root)]
+            return ()
+        zn, on = (None, None) if n is None else n[1:3]
+        return (t.zero, zn), (t.one, on)
+
+    def key(pair):
+        return id(pair[0]), id(pair[1])
+
+    def step(pair, zero: str, one: str) -> str:
+        t, n = pair
+        w0 = ""
+        if weights is not None:
+            if n is None or n[0] is None:  # name the node by its first root path
+                links = _walk((tree, root), children, key)[0]
+                raise KeyError(_unlink(next(link for p, link in links if key(p) == key(pair))))
+            w0 = f', "w0": {json.dumps(str(n[0]))}'
+        return f'{{"instance": {json.dumps(t.instance)}, "zero": {zero}, "one": {one}{w0}}}'
+
+    return _fold((tree, root), '{"leaf": true}', step, children, key)
 
 
 class _Invalid:
@@ -470,6 +496,9 @@ _OPEN = re.compile(r'\{(?:"leaf": true\}|"instance": ' + _PLAIN + r', "zero": )'
 # A node's text after its 1-child: the optional weight and the closing brace.
 _CLOSE = re.compile(r'(?:, "w0": ' + _PLAIN + r')?\}')
 _ONE = ', "one": '
+# The deepest file the scanner reads; deeper ones go to ``json``, which raises
+# ``RecursionError`` under any recursion limit below this depth.
+_SCAN_DEPTH = 20_000
 
 
 def _scan(text: str, decode):
@@ -484,7 +513,6 @@ def _scan(text: str, decode):
     matches are capped at ``len(text)``.  Every node goes through ``decode``,
     the object hook of the ``json`` path.
     """
-    limit = sys.getrecursionlimit()  # deeper files go to json, which raises
     leaf = decode({"leaf": True})
     opening, closing, startswith = _OPEN.match, _CLOSE.match, text.startswith
     budget = len(text)
@@ -500,7 +528,7 @@ def _scan(text: str, decode):
             return None
         pos = m.end()
         if m[1] is not None:
-            if len(stack) >= limit:
+            if len(stack) >= _SCAN_DEPTH:
                 return None
             stack.append(m[1])
             continue
@@ -541,8 +569,9 @@ def _scan(text: str, decode):
 def tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
     """Parse the nested format.  A file laid out as :func:`tree_to_json` writes
     it is scanned in time proportional to its distinct nodes plus one
-    comparison over its bytes; any other text goes to one ``json.loads``,
-    which alone reports parse errors.  Equal subtrees become
+    comparison over its bytes, to 20,000 levels; any other text goes to one
+    ``json.loads`` under the interpreter's recursion limit, which alone
+    reports parse errors.  Equal subtrees become
     one node; copies weighed differently keep their own weight nodes.  Each
     object checks its own fields before its children's verdicts, so a
     ``ValueError`` names the first malformed node in preorder."""

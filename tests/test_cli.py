@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -512,3 +516,13 @@ class TestRepeatedCalls:
         monkeypatch.setattr(littlestone.cli, "cmd_dim", lambda args: calls.append(args) or 7)
         assert main(["dim", u2k2_file, "--mode", "det"]) == 7
         assert [(a.class_file, a.mode) for a in calls] == [(u2k2_file, "det")]
+
+
+def test_importing_changes_no_interpreter_setting():
+    code = ("import sys; before = sys.getrecursionlimit(); import littlestone, littlestone.cli; "
+            "print(before, sys.getrecursionlimit())")
+    src = str(Path(littlestone.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    before, after = out.stdout.split()
+    assert before == after

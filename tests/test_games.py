@@ -3,7 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import monotonize, random_shattered_tree, random_tree, random_weighted_class
+from conftest import (
+    monotonize,
+    random_shattered_tree,
+    random_tree,
+    random_weighted_class,
+    recursion_limit,
+)
 
 from littlestone.classes import (
     Domain,
@@ -128,14 +134,12 @@ class TestRandomBranchAdversary:
             random_branch_adversary(complete_tree(2, "01"), declared_class=w)
 
     def test_prefix_cache_is_bit_identical(self):
-        # Extracted trees share subtrees, so the keyed cache actually kicks
-        # in; the result must not change by a single bit.
+        # Extracted trees share subtrees, so the walk's cache keyed by learner
+        # state actually kicks in; the result must still be E_T/2 exactly.
         w = universal_class(2, 2)
         tree, _ = solver.extract_optimal_tree(w, 6)
         for learner in (RandSOALearner(w, solver), ConstantLearner(F(2, 7))):
-            plain = exact_expected_loss(learner, tree)
-            cached = exact_expected_loss(learner, tree, use_prefix_cache=True)
-            assert plain == cached == expected_branch_length(tree) / 2
+            assert exact_expected_loss(learner, tree) == expected_branch_length(tree) / 2
 
     def test_empirical_mean_matches_dimension(self):
         # Expected loss on the extracted tree is exactly E_T/2, which the
@@ -318,6 +322,24 @@ class TestWorstCaseLoss:
         learner = BoundedRandSOALearner(w, 6, solver)
         with pytest.raises(ComputeBudgetError):
             worst_case_loss(learner, w, 6, state_budget=3)
+
+
+class TestDeepWalks:
+    """Both exact-loss walks keep their own stack, so depth is not bounded by
+    the recursion limit."""
+
+    def test_expected_loss_on_a_5000_deep_path(self):
+        t = LEAF
+        for _ in range(5_000):
+            t = node("x", t, LEAF)
+        with recursion_limit(1_000):
+            loss = exact_expected_loss(ConstantLearner(F(1, 2)), t)
+        assert loss == expected_branch_length(t) / 2
+
+    def test_worst_case_loss_at_horizon_3000(self):
+        w = expert_class(1, 2).explicit()
+        with recursion_limit(1_000):
+            assert worst_case_loss(ConstantLearner(F(1, 2)), w, 3000) == 1500
 
 
 class TestAdversarySoundness:

@@ -372,6 +372,32 @@ class TestDeepTrees:
         assert w.at("0" * (d - 1)) == (F(1, 2), F(1, 2))
         assert peak < 64 * 2**20
 
+    def test_writing_a_weighted_2000_deep_path_in_linear_memory(self):
+        # Each subtree's text is dropped once its parent has read it; keeping
+        # every one would hold about d^2 / 2 characters (~500 MiB).
+        d = 2_000
+        t = deep_left_path(d)
+        w = quasi_balance_weights(t)
+        tracemalloc.start()
+        try:
+            text = tree_to_json(t, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count('"w0"') == d
+        assert tree_to_json(*tree_from_json(text)) == text
+        assert peak < 16 * 2**20
+
+    def test_equality_and_hash_of_paths_deeper_than_the_recursion_limit(self):
+        d = 5_000
+        changed = LEAF
+        for i in range(d):  # differs from deep_left_path(d) at the deepest node only
+            changed = node("y" if i == 0 else "x", changed, LEAF)
+        a, b = deep_left_path(d), deep_left_path(d)
+        with recursion_limit(1_000):
+            assert a == b and hash(a) == hash(b)
+            assert a != changed and a != deep_left_path(d - 1)
+
 
 def reference_weights(tree: MistakeTree) -> dict[str, tuple[F, F]]:
     """Per root path, w0 = (1 + lam1 - lam0) / 2 from plain recursive E_T."""
@@ -405,6 +431,17 @@ class TestSharedDag:
         assert len(distinct_nodes(parsed)) == len(distinct_subtrees)
         assert expected_branch_length(parsed) == expected_branch_length(t)
         assert tree_to_json(parsed, parsed_w) == text
+
+    def test_dags_with_2_to_the_60_root_paths_compare_in_dag_time(self):
+        def dag(bottom: str) -> MistakeTree:
+            t = node(bottom, LEAF, LEAF)
+            for _ in range(59):
+                t = node("x", t, t)
+            return t
+
+        a, b = dag("x"), dag("x")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != dag("y")
 
     def test_copies_of_one_subtree_keep_their_own_weights(self):
         def inner(w0):
