@@ -44,9 +44,14 @@ RL(W, T) * 2^T is an integer, so one bounded step is
 2^(T-1) + RL(W0, T-1)*2^(T-1) + RL(W1, T-1)*2^(T-1).  The public methods
 return the exact ``Fraction``; deterministic dimensions are ints.
 
-One driver, :meth:`Solver._dp`, computes every value and the optimal tree:
-each one-step rule is a generator that yields child keys and is sent their
-values, and the driver keeps the memo on an explicit stack, not recursion.
+One loop, :meth:`Solver._dp`, computes the value of every query and the
+optimal tree: each one-step rule is a generator that yields child keys and
+is sent their values, and the loop keeps the memo on an explicit stack,
+not recursion.  The horizon search is the one exception: it needs RL(W, t)
+for t = 1, 2, ... in turn, so it expands the states reachable from W once
+and sweeps RL_t * 2^t of all of them upward, a level at a time, over flat
+int lists, writing each level into the RL_T memo that :meth:`Solver._dp`
+reads.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import compress, islice
-from operator import mul
+from itertools import compress, islice, repeat
+from operator import add, mul
 
 from .classes import ExpertClass, WeightedClass, restrict
 from .trees import LEAF, MistakeTree, WeightFunction, node, quasi_balance_weights
@@ -367,8 +372,9 @@ class Solver:
         tables = [self._counts, *(tables for _, tables in self._frames)]
         return sum(len(memo) for table in tables for memo, _, _ in table.values())
 
-    def _charge(self) -> None:
-        if self.state_budget is not None and self.states_visited > self.state_budget:
+    def _charge(self, pending: int = 0) -> None:
+        """Raise once the memo entries plus ``pending`` held items pass the budget."""
+        if self.state_budget is not None and self.states_visited + pending > self.state_budget:
             raise ComputeBudgetError(f"state budget of {self.state_budget} exceeded")
 
     def _frame(self, key) -> tuple[_Frame, dict, int]:
@@ -496,29 +502,72 @@ class Solver:
         # The RL_T run above paid for every state; extraction only reads them.
         return self._dp((v.state, horizon), {}, body, leaf, charge=False)
 
-    def horizon_for_slack(self, w: WeightedClass | ExpertClass, slack: Fraction) -> int:
+    def horizon_for_slack(
+        self, w: WeightedClass | ExpertClass | VersionSpace, slack: Fraction
+    ) -> int:
         """Smallest horizon T with RL(W, T) >= RL(W) - slack.
 
-        Doubles T until the target is met, then bisects; valid because the
-        bounded dimension is non-decreasing in the horizon.
+        One upward sweep: the states reachable from W are expanded once each
+        into index lists of their children (a self-loop as the pair of the
+        state and its decremented state), and RL_t * 2^t of every state is
+        computed for t = 1, 2, ... from level t - 1 over flat int lists.  The
+        first t at which W's value reaches the target is returned, so no
+        monotonicity in t is assumed.  Each level is written into the RL_T
+        memo, where an extraction at T finds every value it reads.  The state
+        budget is charged for the expansions held and each value stored.
         """
         slack = Fraction(slack)
         if slack <= 0:
             raise ValueError("slack must be positive")
-        target = self.randomized_littlestone(w) - slack
-        if self.bounded_randomized_littlestone(w, 0) >= target:
+        v = self.version_space(w)
+        target = self.randomized_littlestone(v) - slack
+        if v.is_empty or target <= 0:  # RL(W, 0) is -1, resp. 0
             return 0
-        hi = 1
-        while self.bounded_randomized_littlestone(w, hi) < target:
-            hi *= 2
-        lo = hi // 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.bounded_randomized_littlestone(w, mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        expand = _u_expand if v.frame is None else partial(_x_expand, v.frame)
+        charge = self.state_budget is not None
+        # Index 0 is the empty class and index 1 is W; ``rows`` holds, per
+        # state from index 1 on, the index lists (i0, i1) of its moves' children.
+        states = [0, v.state]
+        index = {0: 0, v.state: 1}
+        rows: list[tuple[list[int], list[int]]] = []
+
+        def indices(children) -> list[int]:
+            out = []
+            for child in children:
+                i = index.setdefault(child, len(states))
+                if i == len(states):
+                    states.append(child)
+                out.append(i)
+            return out
+
+        for j, state in enumerate(islice(states, 1, None), 1):  # grows as states are found
+            if charge:
+                self._charge(len(rows) + 1)
+            _, _, dec, splits = expand(state)
+            i0 = indices(child0 for _, child0, _ in splits)
+            i1 = indices(child1 for _, _, child1 in splits)
+            if dec is not None:  # the self-loop: the state itself, and decremented
+                i0.append(j)
+                i1 += indices((dec,))
+            rows.append((i0, i1))
+
+        memo = v.tables["brl"][0]
+        live = states[1:]
+        num, den = target.numerator, target.denominator
+        values = [-1] + [0] * len(rows)  # RL_0 * 2^0
+        t = 0
+        while values[1] * den < num << t:  # RL_t(W) < target
+            if charge:
+                self._charge(2 * len(rows))  # the expansions held, and this level
+            get = values.__getitem__
+            t += 1
+            half = 1 << (t - 1)
+            values = [-(1 << t)] + [
+                half + max(map(add, map(get, i0), map(get, i1))) if i0 else 0
+                for i0, i1 in rows
+            ]
+            memo.update(zip(zip(live, repeat(t)), islice(values, 1, None)))
+        return t
 
 
 def result_document(value, states_visited: int) -> dict:

@@ -13,14 +13,16 @@ branch length than its parent), and the weight assignment is then unique.
 
 Trees are DAGs: extraction and parsing both merge structurally identical
 subtrees, and nothing here walks every root path.  Statistics and weights
-are folds over the distinct nodes (one ``w0`` per node, read by root path
-through a lazy view), and the shatter check is one pass over the distinct
-(node, class state) pairs.  Tree files nest one level per tree level; the
-writer renders each distinct subtree once, and the reader skips each repeat
-of a subtree in a file of the writer's layout by matching its text, so both
-cost the distinct nodes plus one pass over the file's bytes.  Nothing here
-recurses, tree equality and hashing included, and importing this module
-changes no interpreter setting.  Only the ``json`` C decoder still recurses
+are folds over the distinct nodes, and the shatter check is one pass over
+the distinct (node, class state) pairs.  E_T is dyadic: a subtree of height
+h has E_T * 2^h an integer, so E_T, monotonicity and the weights share one
+integer step on (E_T * 2^h, h), and each node's ``w0`` is one ``Fraction``
+built from it, read by root path through a lazy view.  Tree files nest one
+level per tree level; the writer renders each distinct subtree once, and
+the reader skips each repeat of a subtree in a file of the writer's layout
+by matching its text, so both cost the distinct nodes plus one pass over
+the file's bytes.  Nothing here recurses, tree equality, hashing and repr
+included, and importing this module changes no interpreter setting.  Only the ``json`` C decoder still recurses
 once per level, on a file not in the writer's layout (or deeper than 20,000
 levels), under the interpreter's own recursion limit.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import reprlib
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -57,12 +60,17 @@ class NotQuasiBalancedError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, eq=False)
+# The most distinct nodes a MistakeTree repr lists.
+_REPR_NODES = 8
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class MistakeTree:
     """Leaf (no fields set) or internal node with an instance and two subtrees.
 
     Equality and hashing are structural and run once per distinct node (pair),
-    without recursion, so deep paths and shared DAGs compare in DAG time."""
+    without recursion, so deep paths and shared DAGs compare in DAG time; the
+    repr numbers the first few distinct nodes and stops."""
 
     instance: str | None = None
     zero: "MistakeTree | None" = None
@@ -84,6 +92,32 @@ class MistakeTree:
 
     def __hash__(self) -> int:
         return _fold(self, hash(None), lambda t, a, b: hash((t.instance, a, b)))
+
+    def __repr__(self) -> str:
+        """``MistakeTree(#0=(instance, zero, one), ...)``: the distinct internal
+        nodes in order of first reference from the root, at most
+        ``_REPR_NODES`` of them and instances shortened, so the text stays
+        short for any depth or number of root paths."""
+        if self.is_leaf:
+            return "MistakeTree(leaf)"
+        numbers = {id(self): 0}
+        order = [self]
+
+        def name(t: MistakeTree) -> str:
+            if t.is_leaf:
+                return "leaf"
+            if id(t) not in numbers:
+                numbers[id(t)] = len(order)
+                order.append(t)
+            return f"#{numbers[id(t)]}"
+
+        parts = []
+        for i, t in enumerate(order):  # grows as new nodes are named
+            if i == _REPR_NODES:
+                parts.append("...")
+                break
+            parts.append(f"#{i}=({reprlib.repr(t.instance)}, {name(t.zero)}, {name(t.one)})")
+        return f"MistakeTree({', '.join(parts)})"
 
 
 LEAF = MistakeTree()
@@ -167,13 +201,28 @@ def _same(a, b, label, children) -> bool:
     return True
 
 
+def _e_step(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, int], int, int]:
+    """The E_T step on dyadic numerators.  From the children's (E * 2^h, h),
+    h the subtree height, it gives the node's, then (E_1 - E_0) * 2^h and h
+    for the children's common height h."""
+    (e0, h0), (e1, h1) = a, b
+    h = h0 if h0 > h1 else h1
+    e0 <<= h - h0
+    e1 <<= h - h1
+    return ((2 << h) + e0 + e1, h + 1), e1 - e0, h  # E = 1 + (E_0 + E_1) / 2
+
+
+_LEAF_E = (0, 0)
+
+
 def expected_branch_length(tree: MistakeTree) -> Fraction:
     """E_T: expected length of a uniformly random root-to-leaf walk.
 
     Satisfies E_T = 1 + (E_{T0} + E_{T1}) / 2 at internal nodes and equals
     the explicit sum over branches of |b| * 2^-|b|.
     """
-    return _fold(tree, Fraction(0), lambda _, e0, e1: 1 + (e0 + e1) / 2)
+    e, h = _fold(tree, _LEAF_E, lambda _, a, b: _e_step(a, b)[0])
+    return Fraction(e, 1 << h)
 
 
 def min_branch_length(tree: MistakeTree) -> int:
@@ -203,11 +252,11 @@ def is_monotone(tree: MistakeTree) -> bool:
     the condition under which :func:`quasi_balance_weights` succeeds.
     """
 
-    def step(_, a, b):  # (E, monotone) of a subtree from its children's
-        (e0, ok0), (e1, ok1) = a, b
-        return 1 + (e0 + e1) / 2, ok0 and ok1 and abs(e0 - e1) <= 2
+    def step(_, a, b):  # ((E * 2^h, h), monotone) of a subtree from its children's
+        e, diff, h = _e_step(a[0], b[0])
+        return e, a[1] and b[1] and abs(diff) <= 2 << h
 
-    return _fold(tree, (Fraction(0), True), step)[1]
+    return _fold(tree, (_LEAF_E, True), step)[1]
 
 
 # A weight node is ``(w0, zero's node, one's node, weighted paths from it)``;
@@ -316,13 +365,13 @@ def quasi_balance_weights(tree: MistakeTree) -> WeightFunction:
     violations: set[int] = set()
 
     def step(t, a, b):
-        (e0, n0), (e1, n1) = a, b
-        w0 = (2 + e1 - e0) / 4  # (1 + lam1 - lam0) / 2
-        if w0 < 0 or w0 > 1:
+        e, diff, h = _e_step(a[0], b[0])
+        w0 = (2 << h) + diff  # (1 + lam1 - lam0) / 2 = (2 + E_1 - E_0) / 4, times 4 * 2^h
+        if w0 < 0 or w0 > 4 << h:
             violations.add(id(t))
-        return 1 + (e0 + e1) / 2, _weight_node(w0, n0, n1)
+        return e, _weight_node(Fraction(w0, 4 << h), a[1], b[1])
 
-    _, root = _fold(tree, (Fraction(0), None), step)
+    _, root = _fold(tree, (_LEAF_E, None), step)
     if violations:
         raise NotQuasiBalancedError(_unlink(next(p for t, p in _walk(tree)[0] if id(t) in violations)))
     return WeightFunction(PathWeights(root))

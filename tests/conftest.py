@@ -30,7 +30,13 @@ from littlestone.classes import (
 from littlestone.trees import (
     LEAF,
     MistakeTree,
+    NotQuasiBalancedError,
+    PathWeights,
     WeightFunction,
+    _fold,
+    _unlink,
+    _walk,
+    _weight_node,
     branches,
     expected_branch_length,
     node,
@@ -390,3 +396,59 @@ def recursion_limit(limit: int):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+def reference_horizon_for_slack(solver, w, slack) -> int:
+    """Smallest T with RL(W, T) >= RL(W) - slack: double T until the target
+    is met, then bisect, one RL_T query per probe.  Valid because RL(W, T)
+    is non-decreasing in T; the production search sweeps t upward instead."""
+    slack = Fraction(slack)
+    target = solver.randomized_littlestone(w) - slack
+    if solver.bounded_randomized_littlestone(w, 0) >= target:
+        return 0
+    hi = 1
+    while solver.bounded_randomized_littlestone(w, hi) < target:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if solver.bounded_randomized_littlestone(w, mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# The E_T folds in Fraction arithmetic, node by node; the production folds
+# carry (E * 2^h, h) integers instead.
+
+
+def reference_expected_branch_length(tree: MistakeTree) -> Fraction:
+    return _fold(tree, Fraction(0), lambda _, e0, e1: 1 + (e0 + e1) / 2)
+
+
+def reference_is_monotone(tree: MistakeTree) -> bool:
+    def step(_, a, b):  # (E, monotone) of a subtree from its children's
+        (e0, ok0), (e1, ok1) = a, b
+        return 1 + (e0 + e1) / 2, ok0 and ok1 and abs(e0 - e1) <= 2
+
+    return _fold(tree, (Fraction(0), True), step)[1]
+
+
+def reference_quasi_balance_weights(tree: MistakeTree) -> WeightFunction:
+    """w0 = (2 + E_1 - E_0) / 4 per distinct node; raises
+    :class:`NotQuasiBalancedError` at the first root path in preorder whose
+    w0 leaves [0, 1]."""
+    violations: set[int] = set()
+
+    def step(t, a, b):
+        (e0, n0), (e1, n1) = a, b
+        w0 = (2 + e1 - e0) / 4
+        if w0 < 0 or w0 > 1:
+            violations.add(id(t))
+        return 1 + (e0 + e1) / 2, _weight_node(w0, n0, n1)
+
+    _, root = _fold(tree, (Fraction(0), None), step)
+    if violations:
+        raise NotQuasiBalancedError(_unlink(next(p for t, p in _walk(tree)[0] if id(t) in violations)))
+    return WeightFunction(PathWeights(root))

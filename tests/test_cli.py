@@ -13,7 +13,7 @@ import pytest
 
 import littlestone.cli
 from littlestone.cli import main
-from littlestone.classes import universal_class
+from littlestone.classes import Domain, Member, WeightedClass, universal_class
 from littlestone.dimension import Solver
 from littlestone.experts import capacity_D
 
@@ -256,6 +256,18 @@ class TestTree:
         assert "monotone           = True" in report
         assert "quasi-balanced     = True" in report
         assert "shattered by class = True" in report
+
+    def test_extract_horizon_search_is_charged_to_the_state_budget(self, tmp_path, capsys):
+        # RL of one member with budget 1 visits 2 states, within the budget;
+        # the horizon search expands both and stores them per level, past it.
+        w = WeightedClass(Domain(("x", "y")), (Member("h", (0, 1), 1),))
+        path = write_class_file(tmp_path, w)
+        assert main(["--budget-states", "10", "dim", path]) == 0
+        capsys.readouterr()
+        out = tmp_path / "tree.json"
+        assert main(["--budget-states", "10", "--out", str(out), "tree", "extract", path]) == 3
+        assert capsys.readouterr().err == "error: state budget of 10 exceeded\n"
+        assert main(["--out", str(out), "tree", "extract", path]) == 0
 
     def test_analyze_reports_violation(self, tmp_path, capsys):
         from littlestone.trees import LEAF, complete_tree, node, tree_to_json

@@ -10,6 +10,7 @@ from conftest import (
     random_weighted_class,
     recursion_limit,
     reference_count_splits,
+    reference_horizon_for_slack,
     trim_counts,
 )
 from hypothesis import given, settings
@@ -508,6 +509,80 @@ class TestDyadicEngine:
             assert type(value) is F
         assert s.randomized_littlestone(EMPTY_CLASS) == -1
         assert s.bounded_randomized_littlestone(EMPTY_CLASS, 3) == -1
+
+
+@st.composite
+def small_expert_classes(draw) -> ExpertClass:
+    """Up to four experts, some eliminated, with budgets up to 3."""
+    budgets = draw(st.lists(st.none() | st.integers(0, 3), min_size=1, max_size=4))
+    return ExpertClass(tuple(budgets))
+
+
+SLACKS = (F(1, 2), F(1, 16), F(1, 1024))
+
+
+def assert_sweep_matches_bisection(w) -> None:
+    """At every slack of SLACKS, the sweep's horizon equals the doubling and
+    bisection search's, and every RL_T memo entry the sweep wrote equals a
+    fresh Solver's RL_T of that state."""
+    for slack in SLACKS:
+        s = Solver()
+        horizon = s.horizon_for_slack(w, slack)
+        assert horizon == reference_horizon_for_slack(Solver(), w, slack)
+        v = s.version_space(w)
+        memo = v.tables["brl"][0]
+        assert (horizon > 0 and not v.is_empty) == ((v.state, horizon) in memo)
+        fresh = Solver()
+        space = fresh.version_space(w)
+        for (state, t), value in memo.items():
+            assert fresh.bounded_randomized_littlestone(space._child(state), t) == F(value, 2**t)
+
+
+class TestHorizonSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(tricky_classes())
+    def test_explicit_classes_match_the_bisection(self, w):
+        assert_sweep_matches_bisection(w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_expert_classes())
+    def test_expert_classes_match_the_bisection(self, w):
+        assert_sweep_matches_bisection(w)
+
+    @pytest.mark.parametrize(
+        "w", [universal_class(2, 2), expert_class(3, 2), expert_class(4, 1)], ids=["u22", "e32", "e41"]
+    )
+    def test_memo_holds_each_state_at_each_level(self, w):
+        s = Solver()
+        s.randomized_littlestone(w)
+        reachable = s.states_visited
+        horizon = s.horizon_for_slack(w, F(1, 16))
+        assert s.states_visited == reachable * (horizon + 1)
+        # The extraction that follows reads memo entries only.
+        if not isinstance(w, ExpertClass):
+            s.extract_optimal_tree(w, horizon)
+            assert s.states_visited == reachable * (horizon + 1)
+
+    @pytest.mark.parametrize(
+        "w", [universal_class(2, 2), expert_class(3, 2), single_hypothesis(1)], ids=["u22", "e32", "h1"]
+    )
+    def test_budget_charges_expansions_and_levels(self, w):
+        # The last level is charged with the expansions still held, on top of
+        # the RL memo and the levels below: (horizon + 2) entries per state.
+        s = Solver()
+        s.randomized_littlestone(w)
+        reachable = s.states_visited
+        horizon = s.horizon_for_slack(w, F(1, 16))
+        passing = reachable * (horizon + 2)
+        assert Solver(state_budget=passing).horizon_for_slack(w, F(1, 16)) == horizon
+        tight = Solver(state_budget=passing - 1)
+        with pytest.raises(ComputeBudgetError):
+            tight.horizon_for_slack(w, F(1, 16))
+        # RL alone fits in a budget the sweep's expansions exceed.
+        tight = Solver(state_budget=reachable)
+        tight.randomized_littlestone(w)
+        with pytest.raises(ComputeBudgetError):
+            tight.horizon_for_slack(w, F(1, 16))
 
 
 @st.composite

@@ -12,6 +12,9 @@ from conftest import (
     random_tree,
     random_weighted_class,
     recursion_limit,
+    reference_expected_branch_length,
+    reference_is_monotone,
+    reference_quasi_balance_weights,
     reference_sample_branch,
     reference_shatter,
     reference_tree_from_json,
@@ -34,6 +37,7 @@ from littlestone.trees import (
     LEAF,
     MistakeTree,
     NotQuasiBalancedError,
+    PathWeights,
     WeightFunction,
     branches,
     complete_tree,
@@ -587,6 +591,105 @@ def reference_violation(tree: MistakeTree) -> str | None:
                 return pos
             stack += [(t.one, pos + "1"), (t.zero, pos + "0")]
     return None
+
+
+def weights_or_violation(weigh, tree: MistakeTree):
+    """The weights' (path, pair) items in preorder, or the violation's position."""
+    try:
+        weights = weigh(tree).weights
+    except NotQuasiBalancedError as err:
+        return err.position
+    assert isinstance(weights, PathWeights)
+    return list(weights.items())
+
+
+class TestDyadicFolds:
+    """E_T, monotonicity and the weights, computed on (E * 2^h, h) integers,
+    equal the Fraction folds value for value, violation position included."""
+
+    @staticmethod
+    def assert_like_reference(tree: MistakeTree, items: bool = True) -> bool:
+        e = expected_branch_length(tree)
+        assert type(e) is F and e == reference_expected_branch_length(tree)
+        monotone = is_monotone(tree)
+        assert monotone is reference_is_monotone(tree)
+        if items:
+            assert weights_or_violation(quasi_balance_weights, tree) == weights_or_violation(
+                reference_quasi_balance_weights, tree
+            )
+        else:  # too many root paths to list: compare node by node, or the position
+            try:
+                expected = reference_quasi_balance_weights(tree).weights
+            except NotQuasiBalancedError as err:
+                with pytest.raises(NotQuasiBalancedError) as got:
+                    quasi_balance_weights(tree)
+                assert got.value.position == err.position
+            else:
+                assert quasi_balance_weights(tree).weights == expected
+        return monotone
+
+    def test_random_trees_monotone_or_not(self, rng):
+        seen = set()
+        for i in range(150):
+            t = random_tree(rng, max_depth=7, leaf_prob=0.3)
+            seen.add(self.assert_like_reference(monotonize(t) if i % 3 == 0 else t))
+        assert seen == {True, False}
+
+    def test_shared_dags(self, rng):
+        seen = set()
+        for _ in range(150):
+            seen.add(self.assert_like_reference(random_dag(rng, size=rng.randint(1, 14))))
+        assert seen == {True, False}
+        for depth in (1, 5, 60):
+            t = complete_tree(4)
+            for _ in range(depth):
+                t = node("x", t, node("y", t, LEAF))
+            self.assert_like_reference(t, items=depth < 20)
+
+    def test_extracted_trees(self):
+        for w, horizon in ((universal_class(2, 2), 12), (universal_class(3, 1), 8)):
+            tree, weights = Solver().extract_optimal_tree(w, horizon)
+            assert self.assert_like_reference(tree, items=False)
+            assert weights.weights == reference_quasi_balance_weights(tree).weights
+
+    @pytest.mark.parametrize("bottom", ["leaf", "violation"])
+    def test_a_3000_deep_path(self, bottom):
+        # A complete depth-4 subtree beside a leaf is not monotone, and its E_T
+        # is 3; above it E_T stays 3 with E_0 - E_1 = 2, so only it violates.
+        t = LEAF if bottom == "leaf" else node("r", complete_tree(4), LEAF)
+        for _ in range(3000):
+            t = node("x", t, complete_tree(1))
+        with recursion_limit(1_000):
+            assert self.assert_like_reference(t, items=False) is (bottom == "leaf")
+            if bottom == "violation":
+                with pytest.raises(NotQuasiBalancedError) as err:
+                    quasi_balance_weights(t)
+                assert err.value.position == "0" * 3000
+
+
+class TestRepr:
+    """The repr lists a few distinct nodes, so it is short for any tree."""
+
+    def test_small_trees_list_every_node(self):
+        assert repr(LEAF) == "MistakeTree(leaf)"
+        t = node("a", LEAF, node("b", LEAF, LEAF))
+        assert repr(t) == "MistakeTree(#0=('a', leaf, #1), #1=('b', leaf, leaf))"
+        shared = node("c", t, t)
+        assert repr(shared) == (
+            "MistakeTree(#0=('c', #1, #1), #1=('a', leaf, #2), #2=('b', leaf, leaf))"
+        )
+
+    def test_a_5000_deep_path_under_the_default_limit(self):
+        t = deep_left_path(5000)
+        with recursion_limit(1_000):
+            text = repr(t)
+        assert text.startswith("MistakeTree(#0=('x', #1, leaf), #1=('x', #2, leaf), ")
+        assert text.endswith(", ...)") and len(text) < 400
+
+    def test_a_dag_with_2_to_the_60_paths(self):
+        text = repr(complete_tree(60, instance="i" * 1000))
+        assert text.startswith("MistakeTree(#0=('iii") and text.endswith(", #8, #8), ...)")
+        assert text.count("#") == 3 * 8 and len(text) < 600
 
 
 class TestViolationPosition:
