@@ -29,9 +29,13 @@ Explicit states are packed into one int each, within a frame built once from
 a root class's canonical members: one bit per member slot, one column mask
 per domain point, and layer j of the int masking the members with remaining
 budget at least j.  A child is then a few bitwise operations on its parent,
-and a memo lookup hashes one int.  Each frame keeps its own memos; a query
-uses the first frame with a slot for each of its members, so every version
-space of a class shares the class's memo, and opens a new frame otherwise.
+and a memo lookup hashes one int.  Which columns coincide, and so which
+moves a state has, depends only on its live members, so each frame keeps a
+move table keyed by the live mask ``state & mask``: the dedupe up to label
+swap runs once per distinct live mask, not once per state and horizon.
+Each frame keeps its own memos; a query uses the first frame with a slot
+for each of its members, so every version space of a class shares the
+class's memo, and opens a new frame otherwise.
 A :class:`VersionSpace` is a class held as such a state (an expert class as
 its budget vector): an example steps it by the same bitwise charge, with no
 class built, and every query accepts it in place of a class.
@@ -93,6 +97,14 @@ class _Frame:
     so a transition keeps each row's slots a prefix with descending budgets,
     and each canonical state has exactly one encoding.  Budgets grow the
     layer count on demand; an existing state's value is unaffected.
+
+    ``table`` maps the live mask ``state & mask`` of each state expanded to
+    its moves (see :meth:`fill`), so it holds at most one entry per state
+    expanded: on u(8, 1), 255 entries of about 0.4 MiB beside the RL memo's
+    6,560 states of about 0.6 MiB.  Its masks are copied into every layer
+    up to ``repeat``, so charging a move is one ``&`` with the state's top
+    layers (see :func:`_x_moves`).  A deeper class that grows ``repeat``
+    empties the table, which then refills with masks covering the new layers.
     """
 
     def __init__(self, key):
@@ -113,17 +125,40 @@ class _Frame:
                 self.moves.append((witness, column))
         # Copies a slot mask into every layer of the deepest budget encoded.
         self.repeat = 1
+        # The move table: (moves, constant, splits) per live mask, by fill().
+        self.table: dict[int, tuple[tuple, bool, tuple]] = {}
+
+    def fill(self, live: int) -> tuple[tuple, bool, tuple]:
+        """The move table entry of the live-member mask ``live``, computed
+        once: its behaviors up to label swap as (first witness, s, spread)
+        in witness order, ``spread`` the live members labeling the witness 1
+        in every layer; whether some behavior is constant; and the other
+        behaviors, the splits, as the same triples."""
+        moves = []
+        seen: set[int] = set()
+        for witness, column in self.moves:
+            ones = column & live
+            if ones not in seen:
+                seen.update((ones, live ^ ones))
+                moves.append((witness, ones.bit_count(), ones * self.repeat))
+        m = live.bit_count()
+        splits = tuple(move for move in moves if 0 < move[1] < m)
+        entry = self.table[live] = (tuple(moves), len(splits) < len(moves), splits)
+        return entry
 
     def encode(self, key) -> int | None:
         """The packed state of a canonical key, or None if a member has no slot."""
-        state = 0
+        state = repeat = 0
         for slot, budget in _ranked(key):
             bit = self.slots.get(slot)
             if bit is None:
                 return None
             layers = ((1 << (budget + 1) * self.width) - 1) // self.mask  # slot 0, layers 0..budget
-            self.repeat = max(self.repeat, layers)
+            repeat = max(repeat, layers)
             state |= layers << bit
+        if repeat > self.repeat:
+            self.repeat = repeat
+            self.table.clear()  # its masks miss the new layers
         return state
 
 
@@ -135,32 +170,28 @@ def _x_moves(frame: _Frame, state: int):
     labeling 1 and ``state`` elsewhere, and the child under 1 the reverse.
     A constant behavior thus gives the state itself and ``low``."""
     live = state & frame.mask
+    moves = (frame.table.get(live) or frame.fill(live))[0]
     low = state >> frame.width
     diff = state ^ low
-    repeat = frame.repeat
-    seen: set[int] = set()
-    for witness, column in frame.moves:
-        ones = column & live
-        if ones in seen:
-            continue
-        seen.add(ones)
-        seen.add(live ^ ones)
-        charged = diff & (ones * repeat)
-        yield witness, ones.bit_count(), state ^ charged, low ^ charged
+    for witness, s, spread in moves:
+        charged = diff & spread
+        yield witness, s, state ^ charged, low ^ charged
 
 
 def _x_expand(frame: _Frame, state: int):
     """(m, P, decremented state if some behavior is constant else None,
-    [(s, child under 0, child under 1)] per other behavior up to label swap)."""
-    m = (state & frame.mask).bit_count()
-    dec = None
-    splits = []
-    for _, s, child0, child1 in _x_moves(frame, state):
-        if 0 < s < m:
-            splits.append((s, child0, child1))
-        else:
-            dec = child1 if s == 0 else child0
-    return m, state.bit_count(), dec, splits
+    [(s, child under 0, child under 1)] per other behavior up to label swap),
+    the behaviors as :func:`_x_moves` gives them."""
+    live = state & frame.mask
+    _, constant, splits = frame.table.get(live) or frame.fill(live)
+    low = state >> frame.width
+    diff = state ^ low
+    return (
+        live.bit_count(),
+        state.bit_count(),
+        low if constant else None,
+        [(s, state ^ (charged := diff & spread), low ^ charged) for _, s, spread in splits],
+    )
 
 
 def _pack(counts) -> int:

@@ -136,6 +136,39 @@ def reference_count_splits(counts: tuple[int, ...]):
         yield sum(ones), trim_counts(child0), trim_counts(child1)
 
 
+def reference_x_moves(frame, state: int):
+    """(first witness, s, child under 0, child under 1) per behavior of a
+    packed explicit state up to label swap, in witness order, deduplicated
+    from the frame's root columns for this one state.  The production space
+    reads the same list from the frame's move table, one entry per live mask.
+    """
+    live = state & frame.mask
+    low = state >> frame.width
+    diff = state ^ low
+    seen: set[int] = set()
+    for witness, column in frame.moves:
+        ones = column & live
+        if ones in seen:
+            continue
+        seen.update((ones, live ^ ones))
+        charged = diff & (ones * frame.repeat)
+        yield witness, ones.bit_count(), state ^ charged, low ^ charged
+
+
+def reference_x_expand(frame, state: int):
+    """(m, P, decremented state or None, non-constant splits), split off
+    :func:`reference_x_moves` one behavior at a time."""
+    m = (state & frame.mask).bit_count()
+    dec = None
+    splits = []
+    for _, s, child0, child1 in reference_x_moves(frame, state):
+        if 0 < s < m:
+            splits.append((s, child0, child1))
+        else:
+            dec = child1 if s == 0 else child0
+    return m, state.bit_count(), dec, splits
+
+
 def reference_prediction(
     selection: str,
     solver,

@@ -11,6 +11,8 @@ from conftest import (
     recursion_limit,
     reference_count_splits,
     reference_horizon_for_slack,
+    reference_x_expand,
+    reference_x_moves,
     trim_counts,
 )
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from littlestone.dimension import (
     _pack,
     _u_expand,
     _W,
+    _x_expand,
     _x_moves,
 )
 from littlestone.experts import mstar2_closed_form
@@ -562,6 +565,8 @@ class TestHorizonSweep:
         if not isinstance(w, ExpertClass):
             s.extract_optimal_tree(w, horizon)
             assert s.states_visited == reachable * (horizon + 1)
+        # One move table entry per live mask expanded, each for a visited state.
+        assert sum(len(frame.table) for frame, _ in s._frames) <= s.states_visited
 
     @pytest.mark.parametrize(
         "w", [universal_class(2, 2), expert_class(3, 2), single_hypothesis(1)], ids=["u22", "e32", "h1"]
@@ -638,6 +643,28 @@ def test_packed_transitions_match_restrict(w):
                 nxt += [v0, v1]
         level = nxt
     assert len(set(encodings.values())) == len(encodings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(repeated_row_classes(), tricky_classes()))
+def test_move_tables_match_the_per_state_reference(w):
+    """For every state within three steps of W, ``_x_moves`` and ``_x_expand``
+    read off the move table exactly what the per-state dedupe gives: the same
+    moves, witnesses, orientation and order."""
+    frame = _Frame(w.state_key())
+    level = {frame.encode(w.state_key())}
+    seen = set()
+    for _ in range(4):  # W, then one level per step
+        below = set()
+        for state in level - seen:
+            seen.add(state)
+            if state:
+                reference = list(reference_x_moves(frame, state))
+                assert list(_x_moves(frame, state)) == reference
+                assert _x_expand(frame, state) == reference_x_expand(frame, state)
+                below.update(c for _, _, child0, child1 in reference for c in (child0, child1))
+        level = below
+    assert frame.table and len(frame.table) <= len(seen)
 
 
 class TestPackedCounts:
@@ -739,6 +766,38 @@ class TestFrames:
         first = values(s, v)
         assert values(s, w) == values(Solver(), w)
         assert first == values(Solver(), v) == values(s, v)
+
+    def test_move_tables_follow_a_deeper_budget(self):
+        """u(3, 3) has the rows of u(3, 1), so it is encoded in the frame
+        u(3, 1) opened, and that frame's repeat grows after its move tables
+        are filled; every value still equals a fresh Solver's."""
+        shallow, deep = universal_class(3, 1), universal_class(3, 3)
+
+        def values(solver, cls):
+            return (
+                solver.littlestone(cls),
+                solver.randomized_littlestone(cls),
+                [solver.bounded_randomized_littlestone(cls, t) for t in range(8)],
+            )
+
+        s = Solver()
+        first = values(s, shallow)
+        ((frame, _),) = s._frames
+        repeat = frame.repeat
+        assert frame.table
+        # A class with a row the frame lacks is not encoded, and leaves the
+        # frame's repeat and tables as they were.
+        zero = Member("z", (0,) * len(deep.domain.points), 3)
+        assert frame.encode(WeightedClass(deep.domain, (*deep.members, zero)).state_key()) is None
+        assert frame.repeat == repeat and frame.table
+        state = frame.encode(deep.state_key())
+        # The masks filled at budget 1 cover two layers; budget 3 needs four.
+        assert frame.repeat > repeat and not frame.table
+        assert _x_expand(frame, state) == reference_x_expand(frame, state)
+        assert values(s, deep) == values(Solver(), deep)
+        assert len(s._frames) == 1
+        assert values(s, shallow) == first == values(Solver(), shallow)
+        assert len(frame.table) <= s.states_visited
 
     def test_empty_class_and_empty_domain(self):
         for order in ((EMPTY_CLASS, EMPTY_DOMAIN), (EMPTY_DOMAIN, EMPTY_CLASS)):
