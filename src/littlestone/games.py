@@ -27,9 +27,9 @@ from .classes import (
     WeightedClass,
     expert_class,
     min_mistakes,
-    restrict,
 )
-from .dimension import ComputeBudgetError, Solver
+from .classes import restrict  # noqa: F401  # bench/tracing.py wraps games.restrict
+from .dimension import ComputeBudgetError, Solver, VersionSpace
 from .learners import Learner
 from .trees import MistakeTree, WeightFunction, shatter_check
 
@@ -363,16 +363,18 @@ def exact_expected_loss(learner: Learner, tree: MistakeTree) -> Fraction:
 
 def worst_case_loss(
     learner: Learner,
-    w: WeightedClass,
+    w: WeightedClass | ExpertClass,
     horizon: int,
     state_budget: int | None = 200_000,
 ) -> Fraction:
     """Exhaustive minimax audit: the exact worst realizable loss over all
     adversary play of at most ``horizon`` rounds.
 
-    Enumerates every domain point and every label keeping the restricted
-    class non-empty.  States are memoized when the learner exposes a state
-    key; the optional budget caps the number of explored game states.
+    Enumerates every domain point (every advice string of an expert class)
+    and every label keeping the version space non-empty, one
+    :meth:`VersionSpace.split` per point.  States are memoized on (learner
+    key, version space, rounds left) when the learner exposes a state key;
+    the optional budget caps the number of explored game states.
     """
     if isinstance(w, ExpertClass):
         w = w.explicit()
@@ -381,14 +383,14 @@ def worst_case_loss(
     memo: dict = {}
     visited = 0
 
-    def rec(ln: Learner, cls: WeightedClass, t: int):
+    def rec(ln: Learner, v: VersionSpace, t: int):
         nonlocal visited
         if t == 0:
             return Fraction(0)
         ln_key = ln.state_key()
         key = None
         if ln_key is not None:
-            key = (ln_key, cls.state_key(), t)
+            key = (ln_key, v.key, t)
             hit = memo.get(key)
             if hit is not None:
                 return hit
@@ -396,21 +398,20 @@ def worst_case_loss(
         if state_budget is not None and visited > state_budget:
             raise ComputeBudgetError(f"worst-case audit exceeded {state_budget} states")
         best = Fraction(0)
-        for x in cls.domain:
+        for x in w.domain:
             p = None
-            for y in (0, 1):
-                nxt = restrict(cls, x, y)
+            for y, nxt in enumerate(v.split(x)):
                 if nxt.is_empty:
                     continue
                 if p is None:
                     p = ln.predict(x)
                 child = ln.clone()
                 child.update(x, y)
-                v = abs(y - p) + (yield rec(child, nxt, t - 1))
-                if v > best:
-                    best = v
+                loss = abs(y - p) + (yield rec(child, nxt, t - 1))
+                if loss > best:
+                    best = loss
         if key is not None:
             memo[key] = best
         return best
 
-    return _run(rec(learner.clone(), w, horizon))
+    return _run(rec(learner.clone(), Solver().version_space(w), horizon))

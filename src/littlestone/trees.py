@@ -14,17 +14,19 @@ branch length than its parent), and the weight assignment is then unique.
 Trees are DAGs: extraction and parsing both merge structurally identical
 subtrees, and nothing here walks every root path.  Statistics and weights
 are folds over the distinct nodes, and the shatter check is one pass over
-the distinct (node, class state) pairs.  E_T is dyadic: a subtree of height
+the distinct (node, version space) pairs.  E_T is dyadic: a subtree of height
 h has E_T * 2^h an integer, so E_T, monotonicity and the weights share one
 integer step on (E_T * 2^h, h), and each node's ``w0`` is one ``Fraction``
-built from it, read by root path through a lazy view.  Tree files nest one
-level per tree level; the writer renders each distinct subtree once, and
-the reader skips each repeat of a subtree in a file of the writer's layout
-by matching its text, so both cost the distinct nodes plus one pass over
-the file's bytes.  Nothing here recurses, tree equality, hashing and repr
-included, and importing this module changes no interpreter setting.  Only the ``json`` C decoder still recurses
-once per level, on a file not in the writer's layout (or deeper than 20,000
-levels), under the interpreter's own recursion limit.
+built from it, read by root path through a lazy view.  Tree files are flat:
+one row per distinct subtree, so writing and reading cost the distinct
+nodes.  The reader still takes nested files (one level per tree level) and
+skips each repeat of a subtree in the layout ``json.dumps`` gives them by
+matching its text, so they cost the distinct nodes plus one pass over the
+file's bytes.  Nothing here recurses, tree equality, hashing and repr
+included, and importing this module changes no interpreter setting.  Only
+the ``json`` C decoder still recurses once per level, on a nested file in
+another layout (or deeper than 20,000 levels), under the interpreter's own
+recursion limit.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .classes import (
     ExpertClass,
     WeightedClass,
     min_mistakes,
-    restrict,
 )
 
 
@@ -433,21 +434,23 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
     """Whether every branch's example sequence is realizable by the class.
 
     A branch is realizable exactly when the class restricted along it is
-    non-empty, so this is one pass over the distinct (node, class state)
-    pairs the tree reaches, not over its root paths.  Failing branches are
+    non-empty, so this is one pass over the distinct (node, version space)
+    pairs the tree reaches, not over its root paths; each node's version
+    spaces come from one :meth:`VersionSpace.split`.  Failing branches are
     listed left first, read off the failing pairs only.  An instance outside
     the class's domain raises :class:`UnknownInstanceError` wherever it sits.
     """
+    from .dimension import Solver  # dimension imports this module
+
     for x in dict.fromkeys(t.instance for t, _ in _walk(tree)[0] if not t.is_leaf):
         min_mistakes([(x, 0)], w)  # raises exactly where a branch through x would
 
-    def pair(t: MistakeTree, v: WeightedClass | ExpertClass) -> tuple:
-        state = v.budgets if isinstance(v, ExpertClass) else v.state_key()
-        return t, v, (id(t), state)
+    def pair(t: MistakeTree, v) -> tuple:
+        return t, v, (id(t), v.key)
 
     ok: dict[tuple, bool] = {}
     children: dict[tuple, tuple[tuple, tuple]] = {}
-    root = pair(tree, w)
+    root = pair(tree, Solver().version_space(w))
     stack = [root]
     while stack:
         t, v, key = stack[-1]
@@ -461,8 +464,8 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
             ok[key] = ok[zero[2]] and ok[one[2]]
             stack.pop()
         else:
-            zero = pair(t.zero, restrict(v, t.instance, 0))
-            one = pair(t.one, restrict(v, t.instance, 1))
+            v0, v1 = v.split(t.instance)
+            zero, one = pair(t.zero, v0), pair(t.one, v1)
             children[key] = (zero, one)
             stack += (one, zero)
 
@@ -481,18 +484,23 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
 
 
 # ---------------------------------------------------------------------------
-# Serialization: {"leaf": true} | {"instance": ..., "zero": ..., "one": ...},
-# with optional exact-rational weight annotations as "w0" strings, in the
-# layout ``json.dumps`` gives the nested dicts.  The reader scans exactly that
-# layout itself, skipping repeated subtrees by their text, and hands any other
-# layout of the same records to ``json.loads``.
+# Serialization.  The writer gives the flat DAG form
+# {"root": i, "nodes": [[instance, zero, one] | [instance, zero, one, "w0"], ...]},
+# one row per distinct subtree, children first: ``zero``/``one`` index
+# earlier rows, null is a leaf, and "w0" is an exact rational string.  The
+# reader also takes the nested form {"leaf": true} | {"instance": ...,
+# "zero": ..., "one": ...[, "w0": ...]}: it scans the layout ``json.dumps``
+# gives the nested dicts itself, skipping repeated subtrees by their text,
+# and hands any other layout of either form to ``json.loads``.
 # ---------------------------------------------------------------------------
 
 
 def tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:
-    """The nested tree file, rendering each distinct (node, weight node) once
-    and dropping its text once its last distinct parent has read it; a
-    missing weight raises ``KeyError`` at the first such node in postorder."""
+    """The flat tree file: one row per distinct (node, weight node) pair in
+    the children-first order of :func:`_walk`, so its size follows the DAG,
+    not the root paths.  With ``weights`` every row carries its ``w0``, and
+    a missing one raises ``KeyError`` naming the first such node in
+    postorder by its first root path."""
     root = None if weights is None else weights.root
 
     def children(pair):
@@ -505,26 +513,33 @@ def tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> st
     def key(pair):
         return id(pair[0]), id(pair[1])
 
-    def step(pair, zero: str, one: str) -> str:
+    index: dict[tuple[int, int], int] = {}  # leaves have no row and read as None
+    rows = []
+    for pair in _walk((tree, root), children, key)[1]:
         t, n = pair
-        w0 = ""
+        if t.is_leaf:
+            continue
+        zero, one = children(pair)
+        row = [t.instance, index.get(key(zero)), index.get(key(one))]
         if weights is not None:
             if n is None or n[0] is None:  # name the node by its first root path
                 links = _walk((tree, root), children, key)[0]
                 raise KeyError(_unlink(next(link for p, link in links if key(p) == key(pair))))
-            w0 = f', "w0": {json.dumps(str(n[0]))}'
-        return f'{{"instance": {json.dumps(t.instance)}, "zero": {zero}, "one": {one}{w0}}}'
-
-    return _fold((tree, root), '{"leaf": true}', step, children, key)
+            row.append(str(n[0]))
+        index[key(pair)] = len(rows)
+        rows.append(row)
+    return json.dumps({"root": index.get(key((tree, root))), "nodes": rows})
 
 
 class _Invalid:
-    """Stands in for a malformed object of a tree file; ancestors add their bits."""
+    """Stands in for a malformed object of a tree file; ancestors add their bits.
+    ``fields`` is the object itself where it has no node fields: at the top,
+    that may be a flat document."""
 
-    __slots__ = ("message", "bits", "nonempty")
+    __slots__ = ("message", "bits", "nonempty", "fields")
 
-    def __init__(self, message: str, nonempty: bool = True):
-        self.message, self.bits, self.nonempty = message, [], nonempty
+    def __init__(self, message: str, nonempty: bool = True, fields: dict | tuple = ()):
+        self.message, self.bits, self.nonempty, self.fields = message, [], nonempty, fields
 
     def under(self, bit: str) -> _Invalid:
         self.bits.append(bit)
@@ -551,8 +566,8 @@ _SCAN_DEPTH = 20_000
 
 
 def _scan(text: str, decode):
-    """The decoded root of ``text`` if it is laid out exactly as
-    :func:`tree_to_json` writes it (plus trailing whitespace), else None.
+    """The decoded root of nested ``text`` if it is laid out exactly as
+    ``json.dumps`` writes the nested dicts (plus trailing whitespace), else None.
 
     Iterative, one frame per open node.  Once a node's instance and 0-child
     are decoded, an earlier node with the same two whose remaining text
@@ -615,38 +630,38 @@ def _scan(text: str, decode):
             return None if text[pos:].strip(" \t\n\r") else value
 
 
+def _bad_row(i: int, message: str) -> ValueError:
+    return ValueError(f"tree file row {i}: {message}")
+
+
 def tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
-    """Parse the nested format.  A file laid out as :func:`tree_to_json` writes
-    it is scanned in time proportional to its distinct nodes plus one
-    comparison over its bytes, to 20,000 levels; any other text goes to one
-    ``json.loads`` under the interpreter's recursion limit, which alone
-    reports parse errors.  Equal subtrees become
-    one node; copies weighed differently keep their own weight nodes.  Each
-    object checks its own fields before its children's verdicts, so a
-    ``ValueError`` names the first malformed node in preorder."""
+    """Parse a tree file in either form.  A flat document is one ``json.loads``
+    and one pass over its rows, each checked before it is built (its shape, a
+    string instance, child indices of earlier rows, a rational ``w0``
+    string), so a ``ValueError`` names the first bad row.  Nested text laid
+    out as ``json.dumps`` writes the nested dicts is scanned in time
+    proportional to its distinct nodes plus one comparison over its bytes, to
+    20,000 levels; any other text goes to one ``json.loads`` under the
+    interpreter's recursion limit, which alone reports parse errors.  In both
+    forms equal subtrees become one node, and copies weighed differently keep
+    their own weight nodes.  Each nested object checks its own fields before
+    its children's verdicts, so a ``ValueError`` names the first malformed
+    node in preorder."""
     decoded: dict[tuple, tuple] = {}  # (instance, raw w0, zero's, one's) -> (node, weight node)
     trees: dict[tuple, MistakeTree] = {}
     w0s: dict = {}  # raw "w0" value -> its Fraction, parsed once
 
-    def decode(d: dict):
-        if d.get("leaf"):
-            return _DECODED_LEAF
-        try:
-            instance, zero, one = d["instance"], d["zero"], d["one"]
-        except KeyError:
-            return _Invalid("need instance/zero/one or leaf", bool(d))
-        if instance.__class__ is not str:
-            return _Invalid("instance must be a string")
-        raw = d.get("w0")
-        if (raw is not None or "w0" in d) and (raw.__class__ is not str or raw not in w0s):
+    def rational(raw) -> bool:
+        """Whether ``raw`` reads as a rational number, parsed into ``w0s``."""
+        if raw.__class__ is not str or raw not in w0s:
             try:  # Fraction() rejects an unhashable value before it is stored
                 w0s[raw] = Fraction(raw)
             except (TypeError, ValueError, ArithmeticError):
-                return _Invalid("w0 is not a rational number")
-        if zero.__class__ is not tuple:  # decoded objects are tuples or _Invalid
-            return (zero if zero.__class__ is _Invalid else _Invalid("expected an object")).under("0")
-        if one.__class__ is not tuple:
-            return (one if one.__class__ is _Invalid else _Invalid("expected an object")).under("1")
+                return False
+        return True
+
+    def intern(instance: str, raw, zero: tuple, one: tuple) -> tuple:
+        """The decoded (node, weight node) over two decoded children."""
         key = (instance, raw, id(zero), id(one))
         hit = decoded.get(key)
         if hit is None:
@@ -655,9 +670,54 @@ def tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
             hit = decoded[key] = (t, _weight_node(None if raw is None else w0s[raw], zw, ow))
         return hit
 
+    def decode(d: dict):
+        if d.get("leaf"):
+            return _DECODED_LEAF
+        try:
+            instance, zero, one = d["instance"], d["zero"], d["one"]
+        except KeyError:
+            return _Invalid("need instance/zero/one or leaf", bool(d), d)
+        if instance.__class__ is not str:
+            return _Invalid("instance must be a string")
+        raw = d.get("w0")
+        if (raw is not None or "w0" in d) and not rational(raw):
+            return _Invalid("w0 is not a rational number")
+        if zero.__class__ is not tuple:  # decoded objects are tuples or _Invalid
+            return (zero if zero.__class__ is _Invalid else _Invalid("expected an object")).under("0")
+        if one.__class__ is not tuple:
+            return (one if one.__class__ is _Invalid else _Invalid("expected an object")).under("1")
+        return intern(instance, raw, zero, one)
+
+    def flat(doc: dict) -> tuple:
+        """The decoded root of a flat document, built row by row."""
+        rows = doc["nodes"]
+        if rows.__class__ is not list:
+            raise ValueError('tree file: "nodes" must be an array')
+        built: list[tuple] = []
+        for i, row in enumerate(rows):
+            if row.__class__ is not list or not 3 <= len(row) <= 4:
+                raise _bad_row(i, "expected [instance, zero, one] or [instance, zero, one, w0]")
+            instance, zero, one = row[:3]
+            if instance.__class__ is not str:
+                raise _bad_row(i, "instance must be a string")
+            for name, c in (("zero", zero), ("one", one)):
+                if c is not None and (c.__class__ is not int or not 0 <= c < i):  # bool is no int here
+                    raise _bad_row(i, f"{name} must be null or the index of an earlier row")
+            raw = row[3] if len(row) == 4 else None
+            if len(row) == 4 and (raw.__class__ is not str or not rational(raw)):
+                raise _bad_row(i, "w0 must be a rational number string")
+            zero = _DECODED_LEAF if zero is None else built[zero]
+            built.append(intern(instance, raw, zero, _DECODED_LEAF if one is None else built[one]))
+        root = doc.get("root", -1)  # a missing root is out of range
+        if root is not None and (root.__class__ is not int or not 0 <= root < len(built)):
+            raise ValueError("tree file: root must be null or the index of a row")
+        return _DECODED_LEAF if root is None else built[root]
+
     doc = _scan(text, decode)
     if doc is None:
         doc = json.loads(text, object_hook=decode)
+        if doc.__class__ is _Invalid and not doc.bits and "nodes" in doc.fields:
+            doc = flat(doc.fields)  # a top-level object with rows, not node fields
     if doc.__class__ is not tuple:
         bad = doc if doc.__class__ is _Invalid else _Invalid("expected an object")
         raise ValueError(f"tree node at {''.join(reversed(bad.bits))!r}: {bad.message}")

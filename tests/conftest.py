@@ -21,17 +21,22 @@ import pytest
 
 from littlestone.classes import (
     Domain,
+    Example,
     ExpertClass,
     Member,
     WeightedClass,
     min_mistakes,
     restrict,
 )
+from littlestone.dimension import ComputeBudgetError
+from littlestone.games import _run
+from littlestone.learners import Learner
 from littlestone.trees import (
     LEAF,
     MistakeTree,
     NotQuasiBalancedError,
     PathWeights,
+    ShatterReport,
     WeightFunction,
     _fold,
     _unlink,
@@ -106,6 +111,103 @@ def reference_shatter(
     """
     failing = tuple(tuple(b) for b in branches(tree) if not min_mistakes(b, w).realizable)
     return not failing, failing
+
+
+def reference_shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterReport:
+    """The (node, class state) pass on classes: one ``restrict`` and one new
+    class per pair, keyed by ``state_key()`` (budgets for experts).  The
+    production check steps packed version spaces by ``split`` instead."""
+    for x in dict.fromkeys(t.instance for t, _ in _walk(tree)[0] if not t.is_leaf):
+        min_mistakes([(x, 0)], w)  # raises exactly where a branch through x would
+
+    def pair(t: MistakeTree, v: WeightedClass | ExpertClass) -> tuple:
+        state = v.budgets if isinstance(v, ExpertClass) else v.state_key()
+        return t, v, (id(t), state)
+
+    ok: dict[tuple, bool] = {}
+    children: dict[tuple, tuple[tuple, tuple]] = {}
+    root = pair(tree, w)
+    stack = [root]
+    while stack:
+        t, v, key = stack[-1]
+        if key in ok:
+            stack.pop()
+        elif t.is_leaf or v.is_empty:
+            ok[key] = t.is_leaf and not v.is_empty
+            stack.pop()
+        elif key in children:
+            zero, one = children[key]
+            ok[key] = ok[zero[2]] and ok[one[2]]
+            stack.pop()
+        else:
+            zero = pair(t.zero, restrict(v, t.instance, 0))
+            one = pair(t.one, restrict(v, t.instance, 1))
+            children[key] = (zero, one)
+            stack += (one, zero)
+
+    failing: list[tuple[Example, ...]] = []
+    walk: list[tuple[tuple, tuple[Example, ...]]] = [(root, ())]
+    while walk:
+        (t, v, key), prefix = walk.pop()
+        if ok[key]:
+            continue
+        if key not in children:  # a leaf, or every branch below fails
+            failing += (prefix + tuple(b) for b in branches(t))
+            continue
+        zero, one = children[key]
+        walk += ((one, prefix + ((t.instance, 1),)), (zero, prefix + ((t.instance, 0),)))
+    return ShatterReport(ok=not failing, failing_branches=tuple(failing))
+
+
+def reference_worst_case_loss(
+    learner: Learner,
+    w: WeightedClass | ExpertClass,
+    horizon: int,
+    state_budget: int | None = 200_000,
+) -> Fraction:
+    """The minimax audit on classes: every domain point and label by
+    ``restrict``, memoized on (learner key, ``state_key()``, rounds left).
+    The production audit steps packed version spaces by ``split`` instead."""
+    if isinstance(w, ExpertClass):
+        w = w.explicit()
+    if w.is_empty:
+        raise ValueError("the empty class admits no realizable play")
+    memo: dict = {}
+    visited = 0
+
+    def rec(ln: Learner, cls: WeightedClass, t: int):
+        nonlocal visited
+        if t == 0:
+            return Fraction(0)
+        ln_key = ln.state_key()
+        key = None
+        if ln_key is not None:
+            key = (ln_key, cls.state_key(), t)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+        visited += 1
+        if state_budget is not None and visited > state_budget:
+            raise ComputeBudgetError(f"worst-case audit exceeded {state_budget} states")
+        best = Fraction(0)
+        for x in cls.domain:
+            p = None
+            for y in (0, 1):
+                nxt = restrict(cls, x, y)
+                if nxt.is_empty:
+                    continue
+                if p is None:
+                    p = ln.predict(x)
+                child = ln.clone()
+                child.update(x, y)
+                v = abs(y - p) + (yield rec(child, nxt, t - 1))
+                if v > best:
+                    best = v
+        if key is not None:
+            memo[key] = best
+        return best
+
+    return _run(rec(learner.clone(), w, horizon))
 
 
 def trim_counts(counts: list[int]) -> tuple[int, ...]:
@@ -290,6 +392,37 @@ def _reference_node_to_dict(t: MistakeTree, pos: str, weights: WeightFunction | 
     if weights is not None:
         out["w0"] = str(weights.at(pos)[0])
     return out
+
+
+def reference_nested_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:
+    """The nested tree file in DAG time: each distinct (node, weight node)
+    rendered once and its text dropped once its last distinct parent has
+    read it; a missing weight raises ``KeyError`` at the first such node in
+    postorder.  Byte-equal to :func:`reference_tree_to_json`; the package
+    writes the flat form and still reads this one."""
+    root = None if weights is None else weights.root
+
+    def children(pair):
+        t, n = pair
+        if t.is_leaf:
+            return ()
+        zn, on = (None, None) if n is None else n[1:3]
+        return (t.zero, zn), (t.one, on)
+
+    def key(pair):
+        return id(pair[0]), id(pair[1])
+
+    def step(pair, zero: str, one: str) -> str:
+        t, n = pair
+        w0 = ""
+        if weights is not None:
+            if n is None or n[0] is None:  # name the node by its first root path
+                links = _walk((tree, root), children, key)[0]
+                raise KeyError(_unlink(next(link for p, link in links if key(p) == key(pair))))
+            w0 = f', "w0": {json.dumps(str(n[0]))}'
+        return f'{{"instance": {json.dumps(t.instance)}, "zero": {zero}, "one": {one}{w0}}}'
+
+    return _fold((tree, root), '{"leaf": true}', step, children, key)
 
 
 def reference_tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:

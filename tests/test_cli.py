@@ -360,6 +360,16 @@ class TestFailuresExitTwo:
         assert main(["tree", "analyze", str(path)]) == 2
         assert f"at {position}" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"root": 0, "nodes": [["x", 0, None, "1/2"]]}, "tree file row 0: zero"),
+        ({"root": 1, "nodes": [["x", None, None, "1/2"]]}, "tree file: root"),
+    ], ids=["child-not-earlier", "root-out-of-range"])
+    def test_malformed_flat_tree_file(self, tmp_path, capsys, doc, where):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        assert main(["tree", "analyze", str(path)]) == 2
+        assert where in one_error_line(capsys)
+
 
 class TestCheck:
     def test_concentration_small(self, capsys):

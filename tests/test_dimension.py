@@ -11,6 +11,7 @@ from conftest import (
     recursion_limit,
     reference_count_splits,
     reference_horizon_for_slack,
+    reference_nested_json,
     reference_x_expand,
     reference_x_moves,
     trim_counts,
@@ -324,6 +325,25 @@ class TestExtraction:
         ],
     )
     def test_extracted_bytes_pinned(self, n, k, horizon, digest):
+        # The nested form, which the package wrote before the flat one.
+        text = reference_nested_json(*Solver().extract_optimal_tree(universal_class(n, k), horizon))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "n, k, horizon, digest",
+        [
+            (2, 1, 8, "93e9aebe33fb06f0"),
+            (2, 2, 12, "2780e4e22c63fff8"),
+            (2, 3, 14, "ec8b74039f6c39f8"),
+            (2, 4, 18, "51f202df665380a6"),
+            (2, 5, 22, "431e9e0e0243a7bf"),
+            (3, 1, 8, "7ab2e8ccbf5f8ce3"),
+            (3, 2, 10, "4b2750d795690632"),
+            (3, 3, 12, "036ee465ba141607"),
+            (4, 1, 8, "40ad2b058aa647aa"),
+        ],
+    )
+    def test_extracted_flat_bytes_pinned(self, n, k, horizon, digest):
         text = tree_to_json(*Solver().extract_optimal_tree(universal_class(n, k), horizon))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 

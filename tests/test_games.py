@@ -9,10 +9,14 @@ from conftest import (
     random_tree,
     random_weighted_class,
     recursion_limit,
+    reference_worst_case_loss,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littlestone.classes import (
     Domain,
+    ExpertClass,
     Member,
     WeightedClass,
     expert_class,
@@ -37,6 +41,7 @@ from littlestone.learners import (
     FollowTheLeader,
     Learner,
     RandSOALearner,
+    make_learner,
 )
 from littlestone.trees import (
     LEAF,
@@ -322,6 +327,27 @@ class TestWorstCaseLoss:
         learner = BoundedRandSOALearner(w, 6, solver)
         with pytest.raises(ComputeBudgetError):
             worst_case_loss(learner, w, 6, state_budget=3)
+
+    @given(st.integers(0, 2**32), st.booleans(), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_restrict_audit(self, seed, experts, horizon):
+        rng = random.Random(seed)
+        if experts:
+            n = rng.randint(1, 3)
+            budgets = [rng.choice([None, 0, 1]) for _ in range(n)]
+            budgets[rng.randrange(n)] = rng.choice([0, 1])
+            w = ExpertClass(tuple(budgets))
+        else:
+            w = random_weighted_class(rng, max_points=3, max_members=3, max_budget=1)
+        selections = ["soa", "randsoa", "bounded-randsoa", "constant:1/3"]
+        if experts or len({m.labels for m in w.members}) == len(w.members):
+            selections.append("squint")  # its budget-k copies must not repeat a member
+        if experts and not any(w.budgets):
+            selections.append("ftl")  # proper and mistake-free only
+        for selection in selections:
+            learner = make_learner(selection, w, Solver(), horizon, n_experts=getattr(w, "n", None))
+            expected = reference_worst_case_loss(learner, w, horizon)
+            assert worst_case_loss(learner, w, horizon) == expected, selection
 
 
 class TestDeepWalks:

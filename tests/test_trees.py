@@ -14,9 +14,11 @@ from conftest import (
     recursion_limit,
     reference_expected_branch_length,
     reference_is_monotone,
+    reference_nested_json,
     reference_quasi_balance_weights,
     reference_sample_branch,
     reference_shatter,
+    reference_shatter_check,
     reference_tree_from_json,
     reference_tree_to_json,
 )
@@ -305,7 +307,10 @@ class TestSerialization:
         assert parsed_w.at("") == (F(1, 8), F(7, 8))
 
     def test_leaf_form(self):
-        assert tree_to_json(LEAF) == '{"leaf": true}'
+        assert tree_to_json(LEAF) == '{"root": null, "nodes": []}'
+        assert reference_nested_json(LEAF) == '{"leaf": true}'
+        for text in (tree_to_json(LEAF), '{"leaf": true}'):
+            assert tree_from_json(text) == (LEAF, None)
 
     def test_invalid_node_rejected(self):
         with pytest.raises(ValueError):
@@ -377,8 +382,8 @@ class TestDeepTrees:
         assert peak < 64 * 2**20
 
     def test_writing_a_weighted_2000_deep_path_in_linear_memory(self):
-        # Each subtree's text is dropped once its parent has read it; keeping
-        # every one would hold about d^2 / 2 characters (~500 MiB).
+        # One row per node; text per subtree would hold about d^2 / 2
+        # characters (~500 MiB).
         d = 2_000
         t = deep_left_path(d)
         w = quasi_balance_weights(t)
@@ -388,7 +393,7 @@ class TestDeepTrees:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text.count('"w0"') == d
+        assert [len(row) for row in json.loads(text)["nodes"]] == [4] * d  # each with its w0
         assert tree_to_json(*tree_from_json(text)) == text
         assert peak < 16 * 2**20
 
@@ -456,7 +461,11 @@ class TestSharedDag:
         assert t.zero is t.one
         assert w.at("0") == (F(1, 4), F(3, 4))
         assert w.at("1") == (F(3, 4), F(1, 4))
-        assert tree_to_json(t, w) == text
+        assert reference_nested_json(t, w) == text
+        flat = tree_to_json(t, w)
+        assert json.loads(flat) == {"root": 2, "nodes": [
+            ["a", None, None, "1/4"], ["a", None, None, "3/4"], ["r", 0, 1, "1/2"]]}
+        assert outcome(tree_from_json, flat) == outcome(tree_from_json, text)
 
     def test_serialization_leaves_no_cyclic_garbage(self, extracted):
         # Garbage in a reference cycle waits for a full collection, so a big
@@ -483,12 +492,14 @@ class TestSharedDag:
 
 
 class TestShatterPairs:
-    """The (node, class state) pass against the per-branch reference."""
+    """The (node, version space) pass against the per-branch reference and
+    the restrict-stepped pass it replaced."""
 
     @staticmethod
     def check(tree: MistakeTree, w):
         report = shatter_check(tree, w)
         assert (report.ok, report.failing_branches) == reference_shatter(tree, w)
+        assert report == reference_shatter_check(tree, w)
         return report
 
     def check_random(self, rng, w, points) -> set[bool]:
@@ -547,6 +558,28 @@ class TestShatterPairs:
         with pytest.raises(UnknownInstanceError):
             shatter_check(t, w)
 
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_shared_dags_match_the_restrict_pass(self, seed, experts, unknown):
+        # Failing branches come out in the same order; an instance outside
+        # the domain raises from both.
+        rng = random.Random(seed)
+        if experts:
+            n = rng.randint(1, 3)
+            points = tuple(format(v, f"0{n}b") for v in range(2**n))
+            w = ExpertClass(tuple(rng.choice([None, 0, 1, 2]) for _ in range(n)))
+        else:
+            w = random_weighted_class(rng, max_points=3, max_members=4, max_budget=2)
+            points = w.domain.points
+        t = random_dag(rng, size=rng.randint(0, 12), points=points + ("zz",) * unknown)
+        try:
+            expected = reference_shatter_check(t, w)
+        except UnknownInstanceError:
+            with pytest.raises(UnknownInstanceError):
+                shatter_check(t, w)
+        else:
+            assert shatter_check(t, w) == expected
+
 
 class TestParseOnce:
     @pytest.fixture(scope="class")
@@ -554,7 +587,7 @@ class TestParseOnce:
         solver = Solver()
         w = universal_class(2, 5)
         tree, weights = solver.extract_optimal_tree(w, solver.horizon_for_slack(w, F(1, 64)))
-        return tree_to_json(tree, weights), weights
+        return reference_nested_json(tree, weights), weights
 
     def test_weights_equal_the_written_ones(self, u25):
         text, weights = u25
@@ -562,6 +595,9 @@ class TestParseOnce:
         assert len(parsed_w.weights) == 43_399
         assert parsed_w.weights == weights.weights
         assert shatter_check(parsed, universal_class(2, 5)).ok
+        flat = tree_to_json(parsed, parsed_w)
+        assert len(flat) < len(text) // 1000
+        assert tree_from_json(flat) == (parsed, parsed_w)
 
     def test_equal_w0_strings_share_one_pair(self, u25):
         text, _ = u25
@@ -769,7 +805,9 @@ def outcome(parse, text: str):
 
 
 class TestCodecReference:
-    """The per-node codec against the per-path recursive one it replaced."""
+    """The per-node codec against the per-path recursive one it replaced:
+    the reader on nested text, the nested writer byte for byte, and the flat
+    writer through a round trip."""
 
     KINDS = ("node", "path", "partial", "absent")
 
@@ -801,17 +839,23 @@ class TestCodecReference:
                 try:
                     expected = reference_tree_to_json(*args)
                 except KeyError as err:  # partial weights: the same missing position
-                    with pytest.raises(KeyError) as ours:
-                        tree_to_json(*args)
-                    assert ours.value.args == err.args
+                    for writer in (tree_to_json, reference_nested_json):
+                        with pytest.raises(KeyError) as ours:
+                            writer(*args)
+                        assert ours.value.args == err.args
                     continue
-                assert tree_to_json(*args) == expected == text
+                assert reference_nested_json(*args) == expected == text
+                flat = tree_to_json(*args)
+                assert outcome(tree_from_json, flat) == outcome(reference_tree_from_json, text)
+                assert tree_to_json(*tree_from_json(flat)) == tree_to_json(*parsed)
 
     def test_writer_with_computed_weights(self, rng):
         for _ in range(60):
             t = monotonize(random_dag(rng, size=10))
             w = quasi_balance_weights(t)
-            assert tree_to_json(t, w) == reference_tree_to_json(t, w)
+            assert reference_nested_json(t, w) == reference_tree_to_json(t, w)
+            parsed, parsed_w = tree_from_json(tree_to_json(t, w))
+            assert parsed == t and parsed_w.weights == w.weights
 
     @staticmethod
     def mutate(d: dict, mutation: str, rng: random.Random) -> None:
@@ -864,12 +908,13 @@ STRATEGY_CELLS = [
 
 @pytest.fixture(scope="module")
 def strategy_files() -> dict[tuple, str]:
-    """Each strategy cell's tree file, as the CLI writes it."""
+    """Each strategy cell's nested tree file, as the CLI wrote it before the
+    flat form."""
     solver, out = Solver(), {}
     for n, k, slack in STRATEGY_CELLS:
         w = universal_class(n, k)
         tree, weights = solver.extract_optimal_tree(w, solver.horizon_for_slack(w, F(slack)))
-        out[n, k, slack] = tree_to_json(tree, weights) + "\n"
+        out[n, k, slack] = reference_nested_json(tree, weights) + "\n"
     return out
 
 
@@ -911,11 +956,11 @@ def reordered(d):
 
 
 _SMALL = node("x", node("y", LEAF, LEAF), node("y", LEAF, LEAF))
-BASE = tree_to_json(_SMALL, quasi_balance_weights(_SMALL))
+BASE = reference_nested_json(_SMALL, quasi_balance_weights(_SMALL))
 
 
 class TestScanner:
-    """Files laid out as ``tree_to_json`` writes them skip ``json.loads``."""
+    """Nested files laid out as ``json.dumps`` writes them skip ``json.loads``."""
 
     def test_strategy_trees_read_alike(self, strategy_files):
         for text in strategy_files.values():
@@ -924,16 +969,16 @@ class TestScanner:
     @given(shared_dags(), st.sampled_from(["absent", "node", "path"]), st.integers(0, 2**32))
     @settings(max_examples=150, deadline=None)
     def test_shared_dags_read_alike(self, tree, kind, seed):
-        assert_read_alike(tree_to_json(tree, weighed(tree, kind, seed)))
+        assert_read_alike(reference_nested_json(tree, weighed(tree, kind, seed)))
 
     def test_written_files_never_reach_json(self, monkeypatch, strategy_files, rng):
         texts = list(strategy_files.values())
         for i in range(60):
             t = random_dag(rng, size=rng.randint(0, 10))
-            texts.append(tree_to_json(t, weighed(t, ("absent", "node", "path")[i % 3], i)))
+            texts.append(reference_nested_json(t, weighed(t, ("absent", "node", "path")[i % 3], i)))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("json.loads read a file laid out as tree_to_json writes it")
+            raise AssertionError("json.loads read a nested file in the json.dumps layout")
 
         monkeypatch.setattr(json, "loads", refuse)
         for text in texts:
@@ -975,3 +1020,114 @@ class TestScanner:
         monkeypatch.setattr(json, "loads", lambda *a, **kw: calls.append(a) or loads(*a, **kw))
         assert outcome(tree_from_json, text) == expected
         assert calls
+
+
+def nested_of_flat(doc: dict):
+    """The nested document a flat one stands for, each row expanded once per
+    root path (so only for small trees)."""
+    rows = doc["nodes"]
+
+    def expand(i):
+        if i is None:
+            return {"leaf": True}
+        row = rows[i]
+        d = {"instance": row[0], "zero": expand(row[1]), "one": expand(row[2])}
+        if len(row) == 4:
+            d["w0"] = row[3]
+        return d
+
+    return expand(doc["root"])
+
+
+class TestFlatFiles:
+    """The flat form: one row per distinct subtree, read back to the tree and
+    weights the nested form of the same file gives."""
+
+    @given(shared_dags(), st.sampled_from(["absent", "node", "path", "partial"]), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trips(self, tree, kind, seed):
+        weights = weighed(tree, "node" if kind == "partial" else kind, seed)
+        text = tree_to_json(tree, weights)
+        assert text == json.dumps(json.loads(text))  # the json.dumps layout
+        if kind == "partial":  # a file the writer never gives: some rows lack w0
+            doc = json.loads(text)
+            rng = random.Random(seed)
+            for row in doc["nodes"]:
+                if rng.random() < 0.4:
+                    del row[3]
+            text = json.dumps(doc)
+        nested = json.dumps(nested_of_flat(json.loads(text)))
+        assert outcome(tree_from_json, text) == outcome(reference_tree_from_json, nested)
+        assert outcome(tree_from_json, text) == outcome(tree_from_json, nested)
+        parsed, parsed_w = tree_from_json(text)
+        assert parsed == tree
+        if kind != "partial":  # a lone leaf's empty weights read back as none
+            assert dict(parsed_w.weights if parsed_w else {}) == dict(weights.weights if weights else {})
+            again = tree_to_json(parsed, parsed_w)
+            assert tree_to_json(*tree_from_json(again)) == again
+
+    @given(shared_dags(), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_a_missing_weight_raises_where_the_nested_writer_does(self, tree, seed):
+        if tree.is_leaf:
+            return
+        paths = path_weights(tree, random.Random(seed), True)
+        rng = random.Random(seed)
+        weights = WeightFunction({p: w for p, w in paths.items() if rng.random() < 0.7})
+        try:
+            reference_nested_json(tree, weights)
+        except KeyError as err:
+            with pytest.raises(KeyError) as ours:
+                tree_to_json(tree, weights)
+            assert ours.value.args == err.args
+        else:
+            assert tree_from_json(tree_to_json(tree, weights))[0] == tree
+
+    def test_rows_follow_the_distinct_nodes(self, strategy_files):
+        for (n, k, slack), nested in strategy_files.items():
+            tree, weights = tree_from_json(nested)
+            doc = json.loads(tree_to_json(tree, weights))
+            assert len(doc["nodes"]) == len(distinct_nodes(tree)) - 1  # no leaf row
+            assert doc["root"] == len(doc["nodes"]) - 1
+
+    def test_other_layouts_read_alike(self):
+        t = node("x", node("y", LEAF, LEAF), node("y", LEAF, LEAF))
+        text = tree_to_json(t, quasi_balance_weights(t))
+        doc = json.loads(text)
+        for variant in (json.dumps(doc, indent=2), json.dumps(dict(reversed(doc.items()))),
+                        " " + text + "\n", text.replace('"x"', '"\\u0078"')):
+            assert outcome(tree_from_json, variant) == outcome(tree_from_json, text)
+
+    ROW = ["x", None, None, "1/2"]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"root": 0, "nodes": [["x", None]]}, "row 0: expected [instance, zero, one]"),
+        ({"root": 0, "nodes": [ROW + ["1/2"]]}, "row 0: expected [instance, zero, one]"),
+        ({"root": 0, "nodes": [{"leaf": True}]}, "row 0: expected [instance, zero, one]"),
+        ({"root": 1, "nodes": [ROW, [5, 0, 0]]}, "row 1: instance must be a string"),
+        ({"root": 1, "nodes": [ROW, [None, 0, 0]]}, "row 1: instance must be a string"),
+        ({"root": 1, "nodes": [ROW, ["y", "0", 0]]}, "row 1: zero must be null or the index of an earlier row"),
+        ({"root": 1, "nodes": [ROW, ["y", 0, False]]}, "row 1: one must be null or the index of an earlier row"),
+        ({"root": 1, "nodes": [ROW, ["y", 0, 0.0]]}, "row 1: one must be null or the index of an earlier row"),
+        ({"root": 1, "nodes": [ROW, ["y", -1, 0]]}, "row 1: zero must be null or the index of an earlier row"),
+        ({"root": 1, "nodes": [ROW, ["y", 0, 2], ROW]}, "row 1: one must be null or the index of an earlier row"),
+        ({"root": 1, "nodes": [ROW, ["y", 1, 0]]}, "row 1: zero must be null or the index of an earlier row"),
+        ({"root": 0, "nodes": [["x", None, None, 0.5]]}, "row 0: w0 must be a rational number string"),
+        ({"root": 0, "nodes": [["x", None, None, None]]}, "row 0: w0 must be a rational number string"),
+        ({"root": 0, "nodes": [["x", None, None, "abc"]]}, "row 0: w0 must be a rational number string"),
+        ({"root": 0, "nodes": [["x", None, None, "1/0"]]}, "row 0: w0 must be a rational number string"),
+        ({"root": 1, "nodes": [ROW]}, "root must be null or the index of a row"),
+        ({"root": False, "nodes": [ROW]}, "root must be null or the index of a row"),
+        ({"root": "0", "nodes": [ROW]}, "root must be null or the index of a row"),
+        ({"nodes": [ROW]}, "root must be null or the index of a row"),
+        ({"root": None, "nodes": {}}, '"nodes" must be an array'),
+    ], ids=[
+        "row-too-short", "row-too-long", "row-not-array", "instance-number", "instance-null",
+        "child-string", "child-bool", "child-float", "child-negative", "child-forward",
+        "child-cycle", "w0-number", "w0-null", "w0-unparsable", "w0-zero-denominator",
+        "root-out-of-range", "root-bool", "root-string", "root-missing", "nodes-not-array",
+    ])
+    def test_malformed_rows_rejected(self, doc, message):
+        with pytest.raises(ValueError) as err:
+            tree_from_json(json.dumps(doc))
+        assert str(err.value).startswith("tree file") and message in str(err.value)
