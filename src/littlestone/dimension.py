@@ -56,6 +56,16 @@ for t = 1, 2, ... in turn, so it expands the states reachable from W once
 and sweeps RL_t * 2^t of all of them upward, a level at a time, over flat
 int lists, writing each level into the RL_T memo that :meth:`Solver._dp`
 reads.
+
+The branch-length law of an optimal tree is folded through the same loop,
+with no tree built.  Over the (state, t) keys the RL_T memo holds, each key
+takes the first move attaining its value (the self-loop first, then the
+splits in expansion order) and gets the law of its subtree as integers at
+scale 2^t: P(length = L) * 2^t per L.  A leaf is 2^t at length 0, and a
+node is its two children's laws added and shifted one length up, which is
+again at scale 2^t because each child holds its law at scale 2^(t - 1).
+Moves come from the same expansion the horizon search uses, so the walk
+runs on count states and explicit frames alike.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, mul
 
 from .classes import ExpertClass, WeightedClass, restrict
@@ -315,6 +325,12 @@ class VersionSpace:
         return self
 
 
+def _expand(v: VersionSpace):
+    """The move expansion of ``v``'s state space: :func:`_u_expand` on count
+    states, :func:`_x_expand` on ``v``'s frame."""
+    return _u_expand if v.frame is None else partial(_x_expand, v.frame)
+
+
 def _l_rule(expand, state):
     """L: 1 + min over the two children, maximized over moves."""
     _, _, dec, splits = expand(state)
@@ -364,6 +380,13 @@ def _empty_or_horizon(key) -> int | None:
     if not state:
         return -(1 << t)
     return 0 if t == 0 else None
+
+
+def _reached_value(values: dict, key) -> int:
+    """RL_T * 2^t of a (state, t) key that an RL_T run reached: its entry in
+    that run's memo ``values``, or else its leaf value."""
+    hit = values.get(key)
+    return _empty_or_horizon(key) if hit is None else hit
 
 
 def _tables(expand) -> dict:
@@ -504,13 +527,8 @@ class Solver:
         # Fill the RL_T memo through the public query, so that wrappers which
         # time or count the queries see this work too.
         self.bounded_randomized_littlestone(v, horizon)
-        values = v.tables["brl"][0]
-
-        # Every key extraction reaches was reached by the RL_T run above, so
-        # its value (at scale 2^t) is a memo entry or a leaf.
-        def value(key) -> int:
-            hit = values.get(key)
-            return _empty_or_horizon(key) if hit is None else hit
+        # Every key extraction reaches was reached by the RL_T run above.
+        value = partial(_reached_value, v.tables["brl"][0])
 
         interned: dict[tuple[str, int, int], MistakeTree] = {}
 
@@ -531,6 +549,50 @@ class Solver:
             return LEAF if value(key) == 0 else None
 
         # The RL_T run above paid for every state; extraction only reads them.
+        return self._dp((v.state, horizon), {}, body, leaf, charge=False)
+
+    def branch_length_law(
+        self, w: WeightedClass | ExpertClass | VersionSpace, horizon: int
+    ) -> tuple[int, ...]:
+        """The exact law of the branch length of an optimal depth-<=horizon tree.
+
+        Entry L of the result is P(length = L) * 2^horizon, an integer, for
+        L = 0, ..., horizon; the entries sum to 2^horizon and their mean is
+        E_T = 2 * RL(W, horizon).  The tree is the one whose node at each
+        (state, t) takes the first move attaining RL_T(state, t): the
+        self-loop first, then the splits in expansion order.  It is never
+        built; only its law is folded, on count states or explicit frames.
+        """
+        if horizon < 0:
+            raise ValueError("horizon must be non-negative")
+        v = self.version_space(w)
+        if v.is_empty:
+            raise ValueError("the empty class has no strategy tree")
+        expand = _expand(v)
+        # As in _extract_tree: the RL_T run fills every value the walk reads.
+        self.bounded_randomized_littlestone(v, horizon)
+        value = partial(_reached_value, v.tables["brl"][0])
+
+        def body(key):
+            state, t = key
+            target = value(key)
+            _, _, dec, splits = expand(state)
+            t -= 1
+            half = 1 << t
+            moves = splits if dec is None else chain(((0, state, dec),), splits)
+            for _, child0, child1 in moves:
+                key0, key1 = (child0, t), (child1, t)
+                if half + value(key0) + value(key1) == target:
+                    # Each child at scale 2^t, so their sum is at 2^(t + 1),
+                    # one step longer.
+                    return (0, *map(add, (yield key0), (yield key1)))
+            raise AssertionError("no move attains the computed dimension")
+
+        def leaf(key) -> tuple[int, ...] | None:
+            t = key[1]
+            return (1 << t, *repeat(0, t)) if value(key) == 0 else None
+
+        # The RL_T run above paid for every state; the walk only reads them.
         return self._dp((v.state, horizon), {}, body, leaf, charge=False)
 
     def horizon_for_slack(
@@ -554,7 +616,7 @@ class Solver:
         target = self.randomized_littlestone(v) - slack
         if v.is_empty or target <= 0:  # RL(W, 0) is -1, resp. 0
             return 0
-        expand = _u_expand if v.frame is None else partial(_x_expand, v.frame)
+        expand = _expand(v)
         charge = self.state_budget is not None
         # Index 0 is the empty class and index 1 is W; ``rows`` holds, per
         # state from index 1 on, the index lists (i0, i1) of its moves' children.

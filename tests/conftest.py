@@ -319,8 +319,11 @@ class ReferenceAggregator:
         if isinstance(self.base, ExpertClass):
             v = ExpertClass(tuple(k for _ in self.base.budgets))
         else:
+            # Members sharing a label row would coincide at budget k; the first stays.
+            rows = list(dict.fromkeys(m.labels for m in self.base.members))
+            first = {m.labels: m.name for m in reversed(self.base.members)}
             v = WeightedClass(
-                self.base.domain, tuple(Member(m.name, m.labels, k) for m in self.base.members)
+                self.base.domain, tuple(Member(first[labels], labels, k) for labels in rows)
             )
         regret = variance = 0.0
         for x, y, agg_loss in self.history:
@@ -618,3 +621,17 @@ def reference_quasi_balance_weights(tree: MistakeTree) -> WeightFunction:
     if violations:
         raise NotQuasiBalancedError(_unlink(next(p for t, p in _walk(tree)[0] if id(t) in violations)))
     return WeightFunction(PathWeights(root))
+
+
+def reference_branch_length_law(tree: MistakeTree) -> dict[int, Fraction]:
+    """P(length = L) of the fair-coin walk from the root, per length L with
+    positive mass, folded node by node in Fraction arithmetic."""
+
+    def step(_, a, b):
+        out: dict[int, Fraction] = {}
+        for law in (a, b):
+            for length, p in law.items():
+                out[length + 1] = out.get(length + 1, 0) + p / 2
+        return out
+
+    return _fold(tree, {0: Fraction(1)}, step)

@@ -15,7 +15,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import monotonize, oracle_bounded, random_shattered_tree, random_tree, random_weighted_class
+from conftest import (
+    monotonize,
+    oracle_bounded,
+    random_shattered_tree,
+    random_tree,
+    random_weighted_class,
+    reference_branch_length_law,
+)
 
 from littlestone.classes import expert_class, restrict, universal_class
 from littlestone.dimension import Solver
@@ -51,7 +58,6 @@ from littlestone.trees import (
     is_monotone,
     min_branch_length,
     quasi_balance_weights,
-    sample_branch,
     tree_weight,
 )
 
@@ -242,20 +248,21 @@ def test_criterion_09_quasi_balance_suite():
 def test_criterion_10_concentration():
     w = universal_class(2, 5)
     horizon = solver.horizon_for_slack(w, F(1, 64))
+    law = solver.branch_length_law(w, horizon)
+    scale = 2**horizon
     tree, _ = solver.extract_optimal_tree(w, horizon)
-    e_t = float(expected_branch_length(tree))
-    n = 100_000
-    lengths = [len(sample_branch(tree, seed)) for seed in range(n)]
-    for eps in (0.1, 0.2, 0.3):
-        lower = sum(1 for v in lengths if v < (1 - eps) * e_t) / n
-        upper = sum(1 for v in lengths if v > (1 + eps) * e_t) / n
-        for freq, bound in (
-            (lower, math.exp(-eps * eps * e_t / 4)),
-            (upper, math.exp(-eps * eps * e_t / (4 * (1 + eps)))),
-        ):
-            slack = 3 * math.sqrt(freq * (1 - freq) / n)
-            assert freq <= bound + slack
-    report(10, "both branch-length tails on the optimal five-budget tree sit under the sub-Gaussian bounds")
+    assert {length: F(c, scale) for length, c in enumerate(law) if c} == reference_branch_length_law(tree)
+    e_t = expected_branch_length(tree)
+    assert F(sum(length * c for length, c in enumerate(law)), scale) == e_t
+    tails = []
+    for eps in (F(1, 10), F(2, 10), F(3, 10)):
+        lower = F(sum(c for length, c in enumerate(law) if length < (1 - eps) * e_t), scale)
+        upper = F(sum(c for length, c in enumerate(law) if length > (1 + eps) * e_t), scale)
+        assert lower <= math.exp(-eps * eps * e_t / 4)
+        assert upper <= math.exp(-eps * eps * e_t / (4 * (1 + eps)))
+        tails.append(f"{float(lower):.5f}/{float(upper):.5f}")
+    assert tails == ["0.45117/0.26685", "0.00000/0.11847", "0.00000/0.07681"]
+    report(10, "both exact branch-length tails of the optimal five-budget tree sit under the sub-Gaussian bounds")
 
 
 def test_criterion_11_bounded_horizon():

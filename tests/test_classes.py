@@ -19,6 +19,7 @@ from littlestone.classes import (
     min_mistakes,
     restrict,
     universal_class,
+    with_budget,
 )
 
 
@@ -269,3 +270,9 @@ def test_universal_round_trips_through_document():
         ],
     }
     assert load_class(json.dumps(doc)) == w
+
+
+def test_with_budget_keeps_the_first_member_per_label_row():
+    w = make_class(["x", "y"], [("a", [0, 1], 0), ("b", [0, 1], 2), ("c", [1, 1], 1)])
+    assert with_budget(w, 3) == make_class(["x", "y"], [("a", [0, 1], 3), ("c", [1, 1], 3)])
+    assert with_budget(ExpertClass((0, None, 2)), 1) == ExpertClass((1, 1, 1))

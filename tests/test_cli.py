@@ -384,23 +384,24 @@ class TestCheck:
     def test_concentration_computes_no_weights(self, monkeypatch, capsys):
         import littlestone.dimension
 
-        def unused(tree):
-            raise AssertionError("the concentration check reads no weights")
+        def unused(*args):
+            raise AssertionError("the concentration check builds no tree and reads no weights")
 
         monkeypatch.setattr(littlestone.dimension, "quasi_balance_weights", unused)
+        monkeypatch.setattr(Solver, "_extract_tree", unused)
         argv = ["check", "concentration", "--n", "2", "--k", "2", "--samples", "500"]
         assert main(argv) == 0
 
     def test_failed_bound_exits_1(self, monkeypatch, capsys):
-        import littlestone.cli
-
-        # Every sampled branch is empty, so each lower tail is 1.
-        monkeypatch.setattr(littlestone.cli, "sample_branch", lambda tree, seed: "")
-        argv = ["check", "concentration", "--n", "2", "--k", "1", "--samples", "100"]
+        # All of the law's mass at length 0, so each lower tail is 1.
+        monkeypatch.setattr(
+            Solver, "branch_length_law", lambda self, w, horizon: (1 << horizon,) + (0,) * horizon
+        )
+        argv = ["check", "concentration", "--n", "2", "--k", "1"]
         assert main(argv) == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_one_generator_per_command(self, monkeypatch, capsys):
+    def test_builds_no_generator(self, monkeypatch, capsys):
         built = []
 
         class CountingRandom(random.Random):
@@ -412,43 +413,56 @@ class TestCheck:
         argv = ["--seed", "9", "check", "concentration", "--n", "2", "--k", "1",
                 "--samples", "300"]
         assert main(argv) == 0
-        assert built == [(9,)]
+        assert built == []
 
-    def test_output_reproducible_per_seed(self, capsys):
+    def test_output_independent_of_seed(self, capsys):
         def run(seed):
             assert main(["--seed", str(seed), "check", "concentration", "--n", "2",
                          "--k", "2", "--samples", "400", "--eps", "0.05,0.1"]) == 0
             return capsys.readouterr().out
 
-        assert run(3) == run(3) != run(4)
+        assert run(3) == run(4)
+        assert "exact law" in run(5)
 
-    def test_tails_equal_per_sample_counts(self, monkeypatch, capsys):
+    def test_tails_equal_law_sums(self, monkeypatch, capsys):
         # E_T = 6 puts (1 - eps) E_T and (1 + eps) E_T on the lengths 3 and 9 at
         # eps = 0.5 and on 0 and 12 at eps = 1; ties count in neither tail.
+        horizon = 13
         rng = random.Random(1)
-        lengths = [rng.choice([0, 1, 3, 3, 4, 5, 6, 7, 8, 9, 9, 10, 12, 13]) for _ in range(40)]
-        draws = iter(lengths)
-        monkeypatch.setattr(littlestone.cli, "expected_branch_length", lambda tree: F(6))
-        monkeypatch.setattr(littlestone.cli, "sample_branch", lambda tree, rng: [None] * next(draws))
-        eps_list = [0.5, 1.0, 0.25, 0.1, 1 / 3]
-        argv = ["check", "concentration", "--n", "2", "--k", "1", "--samples", "40",
-                "--eps", ",".join(map(repr, eps_list))]
+        law = [0] * (horizon + 1)
+        for _ in range(1 << horizon):
+            law[rng.choice([0, 1, 3, 3, 4, 5, 6, 7, 8, 9, 9, 10, 12, 13])] += 1
+        monkeypatch.setattr(Solver, "horizon_for_slack", lambda self, w, slack: horizon)
+        monkeypatch.setattr(Solver, "branch_length_law", lambda self, w, h: tuple(law))
+        monkeypatch.setattr(Solver, "bounded_randomized_littlestone", lambda self, w, h: F(3))
+        eps_list = ["0.5", "1", "0.25", "0.1", repr(1 / 3)]
+        argv = ["check", "concentration", "--n", "2", "--k", "1", "--eps", ",".join(eps_list)]
         main(argv)
-        printed = re.findall(r"P\[X<\(1-eps\)E\]=([0-9.]+).*P\[X>\(1\+eps\)E\]=([0-9.]+)",
-                             capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out.startswith("tree horizon 13, E_T = 6.000000, exact law\n")
+        printed = re.findall(r"P\[X<\(1-eps\)E\]=([0-9.]+).*P\[X>\(1\+eps\)E\]=([0-9.]+)", out)
+
+        def tail(lengths) -> str:
+            return f"{float(F(sum(law[v] for v in lengths), 1 << horizon)):.5f}"
+
         expected = [
-            (f"{sum(1 for v in lengths if v < (1 - eps) * 6.0) / 40:.5f}",
-             f"{sum(1 for v in lengths if v > (1 + eps) * 6.0) / 40:.5f}")
+            (tail(v for v in range(horizon + 1) if v < (1 - F(eps)) * 6),
+             tail(v for v in range(horizon + 1) if v > (1 + F(eps)) * 6))
             for eps in eps_list
         ]
         assert printed == expected
-        assert expected[0] == (f"{sum(v < 3 for v in lengths) / 40:.5f}",
-                               f"{sum(v > 9 for v in lengths) / 40:.5f}")
+        assert expected[0] == (tail(range(3)), tail(range(10, horizon + 1)))
+        assert expected[1] == ("0.00000", tail([13]))
+
+    def test_n_past_the_explicit_cap(self, capsys):
+        # Nothing is extracted over the 2^n advice vectors, so n = 17 runs.
+        assert main(["check", "concentration", "--n", "17", "--k", "0"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value", [
         ("--samples", "0"), ("--samples", "-3"), ("--eps", "-1"), ("--eps", "0"),
         ("--eps", "x"), ("--eps", "0.1,,0.2"), ("--eps", "nan"), ("--eps", "inf"),
-        ("--n", "17"), ("--n", "20"),
+        ("--n", "0"), ("--k", "-1"),
     ])
     def test_bad_input_exits_2_before_any_work(self, monkeypatch, capsys, flag, value):
         def unused(*args, **kwargs):

@@ -9,6 +9,7 @@ from conftest import (
     oracle_bounded,
     random_weighted_class,
     recursion_limit,
+    reference_branch_length_law,
     reference_count_splits,
     reference_horizon_for_slack,
     reference_nested_json,
@@ -608,6 +609,70 @@ class TestHorizonSweep:
         tight.randomized_littlestone(w)
         with pytest.raises(ComputeBudgetError):
             tight.horizon_for_slack(w, F(1, 16))
+
+
+def _law_mean(law) -> F:
+    return F(sum(length * c for length, c in enumerate(law)), 2 ** (len(law) - 1))
+
+
+# Every expert cell with n <= 8 whose explicit extraction takes well under a
+# second; e(6,2), e(7,2) and e(8,2) agree too, at 0.5-31 s of extraction each.
+LAW_CELLS = [(n, k) for n, top in ((1, 5), (2, 5), (3, 5), (4, 3), (5, 2), (6, 1), (7, 1), (8, 1))
+             for k in range(top + 1)]
+
+
+class TestBranchLengthLaw:
+    @settings(max_examples=60, deadline=None)
+    @given(tricky_classes() | small_expert_classes(), st.sampled_from(SLACKS))
+    def test_sums_to_one_with_mean_e_t(self, w, slack):
+        s = Solver()
+        horizon = s.horizon_for_slack(w, slack)
+        if s.version_space(w).is_empty:
+            with pytest.raises(ValueError):
+                s.branch_length_law(w, horizon)
+            return
+        law = s.branch_length_law(w, horizon)
+        assert len(law) == horizon + 1 and sum(law) == 2**horizon and min(law) >= 0
+        assert _law_mean(law) == 2 * s.bounded_randomized_littlestone(w, horizon)
+
+    @pytest.mark.parametrize("n, k", LAW_CELLS, ids=[f"e{n},{k}" for n, k in LAW_CELLS])
+    def test_equals_the_extracted_trees_law(self, n, k):
+        w = expert_class(n, k)
+        s = Solver()
+        horizon = s.horizon_for_slack(w, F(1, 64))
+        law = s.branch_length_law(w, horizon)  # on count states
+        tree = s._extract_tree(w, horizon)  # over the explicit 2^n advice domain
+        expected = reference_branch_length_law(tree)
+        assert {length: F(c, 2**horizon) for length, c in enumerate(law) if c} == expected
+
+    @pytest.mark.parametrize(
+        "w", [universal_class(2, 2), expert_class(3, 2), single_hypothesis(1)], ids=["u22", "e32", "h1"]
+    )
+    def test_reads_the_memo_only(self, w):
+        # Under the budget the horizon search just fits, the walk adds no state.
+        s = Solver()
+        s.randomized_littlestone(w)
+        reachable = s.states_visited
+        horizon = s.horizon_for_slack(w, F(1, 16))
+        tight = Solver(state_budget=reachable * (horizon + 2))
+        assert tight.horizon_for_slack(w, F(1, 16)) == horizon
+        visited = tight.states_visited
+        assert tight.branch_length_law(w, horizon) == s.branch_length_law(w, horizon)
+        assert tight.states_visited == visited
+
+    def test_a_fresh_solver_fills_its_own_memo(self):
+        w = expert_class(4, 2)
+        s = Solver()
+        law = Solver().branch_length_law(w, s.horizon_for_slack(w, F(1, 64)))
+        assert law == s.branch_length_law(w, len(law) - 1)
+
+    def test_small_cases(self):
+        assert solver.branch_length_law(universal_class(2, 0), 0) == (1,)
+        assert solver.branch_length_law(universal_class(2, 0), 3) == (0, 2**3, 0, 0)
+        # One member, budget 1: the charged label ends each branch at once.
+        assert solver.branch_length_law(single_hypothesis(1), 3) == (0, 4, 2, 2)
+        with pytest.raises(ValueError):
+            solver.branch_length_law(universal_class(2, 0), -1)
 
 
 @st.composite

@@ -339,9 +339,7 @@ class TestWorstCaseLoss:
             w = ExpertClass(tuple(budgets))
         else:
             w = random_weighted_class(rng, max_points=3, max_members=3, max_budget=1)
-        selections = ["soa", "randsoa", "bounded-randsoa", "constant:1/3"]
-        if experts or len({m.labels for m in w.members}) == len(w.members):
-            selections.append("squint")  # its budget-k copies must not repeat a member
+        selections = ["soa", "randsoa", "bounded-randsoa", "constant:1/3", "squint"]
         if experts and not any(w.budgets):
             selections.append("ftl")  # proper and mistake-free only
         for selection in selections:
