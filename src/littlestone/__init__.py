@@ -6,7 +6,6 @@ and closed-form calculators for prediction with expert advice.
 """
 
 from .classes import (
-    Behavior,
     ClassFileError,
     Domain,
     ExpertClass,
@@ -14,7 +13,6 @@ from .classes import (
     RealizabilityResult,
     UnknownInstanceError,
     WeightedClass,
-    behaviors,
     expert_class,
     load_class,
     load_class_file,

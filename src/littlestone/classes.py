@@ -69,18 +69,6 @@ class Member:
 
 
 @dataclass(frozen=True)
-class Behavior:
-    """A distinct column of the member-by-point label matrix.
-
-    ``pattern`` is indexed by the active members in class order;
-    ``witnesses`` lists every domain point realizing the column.
-    """
-
-    pattern: tuple[int, ...]
-    witnesses: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class WeightedClass:
     """A finite weighted hypothesis class over an explicit domain."""
 
@@ -261,22 +249,6 @@ def with_budget(w: WeightedClass | ExpertClass, k: int) -> WeightedClass | Exper
     return WeightedClass(
         domain=w.domain, members=tuple(Member(name, labels, k) for labels, name in names.items())
     )
-
-
-def behaviors(w: WeightedClass) -> list[Behavior]:
-    """The distinct label columns of the class, with all witnessing points.
-
-    Behaviors are the adversary's effective moves: two points with the same
-    column are indistinguishable to every member.  Returned in order of
-    first witness; an empty domain legally yields no behaviors.
-    """
-    if w.is_empty:
-        raise ValueError("behaviors are undefined for the empty class")
-    by_pattern: dict[tuple[int, ...], list[str]] = {}
-    for point in w.domain:
-        by_pattern.setdefault(w.column(point), []).append(point)
-    ordered = sorted(by_pattern.items(), key=lambda kv: w.domain.index(kv[1][0]))
-    return [Behavior(pattern, tuple(points)) for pattern, points in ordered]
 
 
 @dataclass(frozen=True)

@@ -19,21 +19,18 @@ h has E_T * 2^h an integer, so E_T, monotonicity and the weights share one
 integer step on (E_T * 2^h, h), and each node's ``w0`` is one ``Fraction``
 built from it, read by root path through a lazy view.  Tree files are flat:
 one row per distinct subtree, so writing and reading cost the distinct
-nodes.  The reader still takes nested files (one level per tree level) and
-skips each repeat of a subtree in the layout ``json.dumps`` gives them by
-matching its text, so they cost the distinct nodes plus one pass over the
-file's bytes.  Nothing here recurses, tree equality, hashing and repr
-included, and importing this module changes no interpreter setting.  Only
-the ``json`` C decoder still recurses once per level, on a nested file in
-another layout (or deeper than 20,000 levels), under the interpreter's own
-recursion limit.
+nodes.  The reader still takes the nested files older versions wrote (one
+JSON object per tree level, each repeated subtree written out again) through
+``json.loads``, so they cost their full text.  Nothing here recurses, tree
+equality, hashing and repr included, and importing this module changes no
+interpreter setting.  Only the ``json`` C decoder recurses once per level of
+a nested file, under the interpreter's own recursion limit.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import re
 import reprlib
 from collections import Counter
 from collections.abc import Iterator, Mapping
@@ -489,9 +486,8 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
 # one row per distinct subtree, children first: ``zero``/``one`` index
 # earlier rows, null is a leaf, and "w0" is an exact rational string.  The
 # reader also takes the nested form {"leaf": true} | {"instance": ...,
-# "zero": ..., "one": ...[, "w0": ...]}: it scans the layout ``json.dumps``
-# gives the nested dicts itself, skipping repeated subtrees by their text,
-# and hands any other layout of either form to ``json.loads``.
+# "zero": ..., "one": ...[, "w0": ...]}.  Both forms go through one
+# ``json.loads`` whose object hook decodes nested nodes as they close.
 # ---------------------------------------------------------------------------
 
 
@@ -552,101 +548,21 @@ class _Invalid:
 _DECODED_LEAF = (LEAF, None)  # (node, weight node)
 
 
-# What ``json.dumps`` writes for a string without escapes: printable ASCII
-# other than '"' and '\\'.
-_PLAIN = r'"([ !#-\[\]-~]*)"'
-# A node's text up to its 0-child, or a whole leaf (group 1 is then None).
-_OPEN = re.compile(r'\{(?:"leaf": true\}|"instance": ' + _PLAIN + r', "zero": )')
-# A node's text after its 1-child: the optional weight and the closing brace.
-_CLOSE = re.compile(r'(?:, "w0": ' + _PLAIN + r')?\}')
-_ONE = ', "one": '
-# The deepest file the scanner reads; deeper ones go to ``json``, which raises
-# ``RecursionError`` under any recursion limit below this depth.
-_SCAN_DEPTH = 20_000
-
-
-def _scan(text: str, decode):
-    """The decoded root of nested ``text`` if it is laid out exactly as
-    ``json.dumps`` writes the nested dicts (plus trailing whitespace), else None.
-
-    Iterative, one frame per open node.  Once a node's instance and 0-child
-    are decoded, an earlier node with the same two whose remaining text
-    (``, "one": ...}``) starts at the current offset decodes alike, so that
-    text is matched in one comparison and skipped; a repeated subtree thus
-    costs one comparison over its bytes.  Characters compared on failed
-    matches are capped at ``len(text)``.  Every node goes through ``decode``,
-    the object hook of the ``json`` path.
-    """
-    leaf = decode({"leaf": True})
-    opening, closing, startswith = _OPEN.match, _CLOSE.match, text.startswith
-    budget = len(text)
-    # (instance, id(zero's decoded)) -> (start, stop) of a node's remaining text, its decoded
-    tails: dict[tuple[str, int], tuple[int, int, tuple]] = {}
-    # An open node: its instance while its 0-child is read, then (key, zero's
-    # decoded, offset after the 0-child) while its 1-child is read.
-    stack: list = []
-    pos = 0
-    while True:
-        m = opening(text, pos)
-        if m is None:
-            return None
-        pos = m.end()
-        if m[1] is not None:
-            if len(stack) >= _SCAN_DEPTH:
-                return None
-            stack.append(m[1])
-            continue
-        value = leaf
-        while stack:  # hand the finished value up until a 1-child is due
-            frame = stack[-1]
-            if frame.__class__ is str:
-                key = (frame, id(value))
-                hit = tails.get(key)
-                if hit is not None and hit[1] - hit[0] <= budget:
-                    start, stop, decoded = hit
-                    if startswith(text[start:stop], pos):
-                        value, pos = decoded, pos + stop - start
-                        stack.pop()
-                        continue
-                    budget -= stop - start
-                if not startswith(_ONE, pos):
-                    return None
-                stack[-1] = (key, value, pos)
-                pos += len(_ONE)
-                break
-            key, zero, start = stack.pop()
-            m = closing(text, pos)
-            if m is None:
-                return None
-            pos = m.end()
-            d = {"instance": key[0], "zero": zero, "one": value}
-            if m[1] is not None:
-                d["w0"] = m[1]
-            value = decode(d)
-            if value.__class__ is not tuple:
-                return None
-            tails[key] = (start, pos, value)
-        else:
-            return None if text[pos:].strip(" \t\n\r") else value
-
-
 def _bad_row(i: int, message: str) -> ValueError:
     return ValueError(f"tree file row {i}: {message}")
 
 
 def tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
-    """Parse a tree file in either form.  A flat document is one ``json.loads``
-    and one pass over its rows, each checked before it is built (its shape, a
-    string instance, child indices of earlier rows, a rational ``w0``
-    string), so a ``ValueError`` names the first bad row.  Nested text laid
-    out as ``json.dumps`` writes the nested dicts is scanned in time
-    proportional to its distinct nodes plus one comparison over its bytes, to
-    20,000 levels; any other text goes to one ``json.loads`` under the
-    interpreter's recursion limit, which alone reports parse errors.  In both
-    forms equal subtrees become one node, and copies weighed differently keep
-    their own weight nodes.  Each nested object checks its own fields before
-    its children's verdicts, so a ``ValueError`` names the first malformed
-    node in preorder."""
+    """Parse a tree file in either form, with one ``json.loads``, which
+    reports parse errors.  A flat document is then one pass over its rows,
+    each checked before it is built (its shape, a string instance, child
+    indices of earlier rows, a rational ``w0`` string), so a ``ValueError``
+    names the first bad row.  A nested document is decoded object by object
+    as ``json`` closes them, one nested call per level under the
+    interpreter's recursion limit.  In both forms equal subtrees become one
+    node, and copies weighed differently keep their own weight nodes.  Each
+    nested object checks its own fields before its children's verdicts, so a
+    ``ValueError`` names the first malformed node in preorder."""
     decoded: dict[tuple, tuple] = {}  # (instance, raw w0, zero's, one's) -> (node, weight node)
     trees: dict[tuple, MistakeTree] = {}
     w0s: dict = {}  # raw "w0" value -> its Fraction, parsed once
@@ -713,11 +629,9 @@ def tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
             raise ValueError("tree file: root must be null or the index of a row")
         return _DECODED_LEAF if root is None else built[root]
 
-    doc = _scan(text, decode)
-    if doc is None:
-        doc = json.loads(text, object_hook=decode)
-        if doc.__class__ is _Invalid and not doc.bits and "nodes" in doc.fields:
-            doc = flat(doc.fields)  # a top-level object with rows, not node fields
+    doc = json.loads(text, object_hook=decode)
+    if doc.__class__ is _Invalid and not doc.bits and "nodes" in doc.fields:
+        doc = flat(doc.fields)  # a top-level object with rows, not node fields
     if doc.__class__ is not tuple:
         bad = doc if doc.__class__ is _Invalid else _Invalid("expected an object")
         raise ValueError(f"tree node at {''.join(reversed(bad.bits))!r}: {bad.message}")

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littlestone.classes import (
-    Behavior,
     ClassFileError,
     Domain,
     ExpertClass,
     Member,
     UnknownInstanceError,
     WeightedClass,
-    behaviors,
     expert_class,
     load_class,
     min_mistakes,
@@ -134,42 +132,6 @@ class TestRestrict:
 
 def random_weighted(rng):
     return random_weighted_class(rng, max_points=4, max_members=4, max_budget=2)
-
-
-class TestBehaviors:
-    def test_universal_two_experts_full_cube(self):
-        w = universal_class(2, 0)
-        got = behaviors(w)
-        assert {b.pattern for b in got} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        by_pattern = {b.pattern: b.witnesses for b in got}
-        assert by_pattern[(0, 1)] == ("01",)
-
-    def test_column_dedup(self):
-        w = make_class(["p0", "p1", "p2"], [("h", [0, 0, 1], 0)])
-        got = behaviors(w)
-        assert [b.pattern for b in got] == [(0,), (1,)]
-        assert got[0].witnesses == ("p0", "p1")
-
-    def test_constant_functions_single_behavior(self):
-        w = make_class(["p0", "p1"], [("zero", [0, 0], 0), ("one", [1, 1], 0)])
-        got = behaviors(w)
-        assert len(got) == 1
-        assert got[0].pattern == (0, 1)
-        assert got[0].witnesses == ("p0", "p1")
-
-    def test_empty_domain_gives_no_behaviors(self):
-        w = WeightedClass(Domain(()), (Member("h", (), 0),))
-        assert behaviors(w) == []
-
-    def test_empty_class_rejected(self):
-        w = WeightedClass(Domain(("p",)), ())
-        with pytest.raises(ValueError):
-            behaviors(w)
-
-    def test_size_bound(self, rng):
-        for _ in range(100):
-            w = random_weighted(rng)
-            assert len(behaviors(w)) <= min(2 ** len(w.members), len(w.domain))
 
 
 class TestUniversalClass:

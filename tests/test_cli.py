@@ -10,12 +10,14 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from conftest import recursion_limit, reference_nested_json
 
 import littlestone.cli
 from littlestone.cli import main
 from littlestone.classes import Domain, Member, WeightedClass, universal_class
 from littlestone.dimension import Solver
 from littlestone.experts import capacity_D
+from littlestone.trees import LEAF, node, tree_from_json, tree_to_json
 
 
 def write_class_file(tmp_path, w, name="class.json"):
@@ -311,6 +313,19 @@ class TestFailuresExitTwo:
         path.write_text(opening * d + '{"leaf": true}' + closing * d)
         assert main(["tree", "analyze", str(path)]) == 2
         assert "too deep" in one_error_line(capsys)
+
+    def test_nested_file_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # json.loads takes one nested call per level of a nested file; the
+        # flat file of the same tree is read row by row.
+        tree = LEAF
+        for _ in range(2_000):
+            tree = node("x", tree, LEAF)
+        path = tmp_path / "deep.json"
+        path.write_text(reference_nested_json(tree))
+        with recursion_limit(1_000):
+            assert main(["tree", "analyze", str(path)]) == 2
+            assert "too deep" in one_error_line(capsys)
+            assert tree_from_json(tree_to_json(tree)) == (tree, None)
 
     def test_value_too_long_to_print(self, capsys):
         # The DP finishes; the exact numerator has more digits than int -> str allows.

@@ -3,7 +3,6 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from conftest import (
@@ -25,7 +24,6 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littlestone import trees
 from littlestone.classes import (
     Domain,
     ExpertClass,
@@ -918,24 +916,10 @@ def strategy_files() -> dict[tuple, str]:
     return out
 
 
-def json_path(text: str):
-    """``tree_from_json`` with the scanner off, so that ``json.loads`` reads all."""
-    with mock.patch.object(trees, "_scan", lambda text, decode: None):
-        return tree_from_json(text)
-
-
-def assert_read_alike(text: str) -> None:
-    (tree, weights), (expected, expected_w) = tree_from_json(text), json_path(text)
-    assert tree_to_json(tree, weights) == tree_to_json(expected, expected_w)
-    assert (weights is None) == (expected_w is None)
-    assert weights is None or weights.weights == expected_w.weights
-    assert len(distinct_nodes(tree)) == len(distinct_nodes(expected))
-
-
 @st.composite
 def shared_dags(draw) -> MistakeTree:
     """Built bottom up, each node over two earlier ones; "\u00e9" is written
-    escaped, so a tree using it is read partly by the scanner, then by json."""
+    escaped."""
     pool = [LEAF]
     for _ in range(draw(st.integers(0, 11))):
         instance = draw(st.sampled_from(["a", "b", "c", "a b", "\u00e9"]))
@@ -957,69 +941,52 @@ def reordered(d):
 
 _SMALL = node("x", node("y", LEAF, LEAF), node("y", LEAF, LEAF))
 BASE = reference_nested_json(_SMALL, quasi_balance_weights(_SMALL))
+HALVES = {"": (F(1, 2), F(1, 2)), "0": (F(1, 2), F(1, 2)), "1": (F(1, 2), F(1, 2))}
 
 
 class TestScanner:
-    """Nested files laid out as ``json.dumps`` writes them skip ``json.loads``."""
+    """Nested files, in any layout, read through ``json.loads`` to the
+    reference reader's tree and weights."""
 
     def test_strategy_trees_read_alike(self, strategy_files):
         for text in strategy_files.values():
-            assert_read_alike(text)
+            assert outcome(tree_from_json, text) == outcome(reference_tree_from_json, text)
 
     @given(shared_dags(), st.sampled_from(["absent", "node", "path"]), st.integers(0, 2**32))
     @settings(max_examples=150, deadline=None)
     def test_shared_dags_read_alike(self, tree, kind, seed):
-        assert_read_alike(reference_nested_json(tree, weighed(tree, kind, seed)))
+        text = reference_nested_json(tree, weighed(tree, kind, seed))
+        assert outcome(tree_from_json, text) == outcome(reference_tree_from_json, text)
 
-    def test_written_files_never_reach_json(self, monkeypatch, strategy_files, rng):
-        texts = list(strategy_files.values())
-        for i in range(60):
-            t = random_dag(rng, size=rng.randint(0, 10))
-            texts.append(reference_nested_json(t, weighed(t, ("absent", "node", "path")[i % 3], i)))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("json.loads read a nested file in the json.dumps layout")
-
-        monkeypatch.setattr(json, "loads", refuse)
-        for text in texts:
-            tree_from_json(text)
-
-    def test_repeated_subtrees_are_skipped(self, monkeypatch, strategy_files):
-        text = strategy_files[2, 5, "1/64"]
-        opened = []
-
-        class Counting:
-            def match(self, text, pos):
-                opened.append(pos)
-                return pattern.match(text, pos)
-
-        pattern = trees._OPEN
-        monkeypatch.setattr(trees, "_OPEN", Counting())
-        tree_from_json(text)
-        # 86,799 objects; the scanner opened 1,122 of them when this was written.
-        assert 50 * len(opened) < text.count("{")
-
-    @pytest.mark.parametrize("text", [
-        json.dumps(json.loads(BASE), indent=2),
-        json.dumps(reordered(json.loads(BASE))),
-        BASE.replace('"instance": "x"', '"instance": "\\u0078"'),
-        BASE.replace('"instance": "x"', '"instance": "\u00e9"'),
-        " " + BASE,
-        BASE + "\n x",
-        BASE.replace('"instance": "x"', '"instance": "x", "instance": "z"'),
-        BASE.replace('"w0": "1/2"}', '"w0": "1/2", "w0": "1/3"}', 1),
-        BASE.replace('"w0": "1/2"}', '"w0": "abc"}', 1),
-        BASE.replace('"w0": "1/2"}', '"w0": "1/0"}', 1),
-        '{"leaf": 1}',
+    @pytest.mark.parametrize("text, expected", [
+        (json.dumps(json.loads(BASE), indent=2), (_SMALL, HALVES)),
+        (json.dumps(reordered(json.loads(BASE))), (_SMALL, HALVES)),
+        (BASE.replace('"instance": "x"', '"instance": "\\u0078"'), (_SMALL, HALVES)),
+        (BASE.replace('"instance": "x"', '"instance": "\u00e9"'),
+         (node("\u00e9", _SMALL.zero, _SMALL.one), HALVES)),
+        (" " + BASE, (_SMALL, HALVES)),
+        (BASE + "\n x", "Extra data: line 2 column 2 (char 205)"),
+        (BASE.replace('"instance": "x"', '"instance": "x", "instance": "z"'),
+         (node("z", _SMALL.zero, _SMALL.one), HALVES)),
+        (BASE.replace('"w0": "1/2"}', '"w0": "1/2", "w0": "1/3"}', 1),
+         (_SMALL, {**HALVES, "0": (F(1, 3), F(2, 3))})),
+        (BASE.replace('"w0": "1/2"}', '"w0": "abc"}', 1), "tree node at '0': w0 is not a rational number"),
+        (BASE.replace('"w0": "1/2"}', '"w0": "1/0"}', 1), "tree node at '0': w0 is not a rational number"),
+        ('{"leaf": 1}', (LEAF, None)),
     ], ids=["indented", "key-order", "escaped-instance", "non-ascii-instance",
             "leading-whitespace", "trailing-garbage", "duplicate-instance", "duplicate-w0",
             "w0-unparsable", "w0-zero-denominator", "leaf-one"])
-    def test_other_layouts_read_by_json(self, monkeypatch, text):
-        expected = outcome(json_path, text)
-        loads, calls = json.loads, []
-        monkeypatch.setattr(json, "loads", lambda *a, **kw: calls.append(a) or loads(*a, **kw))
-        assert outcome(tree_from_json, text) == expected
-        assert calls
+    def test_other_layouts_read_by_json(self, text, expected):
+        # ``expected`` is the error's message, or the tree and its weights; of
+        # a key given twice in one object, the last one counts.
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as err:
+                tree_from_json(text)
+            assert str(err.value) == expected
+            return
+        tree, weights = tree_from_json(text)
+        assert tree == expected[0]
+        assert (None if weights is None else dict(weights.weights)) == expected[1]
 
 
 def nested_of_flat(doc: dict):
