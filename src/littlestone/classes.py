@@ -102,11 +102,6 @@ class WeightedClass:
     def is_empty(self) -> bool:
         return not self.members
 
-    def column(self, point: str) -> tuple[int, ...]:
-        """The label pattern of the active members at one domain point."""
-        i = self.domain.index(point)
-        return tuple(m.labels[i] for m in self.members)
-
     def state_key(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Canonical key identifying this class up to member names/order."""
         return tuple(sorted((m.labels, m.budget) for m in self.members))
@@ -159,10 +154,6 @@ class ExpertClass:
             out[b] += 1
         return tuple(out)
 
-    def column(self, instance: str) -> tuple[int, ...]:
-        advice = _parse_advice(instance, self.n)
-        return tuple(advice[i] for i, b in enumerate(self.budgets) if b is not None)
-
     def explicit(self) -> WeightedClass:
         """Materialize the 2^n-point domain as a plain weighted class."""
         if self.n > EXPLICIT_MAX_BITS:
@@ -183,12 +174,17 @@ class ExpertClass:
         return WeightedClass(domain=Domain(points), members=members)
 
 
-def _parse_advice(instance: str, n: int) -> tuple[int, ...]:
-    if len(instance) != n or any(c not in "01" for c in instance):
+def _check_advice(instance: str, n: int) -> str:
+    """``instance`` if it is a length-n bit string, else UnknownInstanceError."""
+    if len(instance) != n or instance.strip("01"):
         raise UnknownInstanceError(
             f"expected a length-{n} bit string, got {instance!r}"
         )
-    return tuple(int(c) for c in instance)
+    return instance
+
+
+def _parse_advice(instance: str, n: int) -> tuple[int, ...]:
+    return tuple(int(c) for c in _check_advice(instance, n))
 
 
 def universal_class(n: int, k: int) -> WeightedClass:

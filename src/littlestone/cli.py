@@ -464,6 +464,9 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    except ArithmeticError as e:  # a rational flag such as --slack 1/0 or --beta 1e400
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
     except (
         ClassFileError,
         UnknownInstanceError,

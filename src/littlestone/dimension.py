@@ -57,15 +57,14 @@ and sweeps RL_t * 2^t of all of them upward, a level at a time, over flat
 int lists, writing each level into the RL_T memo that :meth:`Solver._dp`
 reads.
 
-The branch-length law of an optimal tree is folded through the same loop,
-with no tree built.  Over the (state, t) keys the RL_T memo holds, each key
-takes the first move attaining its value (the self-loop first, then the
-splits in expansion order) and gets the law of its subtree as integers at
-scale 2^t: P(length = L) * 2^t per L.  A leaf is 2^t at length 0, and a
-node is its two children's laws added and shifted one length up, which is
-again at scale 2^t because each child holds its law at scale 2^(t - 1).
-Moves come from the same expansion the horizon search uses, so the walk
-runs on count states and explicit frames alike.
+One walk over the RL_T memo, :meth:`Solver._walk`, reads the optimal tree
+off it through the same loop: each (state, t) key takes the first move
+attaining its value (in witness order on a frame, the self-loop first on
+count states) and folds its two children's results with a given join.
+Tree extraction joins interned nodes; the branch-length law joins the
+children's laws, integers at scale 2^t: P(length = L) * 2^t per L, a leaf
+2^t at length 0 and a node its children's laws added one length up.  So
+on an explicit class the law is that of the extracted tree.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from operator import add, mul
 
 from .classes import ExpertClass, WeightedClass, restrict
@@ -325,10 +324,22 @@ class VersionSpace:
         return self
 
 
-def _expand(v: VersionSpace):
-    """The move expansion of ``v``'s state space: :func:`_u_expand` on count
-    states, :func:`_x_expand` on ``v``'s frame."""
-    return _u_expand if v.frame is None else partial(_x_expand, v.frame)
+def _u_moves(state: int):
+    """As :func:`_x_moves` for a packed count state, witnesses None: the
+    self-loop, then the splits of :func:`_u_expand`."""
+    _, _, low, splits = _u_expand(state)
+    yield None, 0, state, low
+    for s, child0, child1 in splits:
+        yield None, s, child0, child1
+
+
+def _space(v: VersionSpace) -> tuple:
+    """The expansion and the moves of ``v``'s state space: :func:`_u_expand`
+    and :func:`_u_moves` on count states, :func:`_x_expand` and
+    :func:`_x_moves` on ``v``'s frame."""
+    if v.frame is None:
+        return _u_expand, _u_moves
+    return partial(_x_expand, v.frame), partial(_x_moves, v.frame)
 
 
 def _l_rule(expand, state):
@@ -380,13 +391,6 @@ def _empty_or_horizon(key) -> int | None:
     if not state:
         return -(1 << t)
     return 0 if t == 0 else None
-
-
-def _reached_value(values: dict, key) -> int:
-    """RL_T * 2^t of a (state, t) key that an RL_T run reached: its entry in
-    that run's memo ``values``, or else its leaf value."""
-    hit = values.get(key)
-    return _empty_or_horizon(key) if hit is None else hit
 
 
 def _tables(expand) -> dict:
@@ -519,37 +523,14 @@ class Solver:
         """The tree of :meth:`extract_optimal_tree`, without its weights."""
         if isinstance(w, ExpertClass):
             w = w.explicit()
-        if w.is_empty:
-            raise ValueError("cannot extract a strategy for the empty class")
         domain = w.domain.points
-        v = self.version_space(w)
-        frame = v.frame
-        # Fill the RL_T memo through the public query, so that wrappers which
-        # time or count the queries see this work too.
-        self.bounded_randomized_littlestone(v, horizon)
-        # Every key extraction reaches was reached by the RL_T run above.
-        value = partial(_reached_value, v.tables["brl"][0])
-
         interned: dict[tuple[str, int, int], MistakeTree] = {}
 
-        def body(key):
-            state, t = key
-            target = value(key)
-            t -= 1
-            half = 1 << t
-            for witness, _, child0, child1 in _x_moves(frame, state):
-                key0, key1 = (child0, t), (child1, t)
-                if half + value(key0) + value(key1) == target:
-                    zero, one = (yield key0), (yield key1)
-                    tree = node(domain[witness], zero, one)
-                    return interned.setdefault((tree.instance, id(zero), id(one)), tree)
-            raise AssertionError("no behavior attains the computed dimension")
+        def join(witness: int, zero: MistakeTree, one: MistakeTree) -> MistakeTree:
+            tree = node(domain[witness], zero, one)
+            return interned.setdefault((tree.instance, id(zero), id(one)), tree)
 
-        def leaf(key) -> MistakeTree | None:
-            return LEAF if value(key) == 0 else None
-
-        # The RL_T run above paid for every state; extraction only reads them.
-        return self._dp((v.state, horizon), {}, body, leaf, charge=False)
+        return self._walk(w, horizon, lambda t: LEAF, join)
 
     def branch_length_law(
         self, w: WeightedClass | ExpertClass | VersionSpace, horizon: int
@@ -558,42 +539,53 @@ class Solver:
 
         Entry L of the result is P(length = L) * 2^horizon, an integer, for
         L = 0, ..., horizon; the entries sum to 2^horizon and their mean is
-        E_T = 2 * RL(W, horizon).  The tree is the one whose node at each
-        (state, t) takes the first move attaining RL_T(state, t): the
-        self-loop first, then the splits in expansion order.  It is never
-        built; only its law is folded, on count states or explicit frames.
+        E_T = 2 * RL(W, horizon).  The tree is the one :meth:`_walk` takes,
+        so on an explicit class it is the tree :meth:`extract_optimal_tree`
+        returns.  It is never built; only its law is folded, on count states
+        or explicit frames.  A leaf at t is 2^t at length 0, and a node adds
+        its children's laws, each at scale 2^(t - 1), one length up.
         """
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
+        return self._walk(
+            w, horizon, lambda t: (1 << t, *repeat(0, t)), lambda _, zero, one: (0, *map(add, zero, one))
+        )
+
+    def _walk(self, w, horizon: int, leaf, join):
+        """Fold an optimal depth-<=horizon tree of ``w`` without building it.
+
+        Each (state, t) of value 0 is ``leaf(t)``.  Any other takes the first
+        move attaining RL_T(state, t), in :func:`_x_moves` witness order on a
+        frame and the self-loop first on count states, and is
+        ``join(witness, zero, one)`` of its children's folds.
+        """
         v = self.version_space(w)
         if v.is_empty:
             raise ValueError("the empty class has no strategy tree")
-        expand = _expand(v)
-        # As in _extract_tree: the RL_T run fills every value the walk reads.
+        # Fill the RL_T memo through the public query, so that wrappers which
+        # time or count the queries see this work too.  Every key the walk
+        # reaches, this run reached: its value is its memo entry or its leaf.
         self.bounded_randomized_littlestone(v, horizon)
-        value = partial(_reached_value, v.tables["brl"][0])
+        memo, moves = v.tables["brl"][0], _space(v)[1]
+
+        def value(key) -> int:
+            hit = memo.get(key)
+            return _empty_or_horizon(key) if hit is None else hit
 
         def body(key):
             state, t = key
             target = value(key)
-            _, _, dec, splits = expand(state)
             t -= 1
             half = 1 << t
-            moves = splits if dec is None else chain(((0, state, dec),), splits)
-            for _, child0, child1 in moves:
+            for witness, _, child0, child1 in moves(state):
                 key0, key1 = (child0, t), (child1, t)
                 if half + value(key0) + value(key1) == target:
-                    # Each child at scale 2^t, so their sum is at 2^(t + 1),
-                    # one step longer.
-                    return (0, *map(add, (yield key0), (yield key1)))
+                    return join(witness, (yield key0), (yield key1))
             raise AssertionError("no move attains the computed dimension")
 
-        def leaf(key) -> tuple[int, ...] | None:
-            t = key[1]
-            return (1 << t, *repeat(0, t)) if value(key) == 0 else None
+        def fold_leaf(key):
+            return leaf(key[1]) if value(key) == 0 else None
 
         # The RL_T run above paid for every state; the walk only reads them.
-        return self._dp((v.state, horizon), {}, body, leaf, charge=False)
+        return self._dp((v.state, horizon), {}, body, fold_leaf, charge=False)
 
     def horizon_for_slack(
         self, w: WeightedClass | ExpertClass | VersionSpace, slack: Fraction
@@ -616,7 +608,7 @@ class Solver:
         target = self.randomized_littlestone(v) - slack
         if v.is_empty or target <= 0:  # RL(W, 0) is -1, resp. 0
             return 0
-        expand = _expand(v)
+        expand = _space(v)[0]
         charge = self.state_budget is not None
         # Index 0 is the empty class and index 1 is W; ``rows`` holds, per
         # state from index 1 on, the index lists (i0, i1) of its moves' children.

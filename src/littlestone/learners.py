@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable
 
-from .classes import ExpertClass, WeightedClass, with_budget
+from .classes import ExpertClass, WeightedClass, _check_advice, with_budget
 from .classes import restrict  # noqa: F401  # bench/tracing.py wraps learners.restrict
 from .dimension import Solver, VersionSpace
 
@@ -217,10 +217,12 @@ class FollowTheLeader(Learner):
     def predict(self, x: str) -> Fraction:
         if not self.survivors:
             raise UnrealizableSequenceError("every expert has erred")
+        _check_advice(x, self.n)
         ones = sum(1 for i in self.survivors if x[i] == "1")
         return Fraction(ones, len(self.survivors))
 
     def update(self, x: str, y: int) -> None:
+        _check_advice(x, self.n)
         self.survivors = frozenset(i for i in self.survivors if int(x[i]) == y)
 
     def expert_weights(self) -> list[Fraction]:
@@ -258,7 +260,6 @@ class AdaptiveAggregator(Learner):
         self.solver = solver or Solver()
         self.history: list[tuple[str, int]] = []
         self.loss_history: list[float] = []
-        self.total_loss = 0.0
         self.ceiling = 1
         self._pool: dict[int, RandSOALearner | None] = {}
         self._regret: dict[int, float] = {}
@@ -325,7 +326,6 @@ class AdaptiveAggregator(Learner):
             self.predict(x)
         _, p, preds = self._last
         loss = abs(float(p) - y)
-        self.total_loss += loss
         for k, p_k in preds.items():
             r = loss - abs(float(p_k) - y)
             self._regret[k] += r

@@ -336,6 +336,32 @@ class TestFailuresExitTwo:
         assert "set_int_max_str_digits" not in line
 
     @pytest.mark.parametrize("argv", [
+        ["experts", "--n", "2", "--k", "1", "--what", "up", "--beta", "1/0"],
+        ["experts", "--n", "2", "--k", "1", "--what", "up", "--beta", "1e400"],
+        ["play", "--n", "2", "--k", "1", "--learner", "randsoa", "--adversary", "optimal",
+         "--slack", "1/0"],
+        ["tree", "extract", "{class_file}", "--slack", "1/0"],
+        ["check", "concentration", "--slack", "1/0"],
+        ["play", "--n", "2", "--k", "1", "--learner", "constant:1/0", "--adversary", "threshold"],
+    ], ids=["beta-zero-denominator", "beta-past-float", "play-slack", "extract-slack",
+            "concentration-slack", "constant-learner"])
+    def test_arithmetic_error_in_a_flag(self, u2k2_file, capsys, argv):
+        assert main([a.format(class_file=u2k2_file) for a in argv]) == 2
+        assert "Error" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_ftl_on_instances_that_are_not_advice(self, tmp_path, capsys, n):
+        # The class's points are "a" and "b", not length-n advice strings.
+        path = tmp_path / "ab.json"
+        path.write_text('{"domain": ["a", "b"], "hypotheses": '
+                        '[{"name": "h", "labels": [0, 1], "budget": 0}, '
+                        '{"name": "g", "labels": [1, 1], "budget": 0}]}')
+        argv = ["play", "--class-file", str(path), "--n", str(n), "--learner", "ftl",
+                "--adversary", "threshold"]
+        assert main(argv) == 2
+        assert f"length-{n} bit string" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
         ["tree", "analyze", "{dir}"],
         ["dim", "{dir}"],
         ["--out", "{dir}", "tables", "--kind", "proper", "--max-n", "3"],

@@ -621,6 +621,22 @@ LAW_CELLS = [(n, k) for n, top in ((1, 5), (2, 5), (3, 5), (4, 3), (5, 2), (6, 1
              for k in range(top + 1)]
 
 
+@st.composite
+def explicit_classes(draw) -> WeightedClass:
+    """Classes of 2-6 points and 2-6 distinct members with budgets up to 3."""
+    npts = draw(st.integers(2, 6))
+    member = st.tuples(st.tuples(*[st.integers(0, 1)] * npts), st.integers(0, 3))
+    rows = draw(st.lists(member, min_size=2, max_size=6, unique=True))
+    return WeightedClass(
+        Domain(tuple(f"p{i}" for i in range(npts))),
+        tuple(Member(f"h{i}", labels, b) for i, (labels, b) in enumerate(rows)),
+    )
+
+
+def _law_fractions(law) -> dict[int, F]:
+    return {length: F(c, 2 ** (len(law) - 1)) for length, c in enumerate(law) if c}
+
+
 class TestBranchLengthLaw:
     @settings(max_examples=60, deadline=None)
     @given(tricky_classes() | small_expert_classes(), st.sampled_from(SLACKS))
@@ -642,8 +658,33 @@ class TestBranchLengthLaw:
         horizon = s.horizon_for_slack(w, F(1, 64))
         law = s.branch_length_law(w, horizon)  # on count states
         tree = s._extract_tree(w, horizon)  # over the explicit 2^n advice domain
-        expected = reference_branch_length_law(tree)
-        assert {length: F(c, 2**horizon) for length, c in enumerate(law) if c} == expected
+        assert _law_fractions(law) == reference_branch_length_law(tree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(explicit_classes() | tricky_classes(), st.integers(0, 8))
+    def test_is_the_extracted_trees_law_on_explicit_classes(self, w, horizon):
+        # One walk takes both, so on a frame they read the same tree.
+        s = Solver()
+        law = s.branch_length_law(w, horizon)
+        assert _law_fractions(law) == reference_branch_length_law(s._extract_tree(w, horizon))
+
+    def test_is_the_extracted_trees_law_at_u28(self):
+        # Horizon 29: about 2^29 root paths over a few hundred distinct nodes.
+        w, s = universal_class(2, 8), Solver()
+        horizon = s.horizon_for_slack(w, F(1, 64))
+        assert horizon == 29
+        law = s.branch_length_law(w, horizon)
+        assert _law_fractions(law) == reference_branch_length_law(s._extract_tree(w, horizon))
+
+    @pytest.mark.parametrize("walk", ["branch_length_law", "_extract_tree"])
+    @pytest.mark.parametrize(
+        "w, horizon",
+        [(EMPTY_CLASS, 2), (universal_class(2, 1), -1)],
+        ids=["empty-class", "negative-horizon"],
+    )
+    def test_rejects(self, walk, w, horizon):
+        with pytest.raises(ValueError):
+            getattr(Solver(), walk)(w, horizon)
 
     @pytest.mark.parametrize(
         "w", [universal_class(2, 2), expert_class(3, 2), single_hypothesis(1)], ids=["u22", "e32", "h1"]
@@ -718,7 +759,7 @@ def test_packed_transitions_match_restrict(w):
             pairs = set()
             for witness, s, child0, child1 in _x_moves(frame, state):
                 x = v.domain.points[witness]
-                assert s == sum(v.column(x))
+                assert s == sum(m.labels[witness] for m in v.members)
                 assert (child0, child1) == (encode(restrict(v, x, 0)), encode(restrict(v, x, 1)))
                 pairs.add((child0, child1))
             for x in v.domain:

@@ -15,6 +15,7 @@ from littlestone.classes import (
     Domain,
     ExpertClass,
     Member,
+    UnknownInstanceError,
     WeightedClass,
     expert_class,
     restrict,
@@ -212,6 +213,16 @@ class TestFollowTheLeader:
                 loss = abs(y - learner.predict(x))
                 learner.update(x, y)
                 assert loss == F(len(before) - len(learner.survivors), len(before))
+
+    @pytest.mark.parametrize("x", ["a", "01", "0", "0a1", " 01", "012"])
+    def test_rejects_an_instance_that_is_not_advice(self, x):
+        # Advice for three experts is a length-3 bit string; the survivors stay.
+        learner = FollowTheLeader(3)
+        with pytest.raises(UnknownInstanceError, match="length-3 bit string"):
+            learner.predict(x)
+        with pytest.raises(UnknownInstanceError, match="length-3 bit string"):
+            learner.update(x, 1)
+        assert learner.survivors == frozenset(range(3))
 
     def test_all_eliminated(self):
         learner = FollowTheLeader(1)
