@@ -71,6 +71,15 @@ def fmt(value) -> str:
     return f"{value} ({float(value):.17g})"
 
 
+def _rational(option: str, text: str, convert=Fraction):
+    """``convert`` of the exact value of ``text``, the value given to
+    ``option``; a ValueError naming both if either step fails."""
+    try:
+        return convert(Fraction(text))
+    except (ValueError, ArithmeticError) as e:
+        raise ValueError(f"bad value {text!r} for {option}: {type(e).__name__}: {e}") from None
+
+
 def _out_stream(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
@@ -127,7 +136,7 @@ def cmd_experts(args) -> int:
         v = d_star(args.n, args.k)
         print(f"{v.value:.12g} (residual {v.residual:.3g})")
     elif args.what == "up":
-        beta = float(Fraction(args.beta)) if args.beta is not None else None
+        beta = _rational("--beta", args.beta, float) if args.beta is not None else None
         if beta is None:
             print(f"{up_min_over_grid(args.n, args.k):.12g} (min over beta grid)")
         else:
@@ -226,6 +235,8 @@ def _load_game_class(args):
 
 
 def cmd_play(args) -> int:
+    if args.learner.startswith("constant:"):  # checked before any game is set up
+        _rational("--learner constant:P", args.learner.split(":", 1)[1])
     w = _load_game_class(args)
     n_experts = args.n if args.n is not None else None
     solver = Solver(state_budget=args.budget_states)
@@ -236,11 +247,11 @@ def cmd_play(args) -> int:
                 raise AdversaryPreconditionError("the proper adversary needs --n")
             return proper_adversary(n_experts)
         if args.adversary == "optimal":
-            return online_optimal_adversary(w, Fraction(args.slack), solver)
+            return online_optimal_adversary(w, _rational("--slack", args.slack), solver)
         horizon = (
             args.horizon
             if args.horizon is not None
-            else solver.horizon_for_slack(w, Fraction(args.slack))
+            else solver.horizon_for_slack(w, _rational("--slack", args.slack))
         )
         if args.adversary == "threshold":
             tree, weights = solver.extract_optimal_tree(w, horizon)
@@ -284,7 +295,7 @@ def cmd_tree_extract(args) -> int:
     horizon = (
         args.horizon
         if args.horizon is not None
-        else solver.horizon_for_slack(w, Fraction(args.slack))
+        else solver.horizon_for_slack(w, _rational("--slack", args.slack))
     )
     tree, weights = solver.extract_optimal_tree(w, horizon)
     text = tree_to_json(tree, weights)
@@ -334,7 +345,7 @@ def cmd_check_concentration(args) -> int:
     eps_list = _eps_list(args.eps)
     solver = Solver(state_budget=args.budget_states)
     w = expert_class(args.n, args.k)
-    horizon = solver.horizon_for_slack(w, Fraction(args.slack))
+    horizon = solver.horizon_for_slack(w, _rational("--slack", args.slack))
     law = solver.branch_length_law(w, horizon)  # P(length = L) = law[L] / 2^horizon
     e_t = 2 * solver.bounded_randomized_littlestone(w, horizon)  # a memo read
     scale = 1 << horizon
@@ -464,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except ArithmeticError as e:  # a rational flag such as --slack 1/0 or --beta 1e400
+    except ArithmeticError as e:  # rational flags raise ValueError; this is any other
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except (
@@ -479,7 +490,8 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
         ValueError,
     ) as e:
-        message = str(e)
+        # KeyError's str() quotes its message; print the message itself.
+        message = e.args[0] if isinstance(e, UnknownInstanceError) else str(e)
         if "integer string conversion" in message:
             # Python's own message names an interpreter setting, not a CLI option.
             message = (

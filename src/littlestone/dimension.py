@@ -1,4 +1,5 @@
-"""Exact Littlestone and randomized Littlestone dimensions by an explicit-stack DP.
+"""Exact Littlestone and randomized Littlestone dimensions: a lattice sweep on
+count states, and an explicit-stack DP on explicit classes.
 
 The deterministic dimension of a weighted class obeys
 
@@ -25,6 +26,18 @@ A split charging O (the ones vector, packed alike) of the counts C has
 children C - O + (O >> 32) and O + ((C - O) >> 32), and the decremented
 state is C >> 32.
 
+Count states sweep their lattice.  Budgets sorted in descending order, a
+count root reaches exactly the states whose i-th budget is at most the
+root's for each i, a set known before any value is: its size is charged to
+the state budget up front.  In ascending order children come before their
+parents, and the states that differ only on level 0 form runs at
+consecutive positions, so the children under a ones vector O sit at fixed
+offsets in O's level-0 count from two positions per O above level 0, one
+lookup each per run.  L and RL take one pass in that order, each state's
+maximum one C-level ``max(map(add or min, ...))`` over its pairs of
+children; RL runs at the root's scale 2^P and writes each state at its own.
+RL_T runs the level sweep below on rows built from the same positions.
+
 Explicit states are packed into one int each, within a frame built once from
 a root class's canonical members: one bit per member slot, one column mask
 per domain point, and layer j of the int masking the members with remaining
@@ -48,14 +61,15 @@ RL(W, T) * 2^T is an integer, so one bounded step is
 2^(T-1) + RL(W0, T-1)*2^(T-1) + RL(W1, T-1)*2^(T-1).  The public methods
 return the exact ``Fraction``; deterministic dimensions are ints.
 
-One loop, :meth:`Solver._dp`, computes the value of every query and the
-optimal tree: each one-step rule is a generator that yields child keys and
-is sent their values, and the loop keeps the memo on an explicit stack,
-not recursion.  The horizon search is the one exception: it needs RL(W, t)
-for t = 1, 2, ... in turn, so it expands the states reachable from W once
-and sweeps RL_t * 2^t of all of them upward, a level at a time, over flat
-int lists, writing each level into the RL_T memo that :meth:`Solver._dp`
-reads.
+On explicit frames one loop, :meth:`Solver._dp`, computes the value of
+every query and the optimal tree: each one-step rule is a generator that
+yields child keys and is sent their values, and the loop keeps the memo on
+an explicit stack, not recursion.  The horizon search needs RL(W, t) for
+t = 1, 2, ... in turn, so in either space it builds, once, the index lists
+of each reachable state's pairs of children and sweeps RL_t * 2^t of all of
+them upward, a level at a time, over flat int lists, writing each level
+into the RL_T memo.  A bounded query on count states runs the same sweep,
+computing at level t only the states within T - t rounds of the root.
 
 One walk over the RL_T memo, :meth:`Solver._walk`, reads the optimal tree
 off it through the same loop: each (state, t) key takes the first move
@@ -70,18 +84,20 @@ on an explicit class the law is that of the extracted tree.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import compress, islice, repeat
-from operator import add, mul
+from itertools import chain, islice, repeat
+from operator import add, mul, rshift
 
 from .classes import ExpertClass, WeightedClass, restrict
 from .trees import LEAF, MistakeTree, WeightFunction, node, quasi_balance_weights
 
 EMPTY = -1
 
-# Bits per budget level of a packed count state.
+# Bits per budget level of a packed count state, and the mask of level 0.
 _W = 32
+_LOW = (1 << _W) - 1
 
 
 def _ranked(key):
@@ -221,32 +237,164 @@ def _levels(state: int) -> memoryview:
     return levels if sys.byteorder == "little" else levels[::-1]
 
 
-def _u_expand(state: int):
-    """As :func:`_x_expand` for a packed count state; the all-zero split is
-    always a self-loop, and ``s`` experts predict 1 and are charged under 0.
+def _share(level: int) -> int:
+    """What one expert of a ones vector O on ``level`` adds to D = O - (O >> _W)."""
+    return (1 << level * _W) - (1 << (level - 1) * _W) if level else 1
 
-    Splits are ones vectors O in product order over the occupied levels,
-    the lowest level slowest; the label swap of split j then sits at index
-    size - 1 - j, so the first half, past the all-zero one, holds one of
-    each pair.  With D = O - (O >> _W), the children of the counts C are
-    C - D and (C >> _W) + D.
+
+def _occupied(state: int) -> list[tuple[int, int]]:
+    """(level, count) per occupied level of a packed count state, lowest
+    first, found from the top bit down: no pass over the empty levels."""
+    out = []
+    while state:
+        level = (state.bit_length() - 1) // _W
+        out.append((level, state >> level * _W))
+        state &= (1 << level * _W) - 1
+    out.reverse()
+    return out
+
+
+def _product(occupied: list[tuple[int, int]], share=_share) -> list[int]:
+    """The sum over levels j of o_j * share(j) for every vector o <= the
+    ``occupied`` counts, in product order: the lowest level slowest, each
+    o_j from 0 up."""
+    out = [0]
+    for level, c in occupied:
+        step = share(level)
+        out = list(chain.from_iterable(map(range, out, map(add, out, repeat((c + 1) * step)), repeat(step))))
+    return out
+
+
+def _lattice(root: int) -> tuple[list[int], list[int], list[int]]:
+    """Every count state the count state ``root`` reaches, ascending, with
+    its P and its distance: the fewest rounds from ``root`` to it.
+
+    With budgets sorted in descending order, a root a reaches exactly the
+    states b with b_i <= a_i for each i <= len(b): its tail-dominated
+    lattice.  The distance is the largest a_i - b_i over those i, and
+    a_i + 1 over the root's experts past len(b).  The empty class is first.
     """
-    levels = _levels(state)
-    low = state >> _W
-    # Per split in product order: s, and D built from each level's share.
-    ss = [0]
-    ds = [0]
-    m = power = 0
-    for level, c in compress(enumerate(levels), levels):
-        m += c
-        power += (level + 1) * c
-        share = (1 << level * _W) - (1 << (level - 1) * _W) if level else 1
-        counts = range(c + 1)
-        ss = [s + o for s in ss for o in counts]
-        ds = [d + o * share for d in ds for o in counts]
-    half = (len(ss) + 1) // 2
-    splits = [(s, state - d, low + d) for s, d in zip(islice(ss, 1, half), islice(ds, 1, half))]
-    return m, power, low, splits
+    levels = _levels(root)
+    budgets = list(chain.from_iterable(map(repeat, reversed(range(len(levels))), reversed(levels))))
+    budgets.append(-1)  # past the last expert: no unmatched one is left
+    # Per state built so far: (state, the largest budget the next expert may
+    # take, P, matched gap).
+    frontier = [(0, budgets[0], 0, 0)]
+    found = [(0, 0, budgets[0] + 1)]
+    for a, unmatched in zip(budgets, islice(budgets, 1, None)):
+        frontier = [
+            (state + (1 << _W * b), b, power + b + 1, max(gap, a - b))
+            for state, top, power, gap in frontier
+            for b in range(min(top, a) + 1)
+        ]
+        found += [(state, power, max(gap, unmatched + 1)) for state, _, power, gap in frontier]
+    found.sort()
+    return tuple(map(list, zip(*found)))
+
+
+def _pairs(states: list[int]):
+    """(position p, level-0 count d0, n, P0, P1, position of the decremented
+    state) per state of a lattice ``states``, in its ascending order.
+
+    A run is the states that differ on level 0 only: they sit at consecutive
+    positions, level-0 count 0 first.  A ones vector O is its level-0 count
+    o0 and the vector h above it.  In the run of the state ``high`` with
+    level-0 count 0, the children under O are then at aa[h] + d0 - o0 and
+    bb[h] + o0, where aa[h] and bb[h] are the positions of the children of
+    ``high`` under h alone.
+    So P0 lists aa[h] - o0 and P1 lists bb[h] + o0 in product order, o0
+    slowest.  Its first n entries are the first half of the state's ones
+    vectors, as :func:`_u_moves` takes them: O = 0, whose children are the
+    state itself and the decremented state, and one O of each label-swap
+    pair.  The lists are shared along a run and grow with d0, so read them
+    before the next state.
+    """
+    where = dict(zip(states, range(len(states)))).__getitem__
+    starts = [p for p, state in enumerate(states) if not state & _LOW]
+    for b0, b1 in zip(starts, [*islice(starts, 1, None), len(states)]):
+        high = states[b0]
+        low = high >> _W
+        ds = _product(_occupied(high))
+        aa = list(map(where, map(high.__sub__, ds)))
+        bb = list(map(where, map(low.__add__, ds)))
+        down = where(low)
+        p0: list[int] = []
+        p1: list[int] = []
+        for d0 in range(b1 - b0):
+            if not d0 & 1:  # o0 = d0 // 2 joins: the half needs no more
+                p0 += map((-(d0 >> 1)).__add__, aa)
+                p1 += map((d0 >> 1).__add__, bb)
+            yield b0 + d0, d0, ((d0 + 1) * len(aa) + 1) // 2, p0, p1, down
+
+
+def _lattice_rows(states: list[int], dists: list[int], horizon: int | None = None):
+    """The level sweep's input over a lattice: its states by distance, the
+    empty class first and the root second, and per state within
+    ``horizon - 1`` rounds (every one if None), in that order, the position
+    lists (i0, i1) of its pairs of children from :func:`_pairs`, the
+    self-loop's pair of the state and its decremented state among them."""
+    order = sorted(range(1, len(states)), key=dists.__getitem__)
+    ranked = list(map(dists.__getitem__, order))
+    if horizon is not None:
+        order = order[: bisect_right(ranked, horizon)]
+    rows: list = [None] * (len(order) if horizon is None else bisect_right(ranked, horizon - 1))
+    where = [0] * len(states)  # 0, the empty class's, past ``order``: never read
+    for i, p in enumerate(order, 1):
+        where[p] = i
+    get = where.__getitem__
+    for p, d0, n, p0, p1, _ in _pairs(states):
+        if 0 < where[p] <= len(rows):
+            rows[where[p] - 1] = (list(map(get, map(d0.__add__, islice(p0, n)))), list(map(get, islice(p1, n))))
+    return [0, *map(states.__getitem__, order)], rows
+
+
+def _count_rows(root: int, charge=None):
+    """:func:`_lattice_rows` of every state ``root`` reaches, each held row
+    charged to ``charge`` first if given."""
+    states, _, dists = _lattice(root)
+    if charge is not None:
+        charge(len(states) - 1)
+    return _lattice_rows(states, dists)
+
+
+def _x_rows(frame: _Frame, root: int, charge=None):
+    """The level sweep's input over the states ``root`` reaches in ``frame``:
+    the states, index 0 the empty class and index 1 ``root``, and per state
+    from index 1 on the index lists (i0, i1) of its moves' children, a
+    self-loop as the pair of the state and its decremented state.  Each
+    expansion is charged to ``charge``, if given, with the rows held."""
+    states = [0, root]
+    index = {0: 0, root: 1}
+    rows: list[tuple[list[int], list[int]]] = []
+
+    def indices(children) -> list[int]:
+        out = []
+        for child in children:
+            i = index.setdefault(child, len(states))
+            if i == len(states):
+                states.append(child)
+            out.append(i)
+        return out
+
+    for j, state in enumerate(islice(states, 1, None), 1):  # grows as states are found
+        if charge is not None:
+            charge(len(rows) + 1)
+        _, _, dec, splits = _x_expand(frame, state)
+        i0 = indices(child0 for _, child0, _ in splits)
+        i1 = indices(child1 for _, _, child1 in splits)
+        if dec is not None:  # the self-loop: the state itself, and decremented
+            i0.append(j)
+            i1 += indices((dec,))
+        rows.append((i0, i1))
+    return states, rows
+
+
+def _rl_level(rows, values: list[int], t: int) -> list[int]:
+    """RL_t * 2^t of the empty class, then of each row's state, from
+    ``values``, RL_(t-1) * 2^(t-1) by position; a state without moves is 0."""
+    get = values.__getitem__
+    half = 1 << (t - 1)
+    return [-(1 << t)] + [half + max(map(add, map(get, i0), map(get, i1))) if i0 else 0 for i0, i1 in rows]
 
 
 class VersionSpace:
@@ -326,20 +474,30 @@ class VersionSpace:
 
 def _u_moves(state: int):
     """As :func:`_x_moves` for a packed count state, witnesses None: the
-    self-loop, then the splits of :func:`_u_expand`."""
-    _, _, low, splits = _u_expand(state)
+    self-loop, then one split of each label-swap pair; ``s`` experts
+    predict 1 and are charged under label 0.
+
+    Splits are ones vectors O <= the counts C in product order
+    (:func:`_product`); the label swap of split j sits at index size - 1 - j,
+    so the first half, past the all-zero self-loop, holds one of each pair.
+    With D = O - (O >> _W), the children are C - D and (C >> _W) + D.
+    """
+    low = state >> _W
     yield None, 0, state, low
-    for s, child0, child1 in splits:
-        yield None, s, child0, child1
+    occupied = _occupied(state)
+    ds = _product(occupied)
+    ss = _product(occupied, lambda level: 1)
+    for s, d in islice(zip(ss, ds), 1, (len(ds) + 1) // 2):
+        yield None, s, state - d, low + d
 
 
 def _space(v: VersionSpace) -> tuple:
-    """The expansion and the moves of ``v``'s state space: :func:`_u_expand`
-    and :func:`_u_moves` on count states, :func:`_x_expand` and
-    :func:`_x_moves` on ``v``'s frame."""
+    """The level sweep's rows and the moves of ``v``'s state space:
+    :func:`_count_rows` and :func:`_u_moves` on count states,
+    :func:`_x_rows` and :func:`_x_moves` on ``v``'s frame."""
     if v.frame is None:
-        return _u_expand, _u_moves
-    return partial(_x_expand, v.frame), partial(_x_moves, v.frame)
+        return _count_rows, _u_moves
+    return partial(_x_rows, v.frame), partial(_x_moves, v.frame)
 
 
 def _l_rule(expand, state):
@@ -394,15 +552,17 @@ def _empty_or_horizon(key) -> int | None:
 
 
 def _tables(expand) -> dict:
-    """One (memo, rule, leaf) table per value over one state space."""
-    return {
-        value: ({}, partial(rule, expand), leaf)
-        for value, rule, leaf in (
-            ("l", _l_rule, _empty),
-            ("rl", _rl_rule, _empty),
-            ("brl", _brl_rule, _empty_or_horizon),
-        )
-    }
+    """One (memo, solve) table per value over one frame's states:
+    ``solve(solver, key)`` runs :meth:`Solver._dp` on the value's rule."""
+    tables = {}
+    for value, rule, leaf in (
+        ("l", _l_rule, _empty),
+        ("rl", _rl_rule, _empty),
+        ("brl", _brl_rule, _empty_or_horizon),
+    ):
+        memo: dict = {}
+        tables[value] = (memo, partial(Solver._dp, memo=memo, body=partial(rule, expand), leaf=leaf))
+    return tables
 
 
 class ComputeBudgetError(RuntimeError):
@@ -412,15 +572,22 @@ class ComputeBudgetError(RuntimeError):
 class Solver:
     """Shared-memo dimension computations over weighted and expert classes.
 
-    One (memo, rule, leaf) table per value and state space: the count space,
-    and each :class:`_Frame` of packed explicit states.  The RL memos hold
-    RL * 2^P and the RL_T memos RL_T * 2^T as ints.  Every query takes a
-    class or a :class:`VersionSpace` and reads its state's memo entry.
+    One (memo, solve) table per value and state space: the count space,
+    whose values sweep the lattice a count state reaches, and each
+    :class:`_Frame` of packed explicit states, whose values run the DP.  The
+    RL memos hold RL * 2^P and the RL_T memos RL_T * 2^T as ints.  Every
+    query takes a class or a :class:`VersionSpace` and reads its state's
+    memo entry.
     """
 
     def __init__(self, state_budget: int | None = None):
         self.state_budget = state_budget
-        self._counts = _tables(_u_expand)
+        l, rl, brl = {}, {}, {}
+        self._counts = {
+            "l": (l, partial(Solver._sweep, memo=l, randomized=False)),
+            "rl": (rl, partial(Solver._sweep, memo=rl, randomized=True)),
+            "brl": (brl, partial(Solver._sweep_levels, memo=brl)),
+        }
         # Each frame with its tables; the tables' rules hold the frame, so
         # the frame must not hold them back, or a dropped Solver is a cycle.
         self._frames: list[tuple[_Frame, dict]] = []
@@ -428,7 +595,7 @@ class Solver:
     @property
     def states_visited(self) -> int:
         tables = [self._counts, *(tables for _, tables in self._frames)]
-        return sum(len(memo) for table in tables for memo, _, _ in table.values())
+        return sum(len(memo) for table in tables for memo, _ in table.values())
 
     def _charge(self, pending: int = 0) -> None:
         """Raise once the memo entries plus ``pending`` held items pass the budget."""
@@ -478,17 +645,95 @@ class Solver:
             else:
                 return value
 
+    # -- the count engine ----------------------------------------------------
+
+    def _charge_new(self, memo: dict, keys, held: int = 0) -> None:
+        """Charge the ``keys`` not in ``memo`` yet and ``held`` items, before
+        any key is computed."""
+        if self.state_budget is not None:
+            self._charge(held + sum(1 for key in keys if key not in memo))
+
+    def _sweep(self, root: int, memo: dict, randomized: bool) -> int:
+        """L, or RL * 2^P, of the count state ``root``, in one pass over the
+        lattice it reaches in ascending order, so children come first.  Every
+        state of the lattice is written into ``memo``, RL at its own 2^P."""
+        if not root:
+            return EMPTY
+        states, powers, _ = _lattice(root)
+        self._charge_new(memo, islice(states, 1, None))
+        top = powers[-1]  # the root's P, the largest
+        # RL * 2^top, an integer at every state.  A child's P is below its
+        # parent's, so every child's value is even at this scale and the
+        # halving in (1 + a + b) / 2 is exact.  Until a state is written its
+        # position holds a value below any pair's sum (resp. minimum): its
+        # pair O = 0, the self-loop scored apart, reads it and so never
+        # attains the maximum.
+        if randomized:
+            full, half = 1 << top, 1 << top - 1
+            values = [-(1 << 2 * top + 2)] * len(states)
+            values[0] = -full
+        else:
+            values = [EMPTY - 1] * len(states)
+            values[0] = EMPTY
+        get = values.__getitem__
+        pair = add if randomized else min
+        for p, d0, n, p0, p1, down in _pairs(states):
+            if p:
+                best = max(map(pair, map(get, map(d0.__add__, islice(p0, n))), map(get, islice(p1, n))))
+                if randomized:
+                    loop, best = full + values[down], half + (best >> 1)
+                    values[p] = loop if loop > best else best
+                else:
+                    values[p] = 1 + max(values[down], best)
+        live = islice(values, 1, None)
+        if randomized:
+            live = map(rshift, live, map(top.__sub__, islice(powers, 1, None)))
+        memo.update(zip(islice(states, 1, None), live))
+        return values[-1]
+
+    def _sweep_levels(self, key: tuple[int, int], memo: dict) -> int:
+        """RL_T * 2^T of a (count state, T) key by the level sweep: level t
+        computes the states within T - t rounds of the root, the DP's keys
+        exactly, and writes them into ``memo``."""
+        value = _empty_or_horizon(key)
+        if value is not None:
+            return value
+        root, horizon = key
+        states, _, dists = _lattice(root)
+        ranked = sorted(islice(dists, 1, None))
+        # Per level t, the states within horizon - t rounds.
+        sizes = [bisect_right(ranked, horizon - t) for t in range(horizon + 1)]
+        keys = (
+            (state, t)
+            for state, dist in zip(islice(states, 1, None), islice(dists, 1, None))
+            for t in range(1, horizon - dist + 1)
+        )
+        self._charge_new(memo, keys, held=sizes[1])  # and the rows
+        live, rows = _lattice_rows(states, dists, horizon)
+        values = [-1] + [0] * sizes[0]
+        for t in range(1, horizon + 1):
+            values = _rl_level(islice(rows, sizes[t]), values, t)
+            memo.update(zip(zip(islice(live, 1, None), repeat(t)), islice(values, 1, None)))
+        return values[1]
+
     # -- queries -------------------------------------------------------------
+
+    def _value(self, table: tuple, key):
+        """``key``'s entry in the memo of ``table``, else what its solve
+        computes; a learner's queries mostly hit, so they skip the solve."""
+        memo, solve = table
+        value = memo.get(key)
+        return solve(self, key) if value is None else value
 
     def littlestone(self, w: WeightedClass | ExpertClass | VersionSpace) -> int:
         """Optimal deterministic mistake bound; EMPTY (-1) for the empty class."""
         v = self.version_space(w)
-        return self._dp(v.state, *v.tables["l"])
+        return self._value(v.tables["l"], v.state)
 
     def randomized_littlestone(self, w: WeightedClass | ExpertClass | VersionSpace) -> Fraction:
         """Optimal expected mistake bound; Fraction(-1) for the empty class."""
         v = self.version_space(w)
-        return Fraction(self._dp(v.state, *v.tables["rl"]), 1 << v.power)
+        return Fraction(self._value(v.tables["rl"], v.state), 1 << v.power)
 
     def bounded_littlestone(
         self, w: WeightedClass | ExpertClass | VersionSpace, horizon: int
@@ -504,7 +749,7 @@ class Solver:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         v = self.version_space(w)
-        return Fraction(self._dp((v.state, horizon), *v.tables["brl"]), 1 << horizon)
+        return Fraction(self._value(v.tables["brl"], (v.state, horizon)), 1 << horizon)
 
     def extract_optimal_tree(
         self, w: WeightedClass | ExpertClass, horizon: int
@@ -592,14 +837,15 @@ class Solver:
     ) -> int:
         """Smallest horizon T with RL(W, T) >= RL(W) - slack.
 
-        One upward sweep: the states reachable from W are expanded once each
-        into index lists of their children (a self-loop as the pair of the
-        state and its decremented state), and RL_t * 2^t of every state is
-        computed for t = 1, 2, ... from level t - 1 over flat int lists.  The
-        first t at which W's value reaches the target is returned, so no
+        One upward sweep: the states reachable from W and, per state, the
+        index lists of its pairs of children are built once (a self-loop as
+        the pair of the state and its decremented state; from the lattice on
+        count states, by expansion in a frame), and RL_t * 2^t of every state
+        is computed for t = 1, 2, ... from level t - 1 over flat int lists.
+        The first t at which W's value reaches the target is returned, so no
         monotonicity in t is assumed.  Each level is written into the RL_T
         memo, where an extraction at T finds every value it reads.  The state
-        budget is charged for the expansions held and each value stored.
+        budget is charged for the rows held and each value stored.
         """
         slack = Fraction(slack)
         if slack <= 0:
@@ -608,34 +854,8 @@ class Solver:
         target = self.randomized_littlestone(v) - slack
         if v.is_empty or target <= 0:  # RL(W, 0) is -1, resp. 0
             return 0
-        expand = _space(v)[0]
-        charge = self.state_budget is not None
-        # Index 0 is the empty class and index 1 is W; ``rows`` holds, per
-        # state from index 1 on, the index lists (i0, i1) of its moves' children.
-        states = [0, v.state]
-        index = {0: 0, v.state: 1}
-        rows: list[tuple[list[int], list[int]]] = []
-
-        def indices(children) -> list[int]:
-            out = []
-            for child in children:
-                i = index.setdefault(child, len(states))
-                if i == len(states):
-                    states.append(child)
-                out.append(i)
-            return out
-
-        for j, state in enumerate(islice(states, 1, None), 1):  # grows as states are found
-            if charge:
-                self._charge(len(rows) + 1)
-            _, _, dec, splits = expand(state)
-            i0 = indices(child0 for _, child0, _ in splits)
-            i1 = indices(child1 for _, _, child1 in splits)
-            if dec is not None:  # the self-loop: the state itself, and decremented
-                i0.append(j)
-                i1 += indices((dec,))
-            rows.append((i0, i1))
-
+        charge = self._charge if self.state_budget is not None else None
+        states, rows = _space(v)[0](v.state, charge)
         memo = v.tables["brl"][0]
         live = states[1:]
         num, den = target.numerator, target.denominator
@@ -643,14 +863,9 @@ class Solver:
         t = 0
         while values[1] * den < num << t:  # RL_t(W) < target
             if charge:
-                self._charge(2 * len(rows))  # the expansions held, and this level
-            get = values.__getitem__
+                charge(2 * len(rows))  # the rows held, and this level
             t += 1
-            half = 1 << (t - 1)
-            values = [-(1 << t)] + [
-                half + max(map(add, map(get, i0), map(get, i1))) if i0 else 0
-                for i0, i1 in rows
-            ]
+            values = _rl_level(rows, values, t)
             memo.update(zip(zip(live, repeat(t)), islice(values, 1, None)))
         return t
 

@@ -14,7 +14,8 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice, product
+from functools import cache
+from itertools import compress, islice, product
 from operator import add, sub
 
 import pytest
@@ -28,7 +29,7 @@ from littlestone.classes import (
     min_mistakes,
     restrict,
 )
-from littlestone.dimension import ComputeBudgetError
+from littlestone.dimension import ComputeBudgetError, Solver, _levels, _tables, _W
 from littlestone.games import _run
 from littlestone.learners import Learner
 from littlestone.trees import (
@@ -236,6 +237,77 @@ def reference_count_splits(counts: tuple[int, ...]):
         child1 = list(map(add, ones, zeros[1:]))
         child1.append(ones[-1])
         yield sum(ones), trim_counts(child0), trim_counts(child1)
+
+
+def reference_u_expand(state: int):
+    """(m, P, decremented state, splits) of a packed count state, as the
+    generator DP expanded it; the all-zero split is always a self-loop, and
+    ``s`` experts predict 1 and are charged under 0.
+
+    Splits are ones vectors O in product order over the occupied levels,
+    the lowest level slowest; the label swap of split j then sits at index
+    size - 1 - j, so the first half, past the all-zero one, holds one of
+    each pair.  With D = O - (O >> _W), the children of the counts C are
+    C - D and (C >> _W) + D.  The production count space sweeps the lattice
+    a state reaches instead.
+    """
+    levels = _levels(state)
+    low = state >> _W
+    # Per split in product order: s, and D built from each level's share.
+    ss = [0]
+    ds = [0]
+    m = power = 0
+    for level, c in compress(enumerate(levels), levels):
+        m += c
+        power += (level + 1) * c
+        share = (1 << level * _W) - (1 << (level - 1) * _W) if level else 1
+        counts = range(c + 1)
+        ss = [s + o for s in ss for o in counts]
+        ds = [d + o * share for d in ds for o in counts]
+    half = (len(ss) + 1) // 2
+    splits = [(s, state - d, low + d) for s, d in zip(islice(ss, 1, half), islice(ds, 1, half))]
+    return m, power, low, splits
+
+
+def reference_u_moves(state: int):
+    """The self-loop, then the splits of :func:`reference_u_expand`, as
+    (None, s, child under 0, child under 1)."""
+    _, _, low, splits = reference_u_expand(state)
+    yield None, 0, state, low
+    for s, child0, child1 in splits:
+        yield None, s, child0, child1
+
+
+def reference_count_solver(state_budget: int | None = None) -> Solver:
+    """A Solver whose L, RL and RL_T queries on count states run the
+    generator DP: ``Solver._dp`` on the three rules over
+    :func:`reference_u_expand`, one state per visit, into the same memos."""
+    solver = Solver(state_budget)
+    solver._counts = _tables(reference_u_expand)
+    return solver
+
+
+def reference_count_law(w: ExpertClass, horizon: int) -> tuple[int, ...]:
+    """The branch-length law on count states by recursion over
+    :func:`reference_u_moves` and the generator DP's RL_T: each (state, t)
+    takes the first move attaining its value, a leaf 2^t at length 0."""
+    solver = reference_count_solver()
+    root = solver.version_space(w)
+
+    def value(state: int, t: int) -> int:
+        return int(solver.bounded_randomized_littlestone(root._child(state), t) * 2**t)
+
+    @cache
+    def law(state: int, t: int) -> tuple[int, ...]:
+        target = value(state, t)
+        if target == 0:
+            return (1 << t, *[0] * t)
+        for _, _, child0, child1 in reference_u_moves(state):
+            if (1 << t - 1) + value(child0, t - 1) + value(child1, t - 1) == target:
+                return (0, *map(add, law(child0, t - 1), law(child1, t - 1)))
+        raise AssertionError("no move attains the computed dimension")
+
+    return law(root.state, horizon)
 
 
 def reference_x_moves(frame, state: int):

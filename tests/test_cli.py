@@ -105,6 +105,16 @@ class TestExperts:
         assert main(["experts", "--n", "2", "--k", "3", "--what", "dim", "--horizon", "4"]) == 0
         assert capsys.readouterr().out.startswith("2 ")
 
+    def test_budget_is_charged_before_the_lattice_sweep(self, monkeypatch, capsys):
+        # e(64, 2) reaches 47,904 count states, known before any is computed.
+        def sweep(states):
+            raise AssertionError("swept past the state budget")
+
+        monkeypatch.setattr(littlestone.dimension, "_pairs", sweep)
+        argv = ["--budget-states", "1000", "experts", "--what", "dim", "--n", "64", "--k", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: state budget of 1000 exceeded\n"
+
 
 class TestTables:
     def test_proper(self, capsys):
@@ -349,6 +359,22 @@ class TestFailuresExitTwo:
         assert main([a.format(class_file=u2k2_file) for a in argv]) == 2
         assert "Error" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("argv, option, text", [
+        (["experts", "--n", "2", "--k", "1", "--what", "up", "--beta", "1/0"], "--beta", "1/0"),
+        (["experts", "--n", "2", "--k", "1", "--what", "up", "--beta", "1e400"], "--beta", "1e400"),
+        (["experts", "--n", "2", "--k", "1", "--what", "up", "--beta", "x"], "--beta", "x"),
+        (["check", "concentration", "--slack", "1/0"], "--slack", "1/0"),
+        (["tree", "extract", "{class_file}", "--slack", "one"], "--slack", "one"),
+        (["play", "--n", "2", "--k", "1", "--learner", "randsoa", "--adversary", "threshold",
+          "--slack", "1/0"], "--slack", "1/0"),
+        (["play", "--n", "2", "--k", "1", "--learner", "constant:1/0", "--adversary", "threshold"],
+         "--learner constant:P", "1/0"),
+    ], ids=["beta-zero-denominator", "beta-past-float", "beta-text", "concentration-slack",
+            "extract-slack-text", "play-slack", "constant-learner"])
+    def test_bad_rational_flag_is_named(self, u2k2_file, capsys, argv, option, text):
+        assert main([a.format(class_file=u2k2_file) for a in argv]) == 2
+        assert one_error_line(capsys).startswith(f"error: bad value {text!r} for {option}: ")
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_ftl_on_instances_that_are_not_advice(self, tmp_path, capsys, n):
         # The class's points are "a" and "b", not length-n advice strings.
@@ -360,6 +386,17 @@ class TestFailuresExitTwo:
                 "--adversary", "threshold"]
         assert main(argv) == 2
         assert f"length-{n} bit string" in one_error_line(capsys)
+
+    def test_unknown_instance_is_printed_without_quotes(self, tmp_path, capsys):
+        # UnknownInstanceError is a KeyError, whose str() would quote the message.
+        path = tmp_path / "ab.json"
+        path.write_text('{"domain": ["a", "b"], "hypotheses": '
+                        '[{"name": "h", "labels": [0, 1], "budget": 0}, '
+                        '{"name": "g", "labels": [1, 1], "budget": 0}]}')
+        argv = ["play", "--class-file", str(path), "--n", "3", "--learner", "ftl",
+                "--adversary", "threshold"]
+        assert main(argv) == 2
+        assert one_error_line(capsys) == "error: expected a length-3 bit string, got 'a'\n"
 
     @pytest.mark.parametrize("argv", [
         ["tree", "analyze", "{dir}"],

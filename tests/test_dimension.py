@@ -10,9 +10,13 @@ from conftest import (
     random_weighted_class,
     recursion_limit,
     reference_branch_length_law,
+    reference_count_law,
+    reference_count_solver,
     reference_count_splits,
     reference_horizon_for_slack,
     reference_nested_json,
+    reference_u_expand,
+    reference_u_moves,
     reference_x_expand,
     reference_x_moves,
     trim_counts,
@@ -34,9 +38,10 @@ from littlestone.dimension import (
     ComputeBudgetError,
     Solver,
     _Frame,
+    _lattice,
     _levels,
     _pack,
-    _u_expand,
+    _u_moves,
     _W,
     _x_expand,
     _x_moves,
@@ -504,23 +509,26 @@ class TestDyadicEngine:
         assert s.states_visited == expected
 
     @pytest.mark.parametrize(
-        "query, passing",
+        "query, passing, kept",
         [
-            (lambda s: s.littlestone(universal_class(3, 2)), 59),
-            (lambda s: s.randomized_littlestone(expert_class(8, 2)), 160),
-            (lambda s: s.bounded_randomized_littlestone(expert_class(4, 3), 8), 327),
-            (lambda s: s.extract_optimal_tree(universal_class(2, 2), 6), 55),
+            (lambda s: s.littlestone(universal_class(3, 2)), 59, 59),
+            (lambda s: s.randomized_littlestone(expert_class(8, 2)), 164, 0),
+            (lambda s: s.bounded_randomized_littlestone(expert_class(4, 3), 8), 332 + 69, 0),
+            (lambda s: s.extract_optimal_tree(universal_class(2, 2), 6), 55, 55),
         ],
         ids=["l-u32", "rl-e82", "brl8-e43", "extract-u22"],
     )
-    def test_budget_fires_at_pinned_points(self, query, passing):
-        # A state is charged before it is expanded, so the smallest passing
-        # budget sits below the final count; extraction adds no charge.
+    def test_budget_fires_at_pinned_points(self, query, passing, kept):
+        # A frame's DP charges a state before it is expanded, so its smallest
+        # passing budget sits below the final count, and a budget one short
+        # stops after ``passing`` states.  A count query charges its lattice
+        # up front (RL_T: each of its 332 keys and the 69 rows it holds), so
+        # a budget one short stops before any state.  Extraction adds no charge.
         query(Solver(state_budget=passing))
         tight = Solver(state_budget=passing - 1)
         with pytest.raises(ComputeBudgetError):
             query(tight)
-        assert tight.states_visited == passing
+        assert tight.states_visited == kept
 
     def test_public_values_are_fractions(self):
         s = Solver()
@@ -808,12 +816,13 @@ class TestPackedCounts:
             seen.add(counts)
             dec = trim_counts(list(counts[1:]))
             splits = list(reference_count_splits(counts))
-            m, power, packed_dec, packed_splits = _u_expand(_pack(counts))
+            m, power, packed_dec, packed_splits = reference_u_expand(_pack(counts))
             assert m == sum(counts)
             assert power == sum(level * c for level, c in enumerate(counts, 1))
             assert tuple(_levels(packed_dec)) == dec
             decoded = [(s, tuple(_levels(c0)), tuple(_levels(c1))) for s, c0, c1 in packed_splits]
             assert decoded == splits
+            assert list(_u_moves(_pack(counts))) == list(reference_u_moves(_pack(counts)))
             stack.append(dec)
             for _, child0, child1 in splits:
                 stack += [child0, child1]
@@ -831,6 +840,87 @@ class TestPackedCounts:
         for counts in ((1 << _W,), (3, 1 << _W), (1, 2, 1 << _W + 1)):
             with pytest.raises(ValueError, match="count field"):
                 _pack(counts)
+
+
+@st.composite
+def count_roots(draw) -> tuple[ExpertClass, list[tuple[str, int]]]:
+    """An expert class with mixed budgets, some experts eliminated, and up
+    to three examples that take it to a mid-game version space."""
+    budgets = draw(st.lists(st.none() | st.integers(0, 3), min_size=1, max_size=5))
+    advice = st.text("01", min_size=len(budgets), max_size=len(budgets))
+    return ExpertClass(tuple(budgets)), draw(st.lists(st.tuples(advice, st.integers(0, 1)), max_size=3))
+
+
+def _stepped(solver: Solver, w: ExpertClass, examples):
+    v = solver.version_space(w)
+    for x, y in examples:
+        v = v.step(x, y)
+    return v
+
+
+def _reachable(root: int) -> dict[int, int]:
+    """Every count state ``root`` reaches, with its BFS depth, over the
+    generator DP's children: the decremented state and both split children."""
+    depth = {root: 0}
+    level = [root]
+    while level:
+        below = []
+        for state in level:
+            _, _, dec, splits = reference_u_expand(state)
+            for child in (dec, *(c for _, child0, child1 in splits for c in (child0, child1))):
+                if child not in depth:
+                    depth[child] = depth[state] + 1
+                    below.append(child)
+        level = below
+    return depth
+
+
+class TestCountLattice:
+    """The count engine against the generator DP it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(count_roots())
+    def test_values_and_memos_equal_the_generator_dp(self, root):
+        w, examples = root
+        s, ref = Solver(), reference_count_solver()
+        v, r = _stepped(s, w, examples), _stepped(ref, w, examples)
+        assert s.littlestone(v) == ref.littlestone(r)
+        assert s.randomized_littlestone(v) == ref.randomized_littlestone(r)
+        for t in (0, 1, 3, 6, 2):
+            assert s.bounded_randomized_littlestone(v, t) == ref.bounded_randomized_littlestone(r, t)
+        for value in ("l", "rl", "brl"):
+            assert s._counts[value][0] == ref._counts[value][0]
+        assert s.states_visited == ref.states_visited
+
+    @settings(max_examples=80, deadline=None)
+    @given(count_roots())
+    def test_lattice_is_the_reachable_set_at_its_bfs_depths(self, root):
+        w, examples = root
+        state = _stepped(Solver(), w, examples).state
+        states, powers, dists = _lattice(state)
+        depth = _reachable(state)
+        assert states == sorted(depth)
+        assert dists == [depth[s] for s in states]
+        assert powers == [sum(level * c for level, c in enumerate(_levels(s), 1)) for s in states]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=5), st.integers(0, 7))
+    def test_branch_length_law_equals_the_generator_dp_walk(self, budgets, horizon):
+        w = ExpertClass(tuple(budgets))
+        assert Solver().branch_length_law(w, horizon) == reference_count_law(w, horizon)
+
+    def test_horizon_sweep_matches_the_generator_dp(self):
+        for w in (expert_class(5, 2), ExpertClass((0, 3, 1, 1)), expert_class(2, 6)):
+            s, ref = Solver(), reference_count_solver()
+            horizon = s.horizon_for_slack(w, F(1, 64))
+            assert horizon == reference_horizon_for_slack(ref, w, F(1, 64))
+            root = ref.version_space(w)
+            for (state, t), value in s._counts["brl"][0].items():
+                assert ref.bounded_randomized_littlestone(root._child(state), t) == F(value, 2**t)
+
+    @pytest.mark.parametrize("n, k, rl", [(128, 1, F(85, 16)), (32, 2, F(733, 128))])
+    def test_wide_cells_pinned(self, n, k, rl):
+        assert Solver().randomized_littlestone(expert_class(n, k)) == rl
 
 
 class TestFrames:
