@@ -85,6 +85,7 @@ from .trees import (
     sample_branch,
     shatter_check,
     tree_from_json,
+    tree_statistics,
     tree_to_json,
     tree_weight,
     truncate,

@@ -50,18 +50,17 @@ from .learners import (
 )
 from .trees import (
     NotQuasiBalancedError,
-    depth,
-    expected_branch_length,
-    is_monotone,
-    min_branch_length,
     quasi_balance_weights,
-    # Unused here since the tails are exact; the benchmark tracer wraps it by
-    # name, so it stays until ROADMAP item 6 drops that wrapper.
-    sample_branch,
     shatter_check,
     tree_from_json,
+    tree_statistics,
     tree_to_json,
 )
+
+# Unused here: ``tree analyze`` reads these statistics off one fold, and the
+# concentration tails are exact.  The benchmark tracer wraps them by name, so
+# they stay until its wrappers go (ROADMAP item 6).
+from .trees import depth, expected_branch_length, is_monotone, min_branch_length, sample_branch
 
 
 def fmt(value) -> str:
@@ -304,7 +303,7 @@ def cmd_tree_extract(args) -> int:
             print(text, file=fh)  # no second copy of the text with its newline
     else:
         print(text)
-    e = expected_branch_length(tree)
+    e = 2 * solver.bounded_randomized_littlestone(w, horizon)  # the tree's E_T; a memo read
     print(f"# horizon {horizon}, E_T = {fmt(e)}, branch weight = {fmt(e / 2)}", file=sys.stderr)
     return 0
 
@@ -312,11 +311,10 @@ def cmd_tree_extract(args) -> int:
 def cmd_tree_analyze(args) -> int:
     with open(args.tree_file, "r", encoding="utf-8") as fh:
         tree, weights = tree_from_json(fh.read())
-    e = expected_branch_length(tree)
-    print(f"depth              = {depth(tree)}")
+    e, height, shortest, monotone = tree_statistics(tree)
+    print(f"depth              = {height}")
     print(f"expected length    = {fmt(e)}")
-    print(f"min branch length  = {min_branch_length(tree)}")
-    monotone = is_monotone(tree)
+    print(f"min branch length  = {shortest}")
     print(f"monotone           = {monotone}")
     if monotone:  # quasi-balanced exactly when monotone
         print(f"quasi-balanced     = True (branch weight {fmt(e / 2)})")

@@ -292,9 +292,11 @@ def _lattice(root: int) -> tuple[list[int], list[int], list[int]]:
     return tuple(map(list, zip(*found)))
 
 
-def _pairs(states: list[int]):
+def _pairs(states: list[int], needed: list[bool] | None = None):
     """(position p, level-0 count d0, n, P0, P1, position of the decremented
-    state) per state of a lattice ``states``, in its ascending order.
+    state) per state of a lattice ``states``, in its ascending order; with
+    ``needed``, a flag per position, only the runs up to their last needed
+    state, and no run without one.
 
     A run is the states that differ on level 0 only: they sit at consecutive
     positions, level-0 count 0 first.  A ones vector O is its level-0 count
@@ -312,6 +314,11 @@ def _pairs(states: list[int]):
     where = dict(zip(states, range(len(states)))).__getitem__
     starts = [p for p, state in enumerate(states) if not state & _LOW]
     for b0, b1 in zip(starts, [*islice(starts, 1, None), len(states)]):
+        if needed is not None:
+            run = needed[b0:b1]
+            if True not in run:
+                continue
+            b1 -= run[::-1].index(True)
         high = states[b0]
         low = high >> _W
         ds = _product(_occupied(high))
@@ -342,16 +349,18 @@ def _lattice_rows(states: list[int], dists: list[int], horizon: int | None = Non
     for i, p in enumerate(order, 1):
         where[p] = i
     get = where.__getitem__
-    for p, d0, n, p0, p1, _ in _pairs(states):
+    needed = None if horizon is None else [0 < i <= len(rows) for i in where]
+    for p, d0, n, p0, p1, _ in _pairs(states, needed):
         if 0 < where[p] <= len(rows):
             rows[where[p] - 1] = (list(map(get, map(d0.__add__, islice(p0, n)))), list(map(get, islice(p1, n))))
     return [0, *map(states.__getitem__, order)], rows
 
 
-def _count_rows(root: int, charge=None):
+def _count_rows(root: int, charge=None, lattice=None):
     """:func:`_lattice_rows` of every state ``root`` reaches, each held row
-    charged to ``charge`` first if given."""
-    states, _, dists = _lattice(root)
+    charged to ``charge`` first if given; ``lattice`` is ``_lattice(root)``
+    if already built."""
+    states, _, dists = lattice or _lattice(root)
     if charge is not None:
         charge(len(states) - 1)
     return _lattice_rows(states, dists)
@@ -653,13 +662,14 @@ class Solver:
         if self.state_budget is not None:
             self._charge(held + sum(1 for key in keys if key not in memo))
 
-    def _sweep(self, root: int, memo: dict, randomized: bool) -> int:
+    def _sweep(self, root: int, memo: dict, randomized: bool, lattice=None) -> int:
         """L, or RL * 2^P, of the count state ``root``, in one pass over the
         lattice it reaches in ascending order, so children come first.  Every
-        state of the lattice is written into ``memo``, RL at its own 2^P."""
+        state of the lattice is written into ``memo``, RL at its own 2^P.
+        ``lattice`` is ``_lattice(root)`` if already built."""
         if not root:
             return EMPTY
-        states, powers, _ = _lattice(root)
+        states, powers, _ = lattice or _lattice(root)
         self._charge_new(memo, islice(states, 1, None))
         top = powers[-1]  # the root's P, the largest
         # RL * 2^top, an integer at every state.  A child's P is below its
@@ -851,11 +861,17 @@ class Solver:
         if slack <= 0:
             raise ValueError("slack must be positive")
         v = self.version_space(w)
+        build_rows = _space(v)[0]
+        rl, solve = v.tables["rl"]
+        if v.frame is None and v.state and v.state not in rl:
+            lattice = _lattice(v.state)  # one for the RL target's sweep and the rows
+            solve(self, v.state, lattice=lattice)
+            build_rows = partial(build_rows, lattice=lattice)
         target = self.randomized_littlestone(v) - slack
         if v.is_empty or target <= 0:  # RL(W, 0) is -1, resp. 0
             return 0
         charge = self._charge if self.state_budget is not None else None
-        states, rows = _space(v)[0](v.state, charge)
+        states, rows = build_rows(v.state, charge)
         memo = v.tables["brl"][0]
         live = states[1:]
         num, den = target.numerator, target.denominator

@@ -100,10 +100,13 @@ def f_inverse(c: float) -> ApproxValue:
     # f(lo) is astronomically large; f(hi) = 0 < c.
     for _ in range(200):
         mid = (lo + hi) / 2
+        stuck = mid == lo or mid == hi  # no float lies strictly between them
         if f_of(mid).value > c:
             lo = mid
         else:
             hi = mid
+        if stuck:  # every later step would leave (lo, hi) as it is
+            break
     p = (lo + hi) / 2
     residual = abs(f_of(p).value - c)
     if residual > _F_INV_TOL:

@@ -12,14 +12,14 @@ happens precisely for monotone trees (no child subtree has larger expected
 branch length than its parent), and the weight assignment is then unique.
 
 Trees are DAGs: extraction and parsing both merge structurally identical
-subtrees, and nothing here walks every root path.  Statistics and weights
-are folds over the distinct nodes, and the shatter check is one pass over
-the distinct (node, version space) pairs.  E_T is dyadic: a subtree of height
-h has E_T * 2^h an integer, so E_T, monotonicity and the weights share one
-integer step on (E_T * 2^h, h), and each node's ``w0`` is one ``Fraction``
-built from it, read by root path through a lazy view.  Tree files are flat:
-one row per distinct subtree, so writing and reading cost the distinct
-nodes.  The reader still takes the nested files older versions wrote (one
+subtrees, and nothing here walks every root path.  The four branch
+statistics are one fold over the distinct nodes and the weights another,
+and the shatter check is one pass over the distinct (node, version space)
+pairs.  E_T is dyadic: a subtree of height h has E_T * 2^h an integer, so
+E_T, monotonicity and the weights share one integer step on (E_T * 2^h, h),
+and each node's ``w0`` is one ``Fraction`` built from it, read by root path
+through a lazy view.  Tree files are flat: one row per distinct subtree, so
+writing and reading cost the distinct nodes.  The reader still takes the nested files older versions wrote (one
 JSON object per tree level, each repeated subtree written out again) through
 ``json.loads``, so they cost their full text.  Nothing here recurses, tree
 equality, hashing and repr included, and importing this module changes no
@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import random
 import reprlib
-from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -163,24 +162,43 @@ def _walk(root, children=_children, key=id) -> tuple[list[tuple[object, tuple]],
 
 def _fold(root, leaf, step, children=_children, key=id):
     """The root's value of ``leaf`` at leaves and ``step(item, zero's, one's)``
-    above, once per distinct item of :func:`_walk`; a value is dropped once
-    its last parent has read it, so a deep path holds a few values, not one
-    per level."""
-    order = _walk(root, children, key)[1]
-    readers = Counter(key(c) for t in order for c in children(t))
-    values: dict = {}
-    for t in order:
+    above, once per distinct item (items with equal ``key`` are one).  One
+    explicit-stack pass lists the items children first with the number of
+    parents that read each; a value is dropped once its last parent has read
+    it, so a deep path holds a few values, not one per level."""
+    order = []  # (item, its key, zero's key, one's key), children first; None at a leaf
+    readers: dict = {}
+    expanded = set()
+    stack = [(root, None)]
+    while stack:
+        t, done = stack.pop()
+        if done is not None:
+            order.append(done)
+            continue
+        k = key(t)
+        if k in expanded:
+            continue
+        expanded.add(k)
         kids = children(t)
         if not kids:
-            values[key(t)] = leaf
+            order.append((t, k, None, None))
             continue
-        z, o = key(kids[0]), key(kids[1])
-        values[key(t)] = step(t, values[z], values[o])
+        zero, one = kids
+        z, o = key(zero), key(one)
+        readers[z] = readers.get(z, 0) + 1
+        readers[o] = readers.get(o, 0) + 1
+        stack += ((t, (t, k, z, o)), (one, None), (zero, None))
+    values: dict = {}
+    for t, k, z, o in order:
+        if z is None:
+            values[k] = leaf
+            continue
+        values[k] = step(t, values[z], values[o])
         for c in (z, o):
             readers[c] -= 1
             if not readers[c]:
                 del values[c]
-    return values[key(root)]
+    return values[k]  # the root's, last in the order
 
 
 def _same(a, b, label, children) -> bool:
@@ -213,23 +231,36 @@ def _e_step(a: tuple[int, int], b: tuple[int, int]) -> tuple[tuple[int, int], in
 _LEAF_E = (0, 0)
 
 
+def _stats_step(_, a, b):
+    """((E * 2^h, h), m_T, monotone) of a node from its children's."""
+    e, diff, h = _e_step(a[0], b[0])
+    return e, 1 + (a[1] if a[1] < b[1] else b[1]), a[2] and b[2] and abs(diff) <= 2 << h
+
+
+def tree_statistics(tree: MistakeTree) -> tuple[Fraction, int, int, bool]:
+    """(E_T, depth, m_T, monotone) of a tree, in one fold over its distinct
+    nodes; the four functions below each read one of them.  The height h of
+    the dyadic step is the depth."""
+    (e, h), shortest, monotone = _fold(tree, (_LEAF_E, 0, True), _stats_step)
+    return Fraction(e, 1 << h), h, shortest, monotone
+
+
 def expected_branch_length(tree: MistakeTree) -> Fraction:
     """E_T: expected length of a uniformly random root-to-leaf walk.
 
     Satisfies E_T = 1 + (E_{T0} + E_{T1}) / 2 at internal nodes and equals
     the explicit sum over branches of |b| * 2^-|b|.
     """
-    e, h = _fold(tree, _LEAF_E, lambda _, a, b: _e_step(a, b)[0])
-    return Fraction(e, 1 << h)
+    return tree_statistics(tree)[0]
 
 
 def min_branch_length(tree: MistakeTree) -> int:
     """m_T: length of the shortest root-to-leaf branch."""
-    return _fold(tree, 0, lambda _, a, b: 1 + min(a, b))
+    return tree_statistics(tree)[2]
 
 
 def depth(tree: MistakeTree) -> int:
-    return _fold(tree, 0, lambda _, a, b: 1 + max(a, b))
+    return tree_statistics(tree)[1]
 
 
 def branches(tree: MistakeTree) -> Iterator[ExampleSequence]:
@@ -249,12 +280,7 @@ def is_monotone(tree: MistakeTree) -> bool:
     Equivalently |E_{T0} - E_{T1}| <= 2 at every internal node, and exactly
     the condition under which :func:`quasi_balance_weights` succeeds.
     """
-
-    def step(_, a, b):  # ((E * 2^h, h), monotone) of a subtree from its children's
-        e, diff, h = _e_step(a[0], b[0])
-        return e, a[1] and b[1] and abs(diff) <= 2 << h
-
-    return _fold(tree, (_LEAF_E, True), step)[1]
+    return tree_statistics(tree)[3]
 
 
 # A weight node is ``(w0, zero's node, one's node, weighted paths from it)``;

@@ -30,6 +30,7 @@ from littlestone.classes import (
     restrict,
 )
 from littlestone.dimension import ComputeBudgetError, Solver, _levels, _tables, _W
+from littlestone.experts import ApproxValue, f_of
 from littlestone.games import _run
 from littlestone.learners import Learner
 from littlestone.trees import (
@@ -707,3 +708,22 @@ def reference_branch_length_law(tree: MistakeTree) -> dict[int, Fraction]:
         return out
 
     return _fold(tree, {0: Fraction(1)}, step)
+
+
+def reference_f_inverse(c: float) -> ApproxValue:
+    """``f_inverse`` as a fixed 200 bisection steps, without the early exit
+    once the bracket stops shrinking; it raises the same ArithmeticError."""
+    lo, hi = 1e-17, 0.5
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if f_of(mid).value > c:
+            lo = mid
+        else:
+            hi = mid
+    p = (lo + hi) / 2
+    residual = abs(f_of(p).value - c)
+    if residual > 1e-10:
+        raise ArithmeticError(
+            f"f_inverse({c}) did not converge: bracket [{lo}, {hi}], residual {residual}"
+        )
+    return ApproxValue(p, "root-find", residual)

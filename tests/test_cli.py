@@ -13,11 +13,17 @@ import pytest
 from conftest import recursion_limit, reference_nested_json
 
 import littlestone.cli
-from littlestone.cli import main
+from littlestone.cli import fmt, main
 from littlestone.classes import Domain, Member, WeightedClass, universal_class
 from littlestone.dimension import Solver
 from littlestone.experts import capacity_D
-from littlestone.trees import LEAF, node, tree_from_json, tree_to_json
+from littlestone.trees import (
+    LEAF,
+    expected_branch_length,
+    node,
+    tree_from_json,
+    tree_to_json,
+)
 
 
 def write_class_file(tmp_path, w, name="class.json"):
@@ -280,6 +286,25 @@ class TestTree:
         assert main(["--budget-states", "10", "--out", str(out), "tree", "extract", path]) == 3
         assert capsys.readouterr().err == "error: state budget of 10 exceeded\n"
         assert main(["--out", str(out), "tree", "extract", path]) == 0
+
+    @pytest.mark.parametrize("slack", ["1/16", "1/64"])
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1)])
+    def test_extract_reports_the_expected_length_of_its_file(self, tmp_path, capsys, n, k, slack):
+        # The E_T line is 2 RL_T from the memo; the file's E_T is folded.
+        path = write_class_file(tmp_path, universal_class(n, k))
+        out = tmp_path / "tree.json"
+        assert main(["--out", str(out), "tree", "extract", path, "--slack", slack]) == 0
+        e = expected_branch_length(tree_from_json(out.read_text())[0])
+        err = capsys.readouterr().err
+        assert err.startswith("# horizon ") and err.count("\n") == 1
+        assert err.endswith(f", E_T = {fmt(e)}, branch weight = {fmt(e / 2)}\n")
+
+    def test_extract_of_a_lone_leaf_reports_zero(self, tmp_path, capsys):
+        path = write_class_file(tmp_path, WeightedClass(Domain(("x", "y")), (Member("h", (0, 1), 0),)))
+        out = tmp_path / "tree.json"
+        assert main(["--out", str(out), "tree", "extract", path, "--slack", "1/16"]) == 0
+        assert tree_from_json(out.read_text()) == (LEAF, None)
+        assert capsys.readouterr().err == "# horizon 0, E_T = 0 (0), branch weight = 0 (0)\n"
 
     def test_analyze_reports_violation(self, tmp_path, capsys):
         from littlestone.trees import LEAF, complete_tree, node, tree_to_json

@@ -33,6 +33,7 @@ from littlestone.classes import (
     restrict,
     universal_class,
 )
+from littlestone import dimension
 from littlestone.dimension import (
     EMPTY,
     ComputeBudgetError,
@@ -917,6 +918,37 @@ class TestCountLattice:
             root = ref.version_space(w)
             for (state, t), value in s._counts["brl"][0].items():
                 assert ref.bounded_randomized_littlestone(root._child(state), t) == F(value, 2**t)
+
+    @pytest.mark.parametrize("horizon, read", [(1, 1), (2, 5), (3, 15), (8, 35)])
+    def test_a_bounded_query_reads_only_the_runs_within_its_horizon(self, monkeypatch, horizon, read):
+        # A run is the states that differ on level 0 only; rows are built
+        # for the states within horizon - 1 rounds, one _product per run.
+        # e(4,3) reaches 69 classes in 35 runs, each within 4 rounds.
+        w = expert_class(4, 3)
+        states, _, dists = _lattice(_pack(w.counts()))
+        runs = {s >> _W for s, d in zip(states, dists) if s and d < horizon}
+        ref = reference_count_solver()
+        value = ref.bounded_randomized_littlestone(w, horizon)
+        calls = []
+        product = dimension._product
+        monkeypatch.setattr(dimension, "_product", lambda *args: calls.append(args) or product(*args))
+        s = Solver()
+        assert s.bounded_randomized_littlestone(w, horizon) == value
+        assert s._counts["brl"][0] == ref._counts["brl"][0]
+        assert len(calls) == len(runs) == read
+
+    def test_a_horizon_search_builds_one_lattice(self, monkeypatch):
+        # The RL target's sweep and the rows read the same lattice.
+        w = expert_class(3, 2)
+        ref = reference_count_solver()
+        horizon = reference_horizon_for_slack(ref, w, F(1, 64))
+        calls = []
+        lattice = dimension._lattice
+        monkeypatch.setattr(dimension, "_lattice", lambda root: calls.append(root) or lattice(root))
+        s = Solver()
+        assert s.horizon_for_slack(w, F(1, 64)) == horizon
+        assert calls == [_pack(w.counts())]
+        assert s._counts["rl"][0] == ref._counts["rl"][0]
 
     @pytest.mark.parametrize("n, k, rl", [(128, 1, F(85, 16)), (32, 2, F(733, 128))])
     def test_wide_cells_pinned(self, n, k, rl):

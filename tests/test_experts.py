@@ -3,7 +3,9 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from conftest import reference_f_inverse
 
+from littlestone import experts
 from littlestone.experts import (
     binomial_estimate_check,
     binomial_sum,
@@ -127,6 +129,28 @@ class TestEntropyFamily:
         with pytest.raises(ValueError):
             f_inverse(0)
         assert f_inverse(1e-6).value == pytest.approx(0.5, abs=1e-2)
+
+    def test_f_inverse_equals_200_bisection_steps(self, monkeypatch):
+        # Every log2(n)/k that d_star asks for at n <= 64, k <= 12, and
+        # extremes on both sides, some of which do not converge.
+        grid = {math.log2(n) / k for n in range(2, 65) for k in range(1, 13)}
+        extremes = {1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e15, 1e16, 5e16, 1e300}
+
+        def outcome(inverse, c):
+            try:
+                return inverse(c)
+            except ArithmeticError as e:
+                return str(e)
+
+        for c in sorted(grid | extremes):
+            assert outcome(f_inverse, c) == outcome(reference_f_inverse, c), c
+        # The bisection stops once the bracket is two adjacent floats.
+        calls = []
+        monkeypatch.setattr(experts, "f_of", lambda p: calls.append(p) or f_of(p))
+        for c in grid:
+            calls.clear()
+            f_inverse(c)
+            assert len(calls) <= 64, (c, len(calls))
 
     def test_f_inverse_residual(self):
         for c in (0.25, 1.0, 2.0, 10.0):

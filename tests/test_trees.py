@@ -50,6 +50,7 @@ from littlestone.trees import (
     sample_branch,
     shatter_check,
     tree_from_json,
+    tree_statistics,
     tree_to_json,
     truncate,
 )
@@ -354,6 +355,22 @@ class TestDeepTrees:
         assert min_branch_length(t) == 1
         assert depth(t) == d
         assert is_monotone(t)
+
+    def test_one_fold_statistics_of_a_25000_deep_left_path_in_linear_memory(self):
+        # E_T * 2^h has h bits at height h, so a fold keeping every node's
+        # value peaks at about 53 MiB here, and one dropping each value after
+        # its parent at about 10 MiB; the weights test's 64 MiB would not
+        # tell them apart.
+        d = 25_000
+        t = deep_left_path(d)
+        tracemalloc.start()
+        try:
+            stats = tree_statistics(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats == (2 - F(1, 2 ** (d - 1)), d, 1, True)
+        assert peak < 32 * 2**20
 
     def test_weights_of_a_path_deeper_than_the_recursion_limit(self):
         # The recursion limit is lowered below the depth: nothing recurses.
@@ -1098,3 +1115,26 @@ class TestFlatFiles:
         with pytest.raises(ValueError) as err:
             tree_from_json(json.dumps(doc))
         assert str(err.value).startswith("tree file") and message in str(err.value)
+
+
+def statistics_by_branches(tree: MistakeTree) -> tuple[F, int, int, bool]:
+    """(E_T, depth, m_T, monotone) from the root paths that :func:`branches`
+    lists: E of the subtree at each label prefix p sums, over the branches
+    through p, (|b| - |p|) / 2^(|b| - |p|), and a leaf's is 0."""
+    paths = [tuple(y for _, y in b) for b in branches(tree)]
+    e: dict[tuple, F] = {}
+    for b in paths:
+        for i in range(len(b)):
+            e[b[:i]] = e.get(b[:i], 0) + F(len(b) - i, 2 ** (len(b) - i))
+    monotone = all(abs(e.get(p + (0,), 0) - e.get(p + (1,), 0)) <= 2 for p in e)
+    lengths = list(map(len, paths))
+    return e.get((), F(0)), max(lengths), min(lengths), monotone
+
+
+class TestOneFold:
+    @given(shared_dags())
+    @settings(max_examples=300, deadline=None)
+    def test_statistics_equal_the_branch_enumeration(self, tree):
+        stats = tree_statistics(tree)
+        assert stats == statistics_by_branches(tree)
+        assert stats == (expected_branch_length(tree), depth(tree), min_branch_length(tree), is_monotone(tree))
