@@ -38,6 +38,20 @@ maximum one C-level ``max(map(add or min, ...))`` over its pairs of
 children; RL runs at the root's scale 2^P and writes each state at its own.
 RL_T runs the level sweep below on rows built from the same positions.
 
+L is pruned by Berlekamp's volume bound.  A depth-m tree shattered by a
+class has 2^m branches, and a member of remaining budget j is consistent
+with at most V(m, j) = sum over i <= j of C(m, i) of them, so
+2^m <= S(m) = sum over i of above_i * C(m, i), where above_i counts the
+members of remaining budget at least i.  As above_i does not grow with i,
+S(m + 1) <= 2 * S(m), so the m the bound admits form a prefix and one test
+at best + 1 tells whether L can still beat ``best``.  The explicit rule
+stops its move scan once that test fails, and skips a move's second child
+once the first cannot beat ``best``; so the L memo of a frame holds only
+the states that search visited.  The count sweep writes L(p) = L(p - 1),
+with no scan, when the state p - 1 one level-0 expert smaller (a sub-class,
+so L(p) >= L(p - 1)) already reaches the bound; every lattice state is
+still written.
+
 Explicit states are packed into one int each, within a frame built once from
 a root class's canonical members: one bit per member slot, one column mask
 per domain point, and layer j of the int masking the members with remaining
@@ -87,7 +101,8 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
+from math import comb
 from operator import add, mul, rshift
 
 from .classes import ExpertClass, WeightedClass, restrict
@@ -219,6 +234,27 @@ def _x_expand(frame: _Frame, state: int):
     )
 
 
+def _x_room(frame: _Frame, state: int, m: int) -> bool:
+    """Whether the volume bound admits L >= m at an explicit state.  A
+    member of remaining budget at least m is consistent with every branch,
+    so only a state whose layer m is empty needs above_i, the popcount of
+    each layer i."""
+    if state >> m * frame.width:
+        return True
+    above = []
+    while state:
+        above.append((state & frame.mask).bit_count())
+        state >>= frame.width
+    return _volume(above, m) >= 1 << m
+
+
+def _volume(above: list[int], m: int) -> int:
+    """S(m) = sum over i of above[i] * C(m, i): how many branches of a
+    depth-m tree the members can be consistent with, ``above[i]`` of them
+    of remaining budget at least i.  A class with L >= m has 2^m <= S(m)."""
+    return sum(map(mul, above, map(comb, repeat(m), range(m + 1))))
+
+
 def _pack(counts) -> int:
     """The packed count state of per-level counts (index = remaining budget)."""
     state = 0
@@ -235,6 +271,12 @@ def _levels(state: int) -> memoryview:
     data = state.to_bytes(-(-state.bit_length() // _W) * 4, sys.byteorder)
     levels = memoryview(data).cast("I")  # native 32-bit words
     return levels if sys.byteorder == "little" else levels[::-1]
+
+
+def _u_above(state: int) -> list[int]:
+    """above_i of a packed count state per level i: the experts of remaining
+    budget at least i, a suffix sum of the level counts."""
+    return list(accumulate(reversed(_levels(state))))[::-1]
 
 
 def _share(level: int) -> int:
@@ -509,14 +551,24 @@ def _space(v: VersionSpace) -> tuple:
     return partial(_x_rows, v.frame), partial(_x_moves, v.frame)
 
 
-def _l_rule(expand, state):
-    """L: 1 + min over the two children, maximized over moves."""
+def _l_rule(room, expand, state):
+    """L: 1 + min over the two children, maximized over moves.  The scan
+    stops once ``room(state, best + 1)``, the volume bound, rules out
+    beating ``best``, and a move whose child under 0 is below ``best``
+    cannot beat it, so its child under 1 is never visited."""
     _, _, dec, splits = expand(state)
     best = 0 if dec is None else 1 + (yield dec)
+    tested = None  # the best whose room was last tested
     for _, child0, child1 in splits:
-        v = 1 + min((yield child0), (yield child1))
-        if v > best:
-            best = v
+        if tested != best:
+            if not room(state, best + 1):
+                break
+            tested = best
+        zero = yield child0
+        if zero >= best:
+            one = yield child1
+            if one >= best:
+                best = 1 + min(zero, one)
     return best
 
 
@@ -560,12 +612,13 @@ def _empty_or_horizon(key) -> int | None:
     return 0 if t == 0 else None
 
 
-def _tables(expand) -> dict:
+def _tables(expand, l_rule) -> dict:
     """One (memo, solve) table per value over one frame's states:
-    ``solve(solver, key)`` runs :meth:`Solver._dp` on the value's rule."""
+    ``solve(solver, key)`` runs :meth:`Solver._dp` on the value's rule over
+    ``expand``, L's rule being ``l_rule``."""
     tables = {}
     for value, rule, leaf in (
-        ("l", _l_rule, _empty),
+        ("l", l_rule, _empty),
         ("rl", _rl_rule, _empty),
         ("brl", _brl_rule, _empty_or_horizon),
     ):
@@ -619,7 +672,7 @@ class Solver:
             if state is not None:
                 return frame, tables, state
         frame = _Frame(key)
-        tables = _tables(partial(_x_expand, frame))
+        tables = _tables(partial(_x_expand, frame), partial(_l_rule, partial(_x_room, frame)))
         self._frames.append((frame, tables))
         return frame, tables, frame.encode(key)
 
@@ -687,14 +740,28 @@ class Solver:
             values[0] = EMPTY
         get = values.__getitem__
         pair = add if randomized else min
+        # L: the run predecessor p - 1, one level-0 expert short, is a
+        # sub-class, so L(p) >= L(p - 1).  Along a run only above_0 grows, by
+        # d0, and C(m, 0) = 1, so S(m) at p is the run's S(m) plus d0: when it
+        # leaves no room for L(p - 1) + 1, L(p) = L(p - 1) with no scan.
+        tested = None  # (run start, m) of the run's S(m) in ``room``
         for p, d0, n, p0, p1, down in _pairs(states):
-            if p:
-                best = max(map(pair, map(get, map(d0.__add__, islice(p0, n))), map(get, islice(p1, n))))
-                if randomized:
-                    loop, best = full + values[down], half + (best >> 1)
-                    values[p] = loop if loop > best else best
-                else:
-                    values[p] = 1 + max(values[down], best)
+            if not p:
+                continue
+            if not randomized and d0:
+                m = values[p - 1] + 1
+                if tested != (p - d0, m):
+                    tested = (p - d0, m)
+                    room = _volume(_u_above(states[p - d0]), m)
+                if room + d0 < 1 << m:
+                    values[p] = m - 1
+                    continue
+            best = max(map(pair, map(get, map(d0.__add__, islice(p0, n))), map(get, islice(p1, n))))
+            if randomized:
+                loop, best = full + values[down], half + (best >> 1)
+                values[p] = loop if loop > best else best
+            else:
+                values[p] = 1 + max(values[down], best)
         live = islice(values, 1, None)
         if randomized:
             live = map(rshift, live, map(top.__sub__, islice(powers, 1, None)))

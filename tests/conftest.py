@@ -14,7 +14,7 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import compress, islice, product
 from operator import add, sub
 
@@ -29,7 +29,15 @@ from littlestone.classes import (
     min_mistakes,
     restrict,
 )
-from littlestone.dimension import ComputeBudgetError, Solver, _levels, _tables, _W
+from littlestone.dimension import (
+    ComputeBudgetError,
+    Solver,
+    _empty,
+    _levels,
+    _tables,
+    _W,
+    _x_expand,
+)
 from littlestone.experts import ApproxValue, f_of
 from littlestone.games import _run
 from littlestone.learners import Learner
@@ -279,13 +287,35 @@ def reference_u_moves(state: int):
         yield None, s, child0, child1
 
 
+def reference_l_rule(expand, state):
+    """L: 1 + min over the two children, maximized over every move, with no
+    bound and no cutoff: the DP visits every state the root reaches."""
+    _, _, dec, splits = expand(state)
+    best = 0 if dec is None else 1 + (yield dec)
+    for _, child0, child1 in splits:
+        v = 1 + min((yield child0), (yield child1))
+        if v > best:
+            best = v
+    return best
+
+
 def reference_count_solver(state_budget: int | None = None) -> Solver:
     """A Solver whose L, RL and RL_T queries on count states run the
-    generator DP: ``Solver._dp`` on the three rules over
-    :func:`reference_u_expand`, one state per visit, into the same memos."""
+    generator DP: ``Solver._dp`` on :func:`reference_l_rule` and the RL and
+    RL_T rules over :func:`reference_u_expand`, one state per visit, into
+    the same memos."""
     solver = Solver(state_budget)
-    solver._counts = _tables(reference_u_expand)
+    solver._counts = _tables(reference_u_expand, reference_l_rule)
     return solver
+
+
+def reference_frame_l(frame, state: int) -> dict[int, int]:
+    """The L memo of the unpruned generator DP from ``state`` in ``frame``:
+    :func:`reference_l_rule` at every state ``state`` reaches."""
+    memo: dict[int, int] = {}
+    body = partial(reference_l_rule, partial(_x_expand, frame))
+    Solver()._dp(state, memo, body, _empty, charge=False)
+    return memo
 
 
 def reference_count_law(w: ExpertClass, horizon: int) -> tuple[int, ...]:

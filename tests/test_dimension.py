@@ -13,6 +13,7 @@ from conftest import (
     reference_count_law,
     reference_count_solver,
     reference_count_splits,
+    reference_frame_l,
     reference_horizon_for_slack,
     reference_nested_json,
     reference_u_expand,
@@ -42,10 +43,13 @@ from littlestone.dimension import (
     _lattice,
     _levels,
     _pack,
+    _u_above,
     _u_moves,
+    _volume,
     _W,
     _x_expand,
     _x_moves,
+    _x_room,
 )
 from littlestone.experts import mstar2_closed_form
 from littlestone.trees import (
@@ -496,7 +500,7 @@ class TestDyadicEngine:
         "query, expected",
         [
             (lambda s: s.randomized_littlestone(universal_class(3, 2)), 63),
-            (lambda s: s.littlestone(universal_class(3, 2)), 63),
+            (lambda s: s.littlestone(universal_class(3, 2)), 44),
             (lambda s: s.randomized_littlestone(expert_class(8, 2)), 164),
             (lambda s: s.bounded_randomized_littlestone(expert_class(4, 3), 8), 332),
         ],
@@ -512,7 +516,7 @@ class TestDyadicEngine:
     @pytest.mark.parametrize(
         "query, passing, kept",
         [
-            (lambda s: s.littlestone(universal_class(3, 2)), 59, 59),
+            (lambda s: s.littlestone(universal_class(3, 2)), 40, 40),
             (lambda s: s.randomized_littlestone(expert_class(8, 2)), 164, 0),
             (lambda s: s.bounded_randomized_littlestone(expert_class(4, 3), 8), 332 + 69, 0),
             (lambda s: s.extract_optimal_tree(universal_class(2, 2), 6), 55, 55),
@@ -852,7 +856,7 @@ def count_roots(draw) -> tuple[ExpertClass, list[tuple[str, int]]]:
     return ExpertClass(tuple(budgets)), draw(st.lists(st.tuples(advice, st.integers(0, 1)), max_size=3))
 
 
-def _stepped(solver: Solver, w: ExpertClass, examples):
+def _stepped(solver: Solver, w: WeightedClass | ExpertClass, examples):
     v = solver.version_space(w)
     for x, y in examples:
         v = v.step(x, y)
@@ -955,6 +959,89 @@ class TestCountLattice:
         assert Solver().randomized_littlestone(expert_class(n, k)) == rl
 
 
+def _layers(frame: _Frame, state: int) -> list[int]:
+    """above_i of an explicit state: the popcount of each layer i."""
+    layers = -(-state.bit_length() // frame.width)
+    return [(state >> i * frame.width & frame.mask).bit_count() for i in range(layers)]
+
+
+def _assert_within_reference(memo: dict, reference: dict) -> None:
+    """Every entry of a pruned L memo is a state the reference reached,
+    at the reference's value."""
+    assert memo.keys() <= reference.keys()
+    assert all(reference[state] == value for state, value in memo.items())
+
+
+class TestVolumeBound:
+    """L pruned by the volume bound against the unpruned generator DP."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(explicit_classes(), repeated_row_classes(), tricky_classes()),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), max_size=3),
+    )
+    def test_pruned_explicit_l_equals_the_reference_dp(self, w, examples):
+        points = w.domain.points
+        examples = [(points[i % len(points)], y) for i, y in examples]
+        s = Solver()
+        root = s.version_space(w)
+        reference = reference_frame_l(root.frame, root.state)
+        for depth in range(len(examples) + 1):
+            # A fresh Solver on the version space alone, then the class's.
+            fresh = Solver()
+            u = _stepped(fresh, w, examples[:depth])
+            assert fresh.littlestone(u) == reference.get(u.state, EMPTY)
+            _assert_within_reference(u.tables["l"][0], reference)
+            v = _stepped(s, w, examples[:depth])
+            assert v.state == u.state
+            assert s.littlestone(v) == reference.get(v.state, EMPTY)
+        _assert_within_reference(root.tables["l"][0], reference)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            universal_class(3, 2),
+            universal_class(8, 1),
+            *(
+                random_weighted_class(random.Random(seed), max_points=4, max_members=6, max_budget=3)
+                for seed in range(4)
+            ),
+        ],
+        ids=["u32", "u81", "rand0", "rand1", "rand2", "rand3"],
+    )
+    def test_the_room_test_admits_l_on_every_frame_state(self, w):
+        frame = _Frame(w.state_key())
+        reference = reference_frame_l(frame, frame.encode(w.state_key()))
+        for state, l in reference.items():
+            above = _layers(frame, state)
+            assert _x_room(frame, state, l)
+            for m in range(l + 2):
+                assert _x_room(frame, state, m) == (_volume(above, m) >= 1 << m)
+                # So the admitted m form a prefix, and one test at best + 1
+                # tells whether L can beat best.
+                assert _volume(above, m + 1) <= 2 * _volume(above, m)
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (16, 2), (4, 10)])
+    def test_the_room_test_admits_l_on_every_lattice_state(self, n, k):
+        w = expert_class(n, k)
+        ref = reference_count_solver()
+        ref.littlestone(w)
+        reference = ref._counts["l"][0]
+        assert len(reference) == len(_lattice(_pack(w.counts()))[0]) - 1
+        for state, l in reference.items():
+            above = _u_above(state)
+            d0 = state & (1 << _W) - 1
+            high = _u_above(state - d0)
+            assert _volume(above, l) >= 1 << l
+            for m in range(l + 2):
+                # Along a run only above_0 moves: S(m) is the run's plus d0.
+                assert _volume(above, m) == _volume(high, m) + d0
+                assert _volume(above, m + 1) <= 2 * _volume(above, m)
+        s = Solver()
+        s.littlestone(w)
+        assert s._counts["l"][0] == reference
+
+
 class TestFrames:
     def test_version_spaces_reuse_the_class_memo(self, rng):
         classes = [universal_class(3, 2)] + [random_weighted_class(rng) for _ in range(3)]
@@ -963,10 +1050,11 @@ class TestFrames:
             s.littlestone(w)
             s.randomized_littlestone(w)
             if w == classes[0]:
-                assert s.states_visited == 126
+                assert s.states_visited == 63 + 44  # RL's every state, L's pruned search
             horizon = 4
             s.bounded_randomized_littlestone(w, horizon)
-            before = s.states_visited
+            ((_, tables),) = s._frames
+            before = {value: len(tables[value][0]) for value in ("rl", "brl")}
             v = w
             for depth in range(horizon):
                 x = rng.choice(v.domain.points)
@@ -977,7 +1065,10 @@ class TestFrames:
                 assert s.bounded_randomized_littlestone(
                     v, horizon - depth - 1
                 ) == fresh.bounded_randomized_littlestone(v, horizon - depth - 1)
-            assert s.states_visited == before
+            # The pruned L search may reach a version space's state only now;
+            # RL and RL_T wrote every state, so they find each one.
+            assert len(s._frames) == 1
+            assert {value: len(tables[value][0]) for value in ("rl", "brl")} == before
 
     @pytest.mark.parametrize(
         "sub",
