@@ -1,5 +1,6 @@
 """Exact Littlestone and randomized Littlestone dimensions: a lattice sweep on
-count states, and an explicit-stack DP on explicit classes.
+count states, an explicit-stack DP on explicit classes, and one level sweep
+for the bounded value in both.
 
 The deterministic dimension of a weighted class obeys
 
@@ -36,7 +37,9 @@ offsets in O's level-0 count from two positions per O above level 0, one
 lookup each per run.  L and RL take one pass in that order, each state's
 maximum one C-level ``max(map(add or min, ...))`` over its pairs of
 children; RL runs at the root's scale 2^P and writes each state at its own.
-RL_T runs the level sweep below on rows built from the same positions.
+RL_T runs the level sweep below on rows built from the same positions; a
+bounded query at horizon T builds only the states whose sorted budgets each
+lie within T of the root's.
 
 L is pruned by Berlekamp's volume bound.  A depth-m tree shattered by a
 class has 2^m branches, and a member of remaining budget j is consistent
@@ -75,15 +78,19 @@ RL(W, T) * 2^T is an integer, so one bounded step is
 2^(T-1) + RL(W0, T-1)*2^(T-1) + RL(W1, T-1)*2^(T-1).  The public methods
 return the exact ``Fraction``; deterministic dimensions are ints.
 
-On explicit frames one loop, :meth:`Solver._dp`, computes the value of
-every query and the optimal tree: each one-step rule is a generator that
-yields child keys and is sent their values, and the loop keeps the memo on
-an explicit stack, not recursion.  The horizon search needs RL(W, t) for
-t = 1, 2, ... in turn, so in either space it builds, once, the index lists
-of each reachable state's pairs of children and sweeps RL_t * 2^t of all of
-them upward, a level at a time, over flat int lists, writing each level
-into the RL_T memo.  A bounded query on count states runs the same sweep,
-computing at level t only the states within T - t rounds of the root.
+On explicit frames one loop, :meth:`Solver._dp`, computes L and RL and
+folds the optimal tree: each one-step rule is a generator that yields child
+keys and is sent their values, and the loop keeps the memo on an explicit
+stack, not recursion.  RL_T runs one level sweep in either space.  It
+builds, once, the states by distance from the root (breadth first on a
+frame, from the lattice on count states) and the index lists of each one's
+pairs of children, then sweeps RL_t * 2^t upward, a level at a time, over
+flat int lists, writing each level into the RL_T memo.  A bounded query
+expands only the states within T - 1 rounds and computes at level t only
+those within T - t rounds, a prefix of the states by distance; so it writes
+every such state, where a DP would write those it reaches in exactly T - t
+moves.  The horizon search, which needs RL(W, t) for t = 1, 2, ... in turn,
+expands every reachable state and sweeps until its target is met.
 
 One walk over the RL_T memo, :meth:`Solver._walk`, reads the optimal tree
 off it through the same loop: each (state, t) key takes the first move
@@ -307,14 +314,19 @@ def _product(occupied: list[tuple[int, int]], share=_share) -> list[int]:
     return out
 
 
-def _lattice(root: int) -> tuple[list[int], list[int], list[int]]:
+def _lattice(root: int, horizon: int | None = None) -> tuple[list[int], list[int], list[int]]:
     """Every count state the count state ``root`` reaches, ascending, with
-    its P and its distance: the fewest rounds from ``root`` to it.
+    its P and its distance: the fewest rounds from ``root`` to it.  With
+    ``horizon``, only the states whose matched gap is at most ``horizon``.
 
     With budgets sorted in descending order, a root a reaches exactly the
     states b with b_i <= a_i for each i <= len(b): its tail-dominated
-    lattice.  The distance is the largest a_i - b_i over those i, and
-    a_i + 1 over the root's experts past len(b).  The empty class is first.
+    lattice.  The distance is the largest a_i - b_i over those i, the
+    matched gap, and a_i + 1 over the root's experts past len(b).  The empty
+    class is first.  The gap never falls as a state takes more experts, and
+    a child's gap is at most its parent's + 1, so the states within
+    ``horizon - 1`` rounds keep their children, their runs' heads (level-0
+    count 0) and the heads' children: all a level sweep to ``horizon`` reads.
     """
     levels = _levels(root)
     budgets = list(chain.from_iterable(map(repeat, reversed(range(len(levels))), reversed(levels))))
@@ -324,10 +336,11 @@ def _lattice(root: int) -> tuple[list[int], list[int], list[int]]:
     frontier = [(0, budgets[0], 0, 0)]
     found = [(0, 0, budgets[0] + 1)]
     for a, unmatched in zip(budgets, islice(budgets, 1, None)):
+        least = 0 if horizon is None else max(a - horizon, 0)  # a gap a - b past horizon is dropped
         frontier = [
             (state + (1 << _W * b), b, power + b + 1, max(gap, a - b))
             for state, top, power, gap in frontier
-            for b in range(min(top, a) + 1)
+            for b in range(least, min(top, a) + 1)
         ]
         found += [(state, power, max(gap, unmatched + 1)) for state, _, power, gap in frontier]
     found.sort()
@@ -376,17 +389,23 @@ def _pairs(states: list[int], needed: list[bool] | None = None):
             yield b0 + d0, d0, ((d0 + 1) * len(aa) + 1) // 2, p0, p1, down
 
 
-def _lattice_rows(states: list[int], dists: list[int], horizon: int | None = None):
-    """The level sweep's input over a lattice: its states by distance, the
-    empty class first and the root second, and per state within
+def _count_rows(root: int, charge=None, horizon: int | None = None, lattice=None):
+    """The level sweep's input over the count states ``root`` reaches: the
+    states by distance, the empty class first and the root second, up to
+    ``horizon`` rounds if given; their distances; and per state within
     ``horizon - 1`` rounds (every one if None), in that order, the position
     lists (i0, i1) of its pairs of children from :func:`_pairs`, the
-    self-loop's pair of the state and its decremented state among them."""
+    self-loop's pair of the state and its decremented state among them.
+    The rows are charged to ``charge``, if given, before they are built;
+    ``lattice`` is ``_lattice(root)`` if already built."""
+    states, _, dists = lattice or _lattice(root, horizon)
     order = sorted(range(1, len(states)), key=dists.__getitem__)
     ranked = list(map(dists.__getitem__, order))
     if horizon is not None:
         order = order[: bisect_right(ranked, horizon)]
     rows: list = [None] * (len(order) if horizon is None else bisect_right(ranked, horizon - 1))
+    if charge is not None:
+        charge(len(rows))
     where = [0] * len(states)  # 0, the empty class's, past ``order``: never read
     for i, p in enumerate(order, 1):
         where[p] = i
@@ -395,49 +414,48 @@ def _lattice_rows(states: list[int], dists: list[int], horizon: int | None = Non
     for p, d0, n, p0, p1, _ in _pairs(states, needed):
         if 0 < where[p] <= len(rows):
             rows[where[p] - 1] = (list(map(get, map(d0.__add__, islice(p0, n)))), list(map(get, islice(p1, n))))
-    return [0, *map(states.__getitem__, order)], rows
+    return [0, *map(states.__getitem__, order)], [0, *islice(ranked, len(order))], rows
 
 
-def _count_rows(root: int, charge=None, lattice=None):
-    """:func:`_lattice_rows` of every state ``root`` reaches, each held row
-    charged to ``charge`` first if given; ``lattice`` is ``_lattice(root)``
-    if already built."""
-    states, _, dists = lattice or _lattice(root)
-    if charge is not None:
-        charge(len(states) - 1)
-    return _lattice_rows(states, dists)
-
-
-def _x_rows(frame: _Frame, root: int, charge=None):
-    """The level sweep's input over the states ``root`` reaches in ``frame``:
-    the states, index 0 the empty class and index 1 ``root``, and per state
-    from index 1 on the index lists (i0, i1) of its moves' children, a
-    self-loop as the pair of the state and its decremented state.  Each
-    expansion is charged to ``charge``, if given, with the rows held."""
+def _x_rows(frame: _Frame, root: int, charge=None, horizon: int | None = None):
+    """The level sweep's input over the states ``root`` reaches in ``frame``,
+    found breadth first: the states, index 0 the empty class and index 1
+    ``root``; their distances, which do not fall from index 1 on; and per
+    state from index 1 on within ``horizon - 1`` rounds (every one if None)
+    the index lists (i0, i1) of its moves' children, a self-loop as the pair
+    of the state and its decremented state.  The expansion stops at the
+    first state past that, so the states are those within ``horizon``
+    rounds.  Each expansion is charged to ``charge``, if given, with the
+    rows held."""
     states = [0, root]
+    dists = [0, 0]
     index = {0: 0, root: 1}
     rows: list[tuple[list[int], list[int]]] = []
 
-    def indices(children) -> list[int]:
+    def indices(children, dist: int) -> list[int]:
         out = []
         for child in children:
             i = index.setdefault(child, len(states))
             if i == len(states):
                 states.append(child)
+                dists.append(dist)
             out.append(i)
         return out
 
     for j, state in enumerate(islice(states, 1, None), 1):  # grows as states are found
+        dist = dists[j] + 1
+        if horizon is not None and dist > horizon:
+            break
         if charge is not None:
             charge(len(rows) + 1)
         _, _, dec, splits = _x_expand(frame, state)
-        i0 = indices(child0 for _, child0, _ in splits)
-        i1 = indices(child1 for _, _, child1 in splits)
+        i0 = indices((child0 for _, child0, _ in splits), dist)
+        i1 = indices((child1 for _, _, child1 in splits), dist)
         if dec is not None:  # the self-loop: the state itself, and decremented
             i0.append(j)
-            i1 += indices((dec,))
+            i1 += indices((dec,), dist)
         rows.append((i0, i1))
-    return states, rows
+    return states, dists, rows
 
 
 def _rl_level(rows, values: list[int], t: int) -> list[int]:
@@ -584,21 +602,6 @@ def _rl_rule(expand, state):
     return best
 
 
-def _brl_rule(expand, key):
-    """RL_T * 2^t of a (state, t) key: 2^(t-1) plus both children at t - 1.
-    A self-loop needs no fixed point, since the horizon strictly decreases."""
-    state, t = key
-    _, _, dec, splits = expand(state)
-    t -= 1
-    half = 1 << t
-    best = 0 if dec is None else half + (yield state, t) + (yield dec, t)
-    for _, child0, child1 in splits:
-        v = half + (yield child0, t) + (yield child1, t)
-        if v > best:
-            best = v
-    return best
-
-
 def _empty(state) -> int | None:
     """Leaf of L and RL: the empty class."""
     return None if state else EMPTY
@@ -612,21 +615,6 @@ def _empty_or_horizon(key) -> int | None:
     return 0 if t == 0 else None
 
 
-def _tables(expand, l_rule) -> dict:
-    """One (memo, solve) table per value over one frame's states:
-    ``solve(solver, key)`` runs :meth:`Solver._dp` on the value's rule over
-    ``expand``, L's rule being ``l_rule``."""
-    tables = {}
-    for value, rule, leaf in (
-        ("l", l_rule, _empty),
-        ("rl", _rl_rule, _empty),
-        ("brl", _brl_rule, _empty_or_horizon),
-    ):
-        memo: dict = {}
-        tables[value] = (memo, partial(Solver._dp, memo=memo, body=partial(rule, expand), leaf=leaf))
-    return tables
-
-
 class ComputeBudgetError(RuntimeError):
     """A configured cap on visited dynamic-programming states was exceeded."""
 
@@ -636,7 +624,8 @@ class Solver:
 
     One (memo, solve) table per value and state space: the count space,
     whose values sweep the lattice a count state reaches, and each
-    :class:`_Frame` of packed explicit states, whose values run the DP.  The
+    :class:`_Frame` of packed explicit states, whose L and RL run the DP;
+    RL_T runs the level sweep in both.  The
     RL memos hold RL * 2^P and the RL_T memos RL_T * 2^T as ints.  Every
     query takes a class or a :class:`VersionSpace` and reads its state's
     memo entry.
@@ -648,7 +637,7 @@ class Solver:
         self._counts = {
             "l": (l, partial(Solver._sweep, memo=l, randomized=False)),
             "rl": (rl, partial(Solver._sweep, memo=rl, randomized=True)),
-            "brl": (brl, partial(Solver._sweep_levels, memo=brl)),
+            "brl": (brl, partial(Solver._sweep_levels, memo=brl, build_rows=_count_rows)),
         }
         # Each frame with its tables; the tables' rules hold the frame, so
         # the frame must not hold them back, or a dropped Solver is a cycle.
@@ -672,7 +661,14 @@ class Solver:
             if state is not None:
                 return frame, tables, state
         frame = _Frame(key)
-        tables = _tables(partial(_x_expand, frame), partial(_l_rule, partial(_x_room, frame)))
+        expand = partial(_x_expand, frame)
+        l_rule = partial(_l_rule, partial(_x_room, frame), expand)
+        l, rl, brl = {}, {}, {}
+        tables = {
+            "l": (l, partial(Solver._dp, memo=l, body=l_rule, leaf=_empty)),
+            "rl": (rl, partial(Solver._dp, memo=rl, body=partial(_rl_rule, expand), leaf=_empty)),
+            "brl": (brl, partial(Solver._sweep_levels, memo=brl, build_rows=partial(_x_rows, frame))),
+        }
         self._frames.append((frame, tables))
         return frame, tables, frame.encode(key)
 
@@ -768,29 +764,28 @@ class Solver:
         memo.update(zip(islice(states, 1, None), live))
         return values[-1]
 
-    def _sweep_levels(self, key: tuple[int, int], memo: dict) -> int:
-        """RL_T * 2^T of a (count state, T) key by the level sweep: level t
-        computes the states within T - t rounds of the root, the DP's keys
-        exactly, and writes them into ``memo``."""
+    def _sweep_levels(self, key: tuple[int, int], memo: dict, build_rows) -> int:
+        """RL_T * 2^T of a (state, T) key by the level sweep over
+        ``build_rows(root, charge, T)``, :func:`_count_rows` or
+        :func:`_x_rows`: level t computes the states within T - t rounds of
+        the root, a prefix of the states by distance, and writes them into
+        ``memo``.  The rows are charged as they are built, then every key
+        the sweep writes, before any is computed."""
         value = _empty_or_horizon(key)
         if value is not None:
             return value
         root, horizon = key
-        states, _, dists = _lattice(root)
-        ranked = sorted(islice(dists, 1, None))
-        # Per level t, the states within horizon - t rounds.
-        sizes = [bisect_right(ranked, horizon - t) for t in range(horizon + 1)]
+        states, dists, rows = build_rows(root, self._charge if self.state_budget is not None else None, horizon)
         keys = (
             (state, t)
             for state, dist in zip(islice(states, 1, None), islice(dists, 1, None))
             for t in range(1, horizon - dist + 1)
         )
-        self._charge_new(memo, keys, held=sizes[1])  # and the rows
-        live, rows = _lattice_rows(states, dists, horizon)
-        values = [-1] + [0] * sizes[0]
+        self._charge_new(memo, keys, held=len(rows))
+        values = [-1] + [0] * (len(states) - 1)
         for t in range(1, horizon + 1):
-            values = _rl_level(islice(rows, sizes[t]), values, t)
-            memo.update(zip(zip(islice(live, 1, None), repeat(t)), islice(values, 1, None)))
+            values = _rl_level(islice(rows, bisect_right(dists, horizon - t, 1) - 1), values, t)
+            memo.update(zip(zip(islice(states, 1, None), repeat(t)), islice(values, 1, None)))
         return values[1]
 
     # -- queries -------------------------------------------------------------
@@ -883,8 +878,9 @@ class Solver:
         if v.is_empty:
             raise ValueError("the empty class has no strategy tree")
         # Fill the RL_T memo through the public query, so that wrappers which
-        # time or count the queries see this work too.  Every key the walk
-        # reaches, this run reached: its value is its memo entry or its leaf.
+        # time or count the queries see this work too.  The sweep wrote at
+        # each level t every state within horizon - t rounds, so every key
+        # the walk reaches is a memo entry or a leaf.
         self.bounded_randomized_littlestone(v, horizon)
         memo, moves = v.tables["brl"][0], _space(v)[1]
 
@@ -914,15 +910,16 @@ class Solver:
     ) -> int:
         """Smallest horizon T with RL(W, T) >= RL(W) - slack.
 
-        One upward sweep: the states reachable from W and, per state, the
-        index lists of its pairs of children are built once (a self-loop as
-        the pair of the state and its decremented state; from the lattice on
-        count states, by expansion in a frame), and RL_t * 2^t of every state
-        is computed for t = 1, 2, ... from level t - 1 over flat int lists.
-        The first t at which W's value reaches the target is returned, so no
-        monotonicity in t is assumed.  Each level is written into the RL_T
-        memo, where an extraction at T finds every value it reads.  The state
-        budget is charged for the rows held and each value stored.
+        The level sweep of a bounded query without a horizon: every state
+        reachable from W and, per state, the index lists of its pairs of
+        children are built once (a self-loop as the pair of the state and its
+        decremented state), by the same rows builder, and RL_t * 2^t of every
+        state is computed for t = 1, 2, ... from level t - 1 over flat int
+        lists.  The first t at which W's value reaches the target is
+        returned, so no monotonicity in t is assumed.  Each level is written
+        into the RL_T memo, where an extraction at T finds every value it
+        reads.  The state budget is charged for the rows held and each level
+        as it is computed.
         """
         slack = Fraction(slack)
         if slack <= 0:
@@ -938,7 +935,7 @@ class Solver:
         if v.is_empty or target <= 0:  # RL(W, 0) is -1, resp. 0
             return 0
         charge = self._charge if self.state_budget is not None else None
-        states, rows = build_rows(v.state, charge)
+        states, _, rows = build_rows(v.state, charge)
         memo = v.tables["brl"][0]
         live = states[1:]
         num, den = target.numerator, target.denominator

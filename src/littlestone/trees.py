@@ -136,36 +136,36 @@ def _children(t: MistakeTree) -> tuple:
     return () if t.is_leaf else (t.zero, t.one)
 
 
-def _walk(root, children=_children, key=id) -> tuple[list[tuple[object, tuple]], list]:
-    """Every distinct item (node, by default) once, without recursion: in
-    left-first preorder, with the root path of that first visit as a link list
-    ``(parent's link, bit)`` (no root path to the item comes earlier in
-    preorder), and children first.  ``children`` gives an item's (zero, one)
-    or () at a leaf; items with equal ``key`` are one item."""
+def _preorder(root, children=_children, key=id):
+    """Each distinct item (node, by default) once, lazily and without
+    recursion, in left-first preorder, with the bits of the root path of
+    that first visit (no root path to the item comes earlier in preorder).
+    The bits are one list the walk keeps changing: join it before the next
+    item.  ``children`` gives an item's (zero, one) or () at a leaf; items
+    with equal ``key`` are one item."""
     seen: set = set()
-    preorder: list[tuple[object, tuple]] = []
-    postorder: list = []
-    stack: list[tuple[object, tuple, bool]] = [(root, (), False)]
+    bits: list[str] = []
+    stack = [(root, 0, "")]  # (item, its parent's path length, its bit)
     while stack:
-        t, link, children_done = stack.pop()
-        if children_done:
-            postorder.append(t)
-        elif key(t) not in seen:
-            seen.add(key(t))
-            preorder.append((t, link))
-            stack.append((t, link, True))
-            kids = children(t)
-            if kids:
-                stack += ((kids[1], (link, "1"), False), (kids[0], (link, "0"), False))
-    return preorder, postorder
+        t, length, bit = stack.pop()
+        if key(t) in seen:
+            continue
+        seen.add(key(t))
+        del bits[length:]
+        bits += bit
+        yield t, bits
+        kids = children(t)
+        if kids:
+            stack += ((kids[1], len(bits), "1"), (kids[0], len(bits), "0"))
 
 
 def _fold(root, leaf, step, children=_children, key=id):
     """The root's value of ``leaf`` at leaves and ``step(item, zero's, one's)``
     above, once per distinct item (items with equal ``key`` are one).  One
-    explicit-stack pass lists the items children first with the number of
-    parents that read each; a value is dropped once its last parent has read
-    it, so a deep path holds a few values, not one per level."""
+    explicit-stack pass lists the items children first, in left-first
+    postorder, with the number of parents that read each; ``step`` runs in
+    that order, and a value is dropped once its last parent has read it, so
+    a deep path holds a few values, not one per level."""
     order = []  # (item, its key, zero's key, one's key), children first; None at a leaf
     readers: dict = {}
     expanded = set()
@@ -397,17 +397,8 @@ def quasi_balance_weights(tree: MistakeTree) -> WeightFunction:
 
     _, root = _fold(tree, (_LEAF_E, None), step)
     if violations:
-        raise NotQuasiBalancedError(_unlink(next(p for t, p in _walk(tree)[0] if id(t) in violations)))
+        raise NotQuasiBalancedError(next("".join(bits) for t, bits in _preorder(tree) if id(t) in violations))
     return WeightFunction(PathWeights(root))
-
-
-def _unlink(link: tuple) -> str:
-    """The root path of a link list ``(parent's link, bit)``."""
-    bits = []
-    while link:
-        link, bit = link
-        bits.append(bit)
-    return "".join(reversed(bits))
 
 
 def truncate(tree: MistakeTree, max_depth: int) -> MistakeTree:
@@ -465,7 +456,7 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
     """
     from .dimension import Solver  # dimension imports this module
 
-    for x in dict.fromkeys(t.instance for t, _ in _walk(tree)[0] if not t.is_leaf):
+    for x in dict.fromkeys(t.instance for t, _ in _preorder(tree) if not t.is_leaf):
         min_mistakes([(x, 0)], w)  # raises exactly where a branch through x would
 
     def pair(t: MistakeTree, v) -> tuple:
@@ -519,10 +510,10 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
 
 def tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:
     """The flat tree file: one row per distinct (node, weight node) pair in
-    the children-first order of :func:`_walk`, so its size follows the DAG,
+    the children-first order of :func:`_fold`, so its size follows the DAG,
     not the root paths.  With ``weights`` every row carries its ``w0``, and
-    a missing one raises ``KeyError`` naming the first such node in
-    postorder by its first root path."""
+    a missing one raises ``KeyError`` naming the first such node in that
+    order by its first root path."""
     root = None if weights is None else weights.root
 
     def children(pair):
@@ -535,22 +526,22 @@ def tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> st
     def key(pair):
         return id(pair[0]), id(pair[1])
 
-    index: dict[tuple[int, int], int] = {}  # leaves have no row and read as None
     rows = []
-    for pair in _walk((tree, root), children, key)[1]:
+
+    def row(pair, zero: int | None, one: int | None) -> int:
+        """The pair's row over its children's row numbers (None at a leaf), and its number."""
         t, n = pair
-        if t.is_leaf:
-            continue
-        zero, one = children(pair)
-        row = [t.instance, index.get(key(zero)), index.get(key(one))]
+        out = [t.instance, zero, one]
         if weights is not None:
             if n is None or n[0] is None:  # name the node by its first root path
-                links = _walk((tree, root), children, key)[0]
-                raise KeyError(_unlink(next(link for p, link in links if key(p) == key(pair))))
-            row.append(str(n[0]))
-        index[key(pair)] = len(rows)
-        rows.append(row)
-    return json.dumps({"root": index.get(key((tree, root))), "nodes": rows})
+                paths = _preorder((tree, root), children, key)
+                raise KeyError(next("".join(bits) for p, bits in paths if key(p) == key(pair)))
+            out.append(str(n[0]))
+        rows.append(out)
+        return len(rows) - 1
+
+    top = _fold((tree, root), None, row, children, key)
+    return json.dumps({"root": top, "nodes": rows})
 
 
 class _Invalid:

@@ -33,8 +33,9 @@ from littlestone.dimension import (
     ComputeBudgetError,
     Solver,
     _empty,
+    _empty_or_horizon,
     _levels,
-    _tables,
+    _rl_rule,
     _W,
     _x_expand,
 )
@@ -48,9 +49,8 @@ from littlestone.trees import (
     PathWeights,
     ShatterReport,
     WeightFunction,
+    _children,
     _fold,
-    _unlink,
-    _walk,
     _weight_node,
     branches,
     expected_branch_length,
@@ -127,7 +127,7 @@ def reference_shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -
     """The (node, class state) pass on classes: one ``restrict`` and one new
     class per pair, keyed by ``state_key()`` (budgets for experts).  The
     production check steps packed version spaces by ``split`` instead."""
-    for x in dict.fromkeys(t.instance for t, _ in _walk(tree)[0] if not t.is_leaf):
+    for x in dict.fromkeys(t.instance for t, _ in reference_walk(tree)[0] if not t.is_leaf):
         min_mistakes([(x, 0)], w)  # raises exactly where a branch through x would
 
     def pair(t: MistakeTree, v: WeightedClass | ExpertClass) -> tuple:
@@ -299,13 +299,44 @@ def reference_l_rule(expand, state):
     return best
 
 
+def reference_brl_rule(expand, key):
+    """RL_T * 2^t of a (state, t) key: 2^(t-1) plus both children at t - 1.
+    A self-loop needs no fixed point, since the horizon strictly decreases.
+    The DP reaches (s, t) only along T - t moves from the root; the
+    production level sweep writes every state within T - t rounds."""
+    state, t = key
+    _, _, dec, splits = expand(state)
+    t -= 1
+    half = 1 << t
+    best = 0 if dec is None else half + (yield state, t) + (yield dec, t)
+    for _, child0, child1 in splits:
+        v = half + (yield child0, t) + (yield child1, t)
+        if v > best:
+            best = v
+    return best
+
+
+def reference_dp_tables(expand) -> dict:
+    """One (memo, solve) table per value, each ``Solver._dp`` on a rule over
+    ``expand``: :func:`reference_l_rule`, the package's RL rule and
+    :func:`reference_brl_rule`, one state per visit."""
+    tables = {}
+    for value, rule, leaf in (
+        ("l", reference_l_rule, _empty),
+        ("rl", _rl_rule, _empty),
+        ("brl", reference_brl_rule, _empty_or_horizon),
+    ):
+        memo: dict = {}
+        tables[value] = (memo, partial(Solver._dp, memo=memo, body=partial(rule, expand), leaf=leaf))
+    return tables
+
+
 def reference_count_solver(state_budget: int | None = None) -> Solver:
     """A Solver whose L, RL and RL_T queries on count states run the
-    generator DP: ``Solver._dp`` on :func:`reference_l_rule` and the RL and
-    RL_T rules over :func:`reference_u_expand`, one state per visit, into
-    the same memos."""
+    generator DP: :func:`reference_dp_tables` over
+    :func:`reference_u_expand`, into the same memos."""
     solver = Solver(state_budget)
-    solver._counts = _tables(reference_u_expand, reference_l_rule)
+    solver._counts = reference_dp_tables(reference_u_expand)
     return solver
 
 
@@ -316,6 +347,14 @@ def reference_frame_l(frame, state: int) -> dict[int, int]:
     body = partial(reference_l_rule, partial(_x_expand, frame))
     Solver()._dp(state, memo, body, _empty, charge=False)
     return memo
+
+
+def reference_frame_brl(frame, state: int, horizon: int) -> tuple[int, dict]:
+    """RL_T * 2^T of ``state`` in ``frame`` by the generator DP on
+    :func:`reference_brl_rule`, and its memo of (state, t) keys."""
+    memo: dict = {}
+    body = partial(reference_brl_rule, partial(_x_expand, frame))
+    return Solver()._dp((state, horizon), memo, body, _empty_or_horizon, charge=False), memo
 
 
 def reference_count_law(w: ExpertClass, horizon: int) -> tuple[int, ...]:
@@ -480,6 +519,77 @@ class ReferenceAggregator:
         self._ensure_alive()
 
 
+def reference_walk(root, children=_children, key=id) -> tuple[list[tuple[object, tuple]], list]:
+    """Every distinct item (node, by default) once, without recursion: in
+    left-first preorder, with the root path of that first visit as a link list
+    ``(parent's link, bit)`` (no root path to the item comes earlier in
+    preorder), and children first.  ``children`` gives an item's (zero, one)
+    or () at a leaf; items with equal ``key`` are one item.  The package
+    yields the preorder lazily and folds children first instead."""
+    seen: set = set()
+    preorder: list[tuple[object, tuple]] = []
+    postorder: list = []
+    stack: list[tuple[object, tuple, bool]] = [(root, (), False)]
+    while stack:
+        t, link, children_done = stack.pop()
+        if children_done:
+            postorder.append(t)
+        elif key(t) not in seen:
+            seen.add(key(t))
+            preorder.append((t, link))
+            stack.append((t, link, True))
+            kids = children(t)
+            if kids:
+                stack += ((kids[1], (link, "1"), False), (kids[0], (link, "0"), False))
+    return preorder, postorder
+
+
+def reference_unlink(link: tuple) -> str:
+    """The root path of a link list ``(parent's link, bit)``."""
+    bits = []
+    while link:
+        link, bit = link
+        bits.append(bit)
+    return "".join(reversed(bits))
+
+
+def _pair_children(pair):
+    """The (node, weight node) pairs under a pair, as the tree writers walk them."""
+    t, n = pair
+    if t.is_leaf:
+        return ()
+    zn, on = (None, None) if n is None else n[1:3]
+    return (t.zero, zn), (t.one, on)
+
+
+def _pair_key(pair):
+    return id(pair[0]), id(pair[1])
+
+
+def reference_flat_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:
+    """The flat tree file with its rows in the postorder of
+    :func:`reference_walk` over (node, weight node) pairs; a missing weight
+    raises ``KeyError`` naming the first such node in postorder by the
+    first root path to it in preorder."""
+    root = None if weights is None else weights.root
+    index: dict[tuple[int, int], int] = {}  # leaves have no row and read as None
+    rows = []
+    for pair in reference_walk((tree, root), _pair_children, _pair_key)[1]:
+        t, n = pair
+        if t.is_leaf:
+            continue
+        zero, one = _pair_children(pair)
+        row = [t.instance, index.get(_pair_key(zero)), index.get(_pair_key(one))]
+        if weights is not None:
+            if n is None or n[0] is None:
+                links = reference_walk((tree, root), _pair_children, _pair_key)[0]
+                raise KeyError(reference_unlink(next(link for p, link in links if _pair_key(p) == _pair_key(pair))))
+            row.append(str(n[0]))
+        index[_pair_key(pair)] = len(rows)
+        rows.append(row)
+    return json.dumps({"root": index.get(_pair_key((tree, root))), "nodes": rows})
+
+
 def reference_tree_to_json(tree: MistakeTree, weights: WeightFunction | None = None) -> str:
     """The nested tree file as ``json.dumps`` of nested dicts, built by
     recursion over every root path and looking each weight up by its path
@@ -508,27 +618,17 @@ def reference_nested_json(tree: MistakeTree, weights: WeightFunction | None = No
     writes the flat form and still reads this one."""
     root = None if weights is None else weights.root
 
-    def children(pair):
-        t, n = pair
-        if t.is_leaf:
-            return ()
-        zn, on = (None, None) if n is None else n[1:3]
-        return (t.zero, zn), (t.one, on)
-
-    def key(pair):
-        return id(pair[0]), id(pair[1])
-
     def step(pair, zero: str, one: str) -> str:
         t, n = pair
         w0 = ""
         if weights is not None:
             if n is None or n[0] is None:  # name the node by its first root path
-                links = _walk((tree, root), children, key)[0]
-                raise KeyError(_unlink(next(link for p, link in links if key(p) == key(pair))))
+                links = reference_walk((tree, root), _pair_children, _pair_key)[0]
+                raise KeyError(reference_unlink(next(link for p, link in links if _pair_key(p) == _pair_key(pair))))
             w0 = f', "w0": {json.dumps(str(n[0]))}'
         return f'{{"instance": {json.dumps(t.instance)}, "zero": {zero}, "one": {one}{w0}}}'
 
-    return _fold((tree, root), '{"leaf": true}', step, children, key)
+    return _fold((tree, root), '{"leaf": true}', step, _pair_children, _pair_key)
 
 
 def reference_tree_from_json(text: str) -> tuple[MistakeTree, WeightFunction | None]:
@@ -722,7 +822,7 @@ def reference_quasi_balance_weights(tree: MistakeTree) -> WeightFunction:
 
     _, root = _fold(tree, (Fraction(0), None), step)
     if violations:
-        raise NotQuasiBalancedError(_unlink(next(p for t, p in _walk(tree)[0] if id(t) in violations)))
+        raise NotQuasiBalancedError(reference_unlink(next(p for t, p in reference_walk(tree)[0] if id(t) in violations)))
     return WeightFunction(PathWeights(root))
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from conftest import (
@@ -13,6 +14,7 @@ from conftest import (
     reference_count_law,
     reference_count_solver,
     reference_count_splits,
+    reference_frame_brl,
     reference_frame_l,
     reference_horizon_for_slack,
     reference_nested_json,
@@ -39,6 +41,7 @@ from littlestone.dimension import (
     EMPTY,
     ComputeBudgetError,
     Solver,
+    _count_rows,
     _Frame,
     _lattice,
     _levels,
@@ -519,7 +522,7 @@ class TestDyadicEngine:
             (lambda s: s.littlestone(universal_class(3, 2)), 40, 40),
             (lambda s: s.randomized_littlestone(expert_class(8, 2)), 164, 0),
             (lambda s: s.bounded_randomized_littlestone(expert_class(4, 3), 8), 332 + 69, 0),
-            (lambda s: s.extract_optimal_tree(universal_class(2, 2), 6), 55, 55),
+            (lambda s: s.extract_optimal_tree(universal_class(2, 2), 6), 59 + 15, 0),
         ],
         ids=["l-u32", "rl-e82", "brl8-e43", "extract-u22"],
     )
@@ -528,7 +531,10 @@ class TestDyadicEngine:
         # passing budget sits below the final count, and a budget one short
         # stops after ``passing`` states.  A count query charges its lattice
         # up front (RL_T: each of its 332 keys and the 69 rows it holds), so
-        # a budget one short stops before any state.  Extraction adds no charge.
+        # a budget one short stops before any state.  RL_T on a frame charges
+        # its expansions as they are held (15 within 5 rounds of u(2,2)), then
+        # its 59 keys up front, so it too stops before any state.  Extraction
+        # adds no charge.
         query(Solver(state_budget=passing))
         tight = Solver(state_budget=passing - 1)
         with pytest.raises(ComputeBudgetError):
@@ -948,7 +954,9 @@ class TestCountLattice:
         horizon = reference_horizon_for_slack(ref, w, F(1, 64))
         calls = []
         lattice = dimension._lattice
-        monkeypatch.setattr(dimension, "_lattice", lambda root: calls.append(root) or lattice(root))
+        monkeypatch.setattr(
+            dimension, "_lattice", lambda root, horizon=None: calls.append(root) or lattice(root, horizon)
+        )
         s = Solver()
         assert s.horizon_for_slack(w, F(1, 64)) == horizon
         assert calls == [_pack(w.counts())]
@@ -957,6 +965,72 @@ class TestCountLattice:
     @pytest.mark.parametrize("n, k, rl", [(128, 1, F(85, 16)), (32, 2, F(733, 128))])
     def test_wide_cells_pinned(self, n, k, rl):
         assert Solver().randomized_littlestone(expert_class(n, k)) == rl
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_expert_classes(), st.integers(1, 7))
+    def test_a_bounded_query_sweeps_its_pruned_lattice_as_the_whole_one(self, w, horizon):
+        # The pruned lattice drops only states past the horizon, so the rows,
+        # and with them every value and memo entry, are the whole lattice's.
+        root = _pack(w.counts())
+        pruned, whole = {}, {}
+        s = Solver()
+        value = s._sweep_levels((root, horizon), pruned, _count_rows)
+        assert s._sweep_levels((root, horizon), whole, partial(_count_rows, lattice=_lattice(root))) == value
+        assert pruned == whole
+        if root:
+            assert _count_rows(root, None, horizon) == _count_rows(root, None, horizon, _lattice(root))
+            assert set(_lattice(root, horizon)[0]) <= set(_lattice(root)[0])
+
+
+def _frame_depths(frame: _Frame, root: int) -> dict[int, int]:
+    """Every state ``root`` reaches in ``frame``, with its BFS depth, over
+    :func:`reference_x_moves`."""
+    depth = {root: 0}
+    level = [root]
+    while level:
+        below = []
+        for state in level:
+            for _, _, child0, child1 in reference_x_moves(frame, state):
+                for child in (child0, child1):
+                    if child not in depth:
+                        depth[child] = depth[state] + 1
+                        below.append(child)
+        level = below
+    return depth
+
+
+class TestLevelSweepOnFrames:
+    """Bounded queries on explicit frames by the level sweep, against the
+    generator DP it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tricky_classes(), st.integers(0, 6))
+    def test_values_and_memos_cover_the_generator_dp(self, w, horizon):
+        s = Solver()
+        value = s.bounded_randomized_littlestone(w, horizon)
+        v = s.version_space(w)
+        expected, dp = reference_frame_brl(v.frame, v.state, horizon)
+        assert value == F(expected, 2**horizon)
+        memo = v.tables["brl"][0]
+        assert all(memo[key] == entry for key, entry in dp.items())
+        # The sweep writes every state within horizon - t rounds at level t,
+        # where the DP writes those it reaches in exactly horizon - t moves.
+        depth = _frame_depths(v.frame, v.state)
+        assert set(memo) == {
+            (state, t) for state, d in depth.items() if state for t in range(1, horizon - d + 1)
+        }
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("horizon", [1, 3, 6])
+    def test_universal_classes_keep_the_generator_dp_keys(self, n, k, horizon):
+        # Every state has a constant column, so its self-loop reaches each
+        # state within T - t rounds in exactly T - t moves.
+        s = Solver()
+        v = s.version_space(universal_class(n, k))
+        value = s.bounded_randomized_littlestone(v, horizon)
+        expected, dp = reference_frame_brl(v.frame, v.state, horizon)
+        assert value == F(expected, 2**horizon)
+        assert v.tables["brl"][0] == dp
 
 
 def _layers(frame: _Frame, state: int) -> list[int]:

@@ -12,6 +12,7 @@ from conftest import (
     random_weighted_class,
     recursion_limit,
     reference_expected_branch_length,
+    reference_flat_json,
     reference_is_monotone,
     reference_nested_json,
     reference_quasi_balance_weights,
@@ -1138,3 +1139,37 @@ class TestOneFold:
         stats = tree_statistics(tree)
         assert stats == statistics_by_branches(tree)
         assert stats == (expected_branch_length(tree), depth(tree), min_branch_length(tree), is_monotone(tree))
+
+
+def outcome_of(f, *args):
+    """What ``f(*args)`` returns, or the type and arguments of its error."""
+    try:
+        return f(*args)
+    except (KeyError, ValueError) as err:
+        return type(err), err.args
+
+
+class TestOneOrder:
+    """The flat writer in ``_fold``'s children-first order and the root paths
+    of the lazy preorder, against the link-list walk they replaced."""
+
+    @given(
+        shared_dags(),
+        st.sampled_from(["absent", "node", "path", "partial"]),
+        st.integers(0, 2**32),
+        st.sets(st.sampled_from(["a", "b", "c", "a b", "é"])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_files_and_errors_equal_the_walk_references(self, tree, kind, seed, points):
+        rng = random.Random(seed)
+        if kind == "partial":
+            paths = path_weights(tree, rng, True)
+            weights = WeightFunction({p: w for p, w in paths.items() if rng.random() < 0.7})
+        else:
+            weights = weighed(tree, kind, seed)
+        assert outcome_of(tree_to_json, tree, weights) == outcome_of(reference_flat_json, tree, weights)
+        assert outcome_of(quasi_balance_weights, tree) == outcome_of(reference_quasi_balance_weights, tree)
+        # The first instance in preorder outside the domain names the error.
+        w = WeightedClass(Domain(tuple(sorted(points))), (Member("h", (0,) * len(points), 1),))
+        assert outcome_of(shatter_check, tree, w) == outcome_of(reference_shatter_check, tree, w)
+
