@@ -19,10 +19,11 @@ from fractions import Fraction
 
 from .classes import (
     ClassFileError,
+    ExpertClass,
     UnknownInstanceError,
     expert_class,
     load_class_file,
-    universal_class,
+    universal_class,  # noqa: F401  # the benchmark tracer wraps cli.universal_class by name
 )
 from .dimension import EMPTY, ComputeBudgetError, Solver, result_document
 from .experts import (
@@ -230,34 +231,36 @@ def _load_game_class(args):
         return load_class_file(args.class_file)
     if args.n is None:
         raise ClassFileError("need either a class file or --n/--k")
-    return universal_class(args.n, args.k)
+    return expert_class(args.n, args.k)  # learners run on counts
 
 
 def cmd_play(args) -> int:
     if args.learner.startswith("constant:"):  # checked before any game is set up
         _rational("--learner constant:P", args.learner.split(":", 1)[1])
     w = _load_game_class(args)
-    n_experts = args.n if args.n is not None else None
     solver = Solver(state_budget=args.budget_states)
 
     def build_adversary():
         if args.adversary == "proper":
-            if n_experts is None:
+            if args.n is None:
                 raise AdversaryPreconditionError("the proper adversary needs --n")
-            return proper_adversary(n_experts)
+            return proper_adversary(args.n)
+        # Tree nodes name domain points: an expert class is materialized
+        # once, here, so past the 16-expert cap no search runs first.
+        tree_class = w.explicit() if isinstance(w, ExpertClass) else w
         if args.adversary == "optimal":
-            return online_optimal_adversary(w, _rational("--slack", args.slack), solver)
+            return online_optimal_adversary(tree_class, _rational("--slack", args.slack), solver)
         horizon = (
             args.horizon
             if args.horizon is not None
-            else solver.horizon_for_slack(w, _rational("--slack", args.slack))
+            else solver.horizon_for_slack(tree_class, _rational("--slack", args.slack))
         )
         if args.adversary == "threshold":
-            tree, weights = solver.extract_optimal_tree(w, horizon)
-            return threshold_adversary(tree, weights, declared_class=w, check=False)
+            tree, weights = solver.extract_optimal_tree(tree_class, horizon)
+            return threshold_adversary(tree, weights, declared_class=tree_class, check=False)
         if args.adversary == "branch":
-            tree = solver._extract_tree(w, horizon)  # fair coins read no weights
-            return random_branch_adversary(tree, declared_class=w, check=False)
+            tree = solver._extract_tree(tree_class, horizon)  # fair coins read no weights
+            return random_branch_adversary(tree, declared_class=tree_class, check=False)
         raise AdversaryPreconditionError(f"unknown adversary {args.adversary!r}")
 
     adversary = build_adversary()  # play() resets it with each trial's seed
@@ -265,7 +268,7 @@ def cmd_play(args) -> int:
     totals = []
     out_lines = []
     for trial in range(args.trials):
-        learner = make_learner(args.learner, w, solver, horizon=horizon, n_experts=n_experts)
+        learner = make_learner(args.learner, w, solver, horizon=horizon, n_experts=args.n)
         transcript = play(learner, adversary, max_rounds=args.max_rounds, seed=args.seed + trial)
         totals.append(transcript.total)
         out_lines.append(transcript.to_jsonl())

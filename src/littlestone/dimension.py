@@ -66,9 +66,20 @@ swap runs once per distinct live mask, not once per state and horizon.
 Each frame keeps its own memos; a query uses the first frame with a slot
 for each of its members, so every version space of a class shares the
 class's memo, and opens a new frame otherwise.
-A :class:`VersionSpace` is a class held as such a state (an expert class as
-its budget vector): an example steps it by the same bitwise charge, with no
-class built, and every query accepts it in place of a class.
+
+Both state spaces, the one count space ``_COUNTS`` (a :class:`_Counts`)
+and each :class:`_Frame`, offer one interface: ``rows`` (the level sweep's
+input from a root), ``moves`` (a state's moves up to label swap, in the
+order the tree walk tries them), ``power`` (a state's P), and ``split``,
+``step`` and ``key`` of a :class:`VersionSpace` in the space.  A frame
+adds ``expand`` and ``room`` for its L and RL DP.  A VersionSpace is a
+class held as a state of its space, with the space's tables and a label
+(the frame's domain, or the expert class itself); an example steps it by
+the space's charge, with no explicit class built, and every query accepts
+it in place of a class.  Only three places ask which space a class lives
+in: ``VersionSpace.__init__`` picks it; the horizon search builds one
+lattice for both the count RL sweep and the rows; and tree extraction
+materializes an expert class, because tree nodes name domain points.
 
 Randomized values are dyadic, and the DP runs on their integer
 numerators.  RL(W) * 2^P is an integer for P = sum over members of
@@ -108,7 +119,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import comb
 from operator import add, mul, rshift
 
@@ -150,26 +161,29 @@ class _Frame:
     expanded: on u(8, 1), 255 entries of about 0.4 MiB beside the RL memo's
     6,560 states of about 0.6 MiB.  Its masks are copied into every layer
     up to ``repeat``, so charging a move is one ``&`` with the state's top
-    layers (see :func:`_x_moves`).  A deeper class that grows ``repeat``
+    layers (see :meth:`moves`).  A deeper class that grows ``repeat``
     empties the table, which then refills with masks covering the new layers.
+
+    A frame is a state space (see :class:`_Counts` for the other one); the
+    label of its version spaces is the root class's domain.
     """
 
     def __init__(self, key):
         self.slots = {slot: bit for bit, (slot, _) in enumerate(_ranked(key))}
         self.width = len(self.slots)
         self.mask = (1 << self.width) - 1
-        # One mask per domain point; ``moves`` keeps the first witness of
+        # One mask per domain point; ``behaviors`` keeps the first witness of
         # each column up to label swap, which no state can tell apart.
         self.columns = [
             sum(labels[x] << bit for (labels, _), bit in self.slots.items())
             for x in range(len(key[0][0]) if key else 0)
         ]
         seen: set[int] = set()
-        self.moves = []
+        self.behaviors = []
         for witness, column in enumerate(self.columns):
             if column not in seen:
                 seen.update((column, self.mask ^ column))
-                self.moves.append((witness, column))
+                self.behaviors.append((witness, column))
         # Copies a slot mask into every layer of the deepest budget encoded.
         self.repeat = 1
         # The move table: (moves, constant, splits) per live mask, by fill().
@@ -183,7 +197,7 @@ class _Frame:
         behaviors, the splits, as the same triples."""
         moves = []
         seen: set[int] = set()
-        for witness, column in self.moves:
+        for witness, column in self.behaviors:
             ones = column & live
             if ones not in seen:
                 seen.update((ones, live ^ ones))
@@ -208,51 +222,108 @@ class _Frame:
             self.table.clear()  # its masks miss the new layers
         return state
 
+    def moves(self, state: int):
+        """(first witness, s, child under 0, child under 1) per behavior up to
+        label swap, in witness order; ``s`` members label it 1 and are charged
+        under label 0.  Charging drops a member's top layer, so with
+        ``low = state >> width`` the child under 0 takes ``low`` on the members
+        labeling 1 and ``state`` elsewhere, and the child under 1 the reverse.
+        A constant behavior thus gives the state itself and ``low``."""
+        live = state & self.mask
+        moves = (self.table.get(live) or self.fill(live))[0]
+        low = state >> self.width
+        diff = state ^ low
+        for witness, s, spread in moves:
+            charged = diff & spread
+            yield witness, s, state ^ charged, low ^ charged
 
-def _x_moves(frame: _Frame, state: int):
-    """(first witness, s, child under 0, child under 1) per behavior up to
-    label swap, in witness order; ``s`` members label it 1 and are charged
-    under label 0.  Charging drops a member's top layer, so with
-    ``low = state >> width`` the child under 0 takes ``low`` on the members
-    labeling 1 and ``state`` elsewhere, and the child under 1 the reverse.
-    A constant behavior thus gives the state itself and ``low``."""
-    live = state & frame.mask
-    moves = (frame.table.get(live) or frame.fill(live))[0]
-    low = state >> frame.width
-    diff = state ^ low
-    for witness, s, spread in moves:
-        charged = diff & spread
-        yield witness, s, state ^ charged, low ^ charged
+    def expand(self, state: int):
+        """(m, P, decremented state if some behavior is constant else None,
+        [(s, child under 0, child under 1)] per other behavior up to label swap),
+        the behaviors as :meth:`moves` gives them."""
+        live = state & self.mask
+        _, constant, splits = self.table.get(live) or self.fill(live)
+        low = state >> self.width
+        diff = state ^ low
+        splits = [(s, state ^ (charged := diff & spread), low ^ charged) for _, s, spread in splits]
+        return live.bit_count(), state.bit_count(), low if constant else None, splits
 
+    def room(self, state: int, m: int) -> bool:
+        """Whether the volume bound admits L >= m at an explicit state.  A
+        member of remaining budget at least m is consistent with every branch,
+        so only a state whose layer m is empty needs above_i, the popcount of
+        each layer i."""
+        if state >> m * self.width:
+            return True
+        above = []
+        while state:
+            above.append((state & self.mask).bit_count())
+            state >>= self.width
+        return _volume(above, m) >= 1 << m
 
-def _x_expand(frame: _Frame, state: int):
-    """(m, P, decremented state if some behavior is constant else None,
-    [(s, child under 0, child under 1)] per other behavior up to label swap),
-    the behaviors as :func:`_x_moves` gives them."""
-    live = state & frame.mask
-    _, constant, splits = frame.table.get(live) or frame.fill(live)
-    low = state >> frame.width
-    diff = state ^ low
-    return (
-        live.bit_count(),
-        state.bit_count(),
-        low if constant else None,
-        [(s, state ^ (charged := diff & spread), low ^ charged) for _, s, spread in splits],
-    )
+    def rows(self, root: int, charge=None, horizon: int | None = None):
+        """The level sweep's input over the states ``root`` reaches, found
+        breadth first: the states, index 0 the empty class and index 1
+        ``root``; their distances, which do not fall from index 1 on; and per
+        state from index 1 on within ``horizon - 1`` rounds (every one if None)
+        the index lists (i0, i1) of its moves' children, a self-loop as the pair
+        of the state and its decremented state.  The expansion stops at the
+        first state past that, so the states are those within ``horizon``
+        rounds.  Each expansion is charged to ``charge``, if given, with the
+        rows held."""
+        states = [0, root]
+        dists = [0, 0]
+        index = {0: 0, root: 1}
+        rows: list[tuple[list[int], list[int]]] = []
 
+        def indices(children, dist: int) -> list[int]:
+            out = []
+            for child in children:
+                i = index.setdefault(child, len(states))
+                if i == len(states):
+                    states.append(child)
+                    dists.append(dist)
+                out.append(i)
+            return out
 
-def _x_room(frame: _Frame, state: int, m: int) -> bool:
-    """Whether the volume bound admits L >= m at an explicit state.  A
-    member of remaining budget at least m is consistent with every branch,
-    so only a state whose layer m is empty needs above_i, the popcount of
-    each layer i."""
-    if state >> m * frame.width:
-        return True
-    above = []
-    while state:
-        above.append((state & frame.mask).bit_count())
-        state >>= frame.width
-    return _volume(above, m) >= 1 << m
+        for j, state in enumerate(islice(states, 1, None), 1):  # grows as states are found
+            dist = dists[j] + 1
+            if horizon is not None and dist > horizon:
+                break
+            if charge is not None:
+                charge(len(rows) + 1)
+            _, _, dec, splits = self.expand(state)
+            i0 = indices((child0 for _, child0, _ in splits), dist)
+            i1 = indices((child1 for _, _, child1 in splits), dist)
+            if dec is not None:  # the self-loop: the state itself, and decremented
+                i0.append(j)
+                i1 += indices((dec,), dist)
+            rows.append((i0, i1))
+        return states, dists, rows
+
+    power = staticmethod(int.bit_count)  # P by one C call: the learners read it every round
+
+    def key(self, v: "VersionSpace"):
+        return self, v.state
+
+    # In ``split`` and ``step``, ``charged`` masks the members labeling x
+    # with 1 at each of their layers, those charged under label 0, so the
+    # children are ``state ^ charged`` and ``low ^ charged`` as in
+    # :meth:`moves`.  The empty class may sit in a frame opened without columns.
+
+    def split(self, v: "VersionSpace", x: str) -> tuple["VersionSpace", "VersionSpace"]:
+        i, state = v.label.index(x), v.state
+        low = state >> self.width
+        charged = (state ^ low) & self.columns[i] * self.repeat if state else 0
+        return v._child(state ^ charged, v.label), v._child(low ^ charged, v.label)
+
+    def step(self, v: "VersionSpace", x: str, y: int) -> "VersionSpace":
+        if y not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {y!r}")
+        i, state = v.label.index(x), v.state
+        low = state >> self.width
+        charged = (state ^ low) & self.columns[i] * self.repeat if state else 0
+        return v._child(low ^ charged if y else state ^ charged, v.label)
 
 
 def _volume(above: list[int], m: int) -> int:
@@ -361,7 +432,7 @@ def _pairs(states: list[int], needed: list[bool] | None = None):
     ``high`` under h alone.
     So P0 lists aa[h] - o0 and P1 lists bb[h] + o0 in product order, o0
     slowest.  Its first n entries are the first half of the state's ones
-    vectors, as :func:`_u_moves` takes them: O = 0, whose children are the
+    vectors, as :meth:`_Counts.moves` takes them: O = 0, whose children are the
     state itself and the decremented state, and one O of each label-swap
     pair.  The lists are shared along a run and grow with d0, so read them
     before the next state.
@@ -389,73 +460,71 @@ def _pairs(states: list[int], needed: list[bool] | None = None):
             yield b0 + d0, d0, ((d0 + 1) * len(aa) + 1) // 2, p0, p1, down
 
 
-def _count_rows(root: int, charge=None, horizon: int | None = None, lattice=None):
-    """The level sweep's input over the count states ``root`` reaches: the
-    states by distance, the empty class first and the root second, up to
-    ``horizon`` rounds if given; their distances; and per state within
-    ``horizon - 1`` rounds (every one if None), in that order, the position
-    lists (i0, i1) of its pairs of children from :func:`_pairs`, the
-    self-loop's pair of the state and its decremented state among them.
-    The rows are charged to ``charge``, if given, before they are built;
-    ``lattice`` is ``_lattice(root)`` if already built."""
-    states, _, dists = lattice or _lattice(root, horizon)
-    order = sorted(range(1, len(states)), key=dists.__getitem__)
-    ranked = list(map(dists.__getitem__, order))
-    if horizon is not None:
-        order = order[: bisect_right(ranked, horizon)]
-    rows: list = [None] * (len(order) if horizon is None else bisect_right(ranked, horizon - 1))
-    if charge is not None:
-        charge(len(rows))
-    where = [0] * len(states)  # 0, the empty class's, past ``order``: never read
-    for i, p in enumerate(order, 1):
-        where[p] = i
-    get = where.__getitem__
-    needed = None if horizon is None else [0 < i <= len(rows) for i in where]
-    for p, d0, n, p0, p1, _ in _pairs(states, needed):
-        if 0 < where[p] <= len(rows):
-            rows[where[p] - 1] = (list(map(get, map(d0.__add__, islice(p0, n)))), list(map(get, islice(p1, n))))
-    return [0, *map(states.__getitem__, order)], [0, *islice(ranked, len(order))], rows
+class _Counts:
+    """The count space of expert classes: a state is the packed counts of
+    surviving experts per remaining budget, the same in every Solver, and
+    the label of its version spaces is their :class:`ExpertClass`."""
 
-
-def _x_rows(frame: _Frame, root: int, charge=None, horizon: int | None = None):
-    """The level sweep's input over the states ``root`` reaches in ``frame``,
-    found breadth first: the states, index 0 the empty class and index 1
-    ``root``; their distances, which do not fall from index 1 on; and per
-    state from index 1 on within ``horizon - 1`` rounds (every one if None)
-    the index lists (i0, i1) of its moves' children, a self-loop as the pair
-    of the state and its decremented state.  The expansion stops at the
-    first state past that, so the states are those within ``horizon``
-    rounds.  Each expansion is charged to ``charge``, if given, with the
-    rows held."""
-    states = [0, root]
-    dists = [0, 0]
-    index = {0: 0, root: 1}
-    rows: list[tuple[list[int], list[int]]] = []
-
-    def indices(children, dist: int) -> list[int]:
-        out = []
-        for child in children:
-            i = index.setdefault(child, len(states))
-            if i == len(states):
-                states.append(child)
-                dists.append(dist)
-            out.append(i)
-        return out
-
-    for j, state in enumerate(islice(states, 1, None), 1):  # grows as states are found
-        dist = dists[j] + 1
-        if horizon is not None and dist > horizon:
-            break
+    def rows(self, root: int, charge=None, horizon: int | None = None, lattice=None):
+        """The level sweep's input over the count states ``root`` reaches: the
+        states by distance, the empty class first and the root second, up to
+        ``horizon`` rounds if given; their distances; and per state within
+        ``horizon - 1`` rounds (every one if None), in that order, the position
+        lists (i0, i1) of its pairs of children from :func:`_pairs`, the
+        self-loop's pair of the state and its decremented state among them.
+        The rows are charged to ``charge``, if given, before they are built;
+        ``lattice`` is ``_lattice(root)`` if already built."""
+        states, _, dists = lattice or _lattice(root, horizon)
+        order = sorted(range(1, len(states)), key=dists.__getitem__)
+        ranked = list(map(dists.__getitem__, order))
+        if horizon is not None:
+            order = order[: bisect_right(ranked, horizon)]
+        rows: list = [None] * (len(order) if horizon is None else bisect_right(ranked, horizon - 1))
         if charge is not None:
-            charge(len(rows) + 1)
-        _, _, dec, splits = _x_expand(frame, state)
-        i0 = indices((child0 for _, child0, _ in splits), dist)
-        i1 = indices((child1 for _, _, child1 in splits), dist)
-        if dec is not None:  # the self-loop: the state itself, and decremented
-            i0.append(j)
-            i1 += indices((dec,), dist)
-        rows.append((i0, i1))
-    return states, dists, rows
+            charge(len(rows))
+        where = [0] * len(states)  # 0, the empty class's, past ``order``: never read
+        for i, p in enumerate(order, 1):
+            where[p] = i
+        get = where.__getitem__
+        needed = None if horizon is None else [0 < i <= len(rows) for i in where]
+        for p, d0, n, p0, p1, _ in _pairs(states, needed):
+            if 0 < where[p] <= len(rows):
+                rows[where[p] - 1] = (list(map(get, map(d0.__add__, islice(p0, n)))), list(map(get, islice(p1, n))))
+        return [0, *map(states.__getitem__, order)], [0, *islice(ranked, len(order))], rows
+
+    def moves(self, state: int):
+        """As :meth:`_Frame.moves` for a packed count state, witnesses None:
+        the self-loop, then one split of each label-swap pair; ``s`` experts
+        predict 1 and are charged under label 0.
+
+        Splits are ones vectors O <= the counts C in product order
+        (:func:`_product`); the label swap of split j sits at index size - 1 - j,
+        so the first half, past the all-zero self-loop, holds one of each pair.
+        With D = O - (O >> _W), the children are C - D and (C >> _W) + D.
+        """
+        low = state >> _W
+        yield None, 0, state, low
+        occupied = _occupied(state)
+        ds = _product(occupied)
+        ss = _product(occupied, lambda level: 1)
+        for s, d in islice(zip(ss, ds), 1, (len(ds) + 1) // 2):
+            yield None, s, state - d, low + d
+
+    def power(self, state: int) -> int:
+        return sum(map(mul, _levels(state), count(1)))
+
+    def key(self, v: "VersionSpace"):
+        return v.label
+
+    def split(self, v: "VersionSpace", x: str) -> tuple["VersionSpace", "VersionSpace"]:
+        return self.step(v, x, 0), self.step(v, x, 1)
+
+    def step(self, v: "VersionSpace", x: str, y: int) -> "VersionSpace":
+        experts = restrict(v.label, x, y)
+        return v._child(_pack(experts.counts()), experts)
+
+
+_COUNTS = _Counts()
 
 
 def _rl_level(rows, values: list[int], t: int) -> list[int]:
@@ -469,55 +538,36 @@ def _rl_level(rows, values: list[int], t: int) -> list[int]:
 class VersionSpace:
     """A class as a state of a :class:`Solver`'s state space, stepped by examples.
 
-    An explicit class is its packed state in a frame: one example charges
-    the members labeling against it as :func:`_x_moves` does, and a column
-    mask stands in for the domain point.  An expert class is its budget
-    vector, valued at its packed counts.  Values come from the tables the
-    space was built over, so every step of a class reads the class's memo.
-    Immutable.
+    ``space`` is the class's :class:`_Frame` or the count space
+    :data:`_COUNTS`, ``state`` the class's packed state in it, and ``label``
+    what an example's instance is read against: the frame's domain (a column
+    mask stands in for the point), or the expert class itself.  Steps,
+    splits, keys and powers are the space's.  Values come from the tables
+    the space was built over, so every step of a class reads the class's
+    memo.  Immutable.
     """
 
-    __slots__ = ("tables", "state", "frame", "domain", "experts")
+    __slots__ = ("space", "tables", "state", "label")
 
     def __init__(self, solver: "Solver", w: WeightedClass | ExpertClass):
         if isinstance(w, ExpertClass):
-            self.tables, self.state, self.experts = solver._counts, _pack(w.counts()), w
-            self.frame = self.domain = None
+            self.space, self.tables, self.state, self.label = _COUNTS, solver._counts, _pack(w.counts()), w
         else:
-            self.frame, self.tables, self.state = solver._frame(w.state_key())
-            self.domain, self.experts = w.domain, None
+            self.space, self.tables, self.state = solver._frame(w.state_key())
+            self.label = w.domain
 
-    def _child(self, state, experts: ExpertClass | None = None) -> "VersionSpace":
+    def _child(self, state: int, label) -> "VersionSpace":
         child = object.__new__(VersionSpace)
-        child.tables, child.state, child.frame = self.tables, state, self.frame
-        child.domain, child.experts = self.domain, experts
+        child.space, child.tables, child.state, child.label = self.space, self.tables, state, label
         return child
-
-    def _charge(self, x: str) -> tuple[int, int]:
-        """(members charged under label 0 at each of their layers, the state
-        one layer down); the children are ``state ^ charged`` and ``low ^ charged``."""
-        frame, state = self.frame, self.state
-        i = self.domain.index(x)
-        low = state >> frame.width
-        # The empty class may sit in a frame opened without columns.
-        return (state ^ low) & frame.columns[i] * frame.repeat if state else 0, low
 
     def split(self, x: str) -> tuple["VersionSpace", "VersionSpace"]:
         """The version spaces after (x, 0) and after (x, 1)."""
-        if self.frame is None:
-            return self.step(x, 0), self.step(x, 1)
-        charged, low = self._charge(x)
-        return self._child(self.state ^ charged), self._child(low ^ charged)
+        return self.space.split(self, x)
 
     def step(self, x: str, y: int) -> "VersionSpace":
         """The version space after the example (x, y), as :func:`restrict`."""
-        if self.frame is None:
-            experts = restrict(self.experts, x, y)
-            return self._child(_pack(experts.counts()), experts)
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y!r}")
-        charged, low = self._charge(x)
-        return self._child(low ^ charged if y else self.state ^ charged)
+        return self.space.step(self, x, y)
 
     @property
     def is_empty(self) -> bool:
@@ -526,47 +576,16 @@ class VersionSpace:
     @property
     def key(self):
         """Hashable, and equal only for equal version spaces of one Solver."""
-        return self.experts if self.frame is None else (self.frame, self.state)
+        return self.space.key(self)
 
     @property
     def power(self) -> int:
         """P = sum over members of (budget + 1); RL * 2^P is an integer."""
-        if self.frame is None:
-            levels = _levels(self.state)
-            return sum(map(mul, levels, range(1, len(levels) + 1)))
-        return self.state.bit_count()
+        return self.space.power(self.state)
 
     def __deepcopy__(self, memo) -> "VersionSpace":
         # The tables belong to the Solver, which a copied learner shares.
         return self
-
-
-def _u_moves(state: int):
-    """As :func:`_x_moves` for a packed count state, witnesses None: the
-    self-loop, then one split of each label-swap pair; ``s`` experts
-    predict 1 and are charged under label 0.
-
-    Splits are ones vectors O <= the counts C in product order
-    (:func:`_product`); the label swap of split j sits at index size - 1 - j,
-    so the first half, past the all-zero self-loop, holds one of each pair.
-    With D = O - (O >> _W), the children are C - D and (C >> _W) + D.
-    """
-    low = state >> _W
-    yield None, 0, state, low
-    occupied = _occupied(state)
-    ds = _product(occupied)
-    ss = _product(occupied, lambda level: 1)
-    for s, d in islice(zip(ss, ds), 1, (len(ds) + 1) // 2):
-        yield None, s, state - d, low + d
-
-
-def _space(v: VersionSpace) -> tuple:
-    """The level sweep's rows and the moves of ``v``'s state space:
-    :func:`_count_rows` and :func:`_u_moves` on count states,
-    :func:`_x_rows` and :func:`_x_moves` on ``v``'s frame."""
-    if v.frame is None:
-        return _count_rows, _u_moves
-    return partial(_x_rows, v.frame), partial(_x_moves, v.frame)
 
 
 def _l_rule(room, expand, state):
@@ -637,7 +656,7 @@ class Solver:
         self._counts = {
             "l": (l, partial(Solver._sweep, memo=l, randomized=False)),
             "rl": (rl, partial(Solver._sweep, memo=rl, randomized=True)),
-            "brl": (brl, partial(Solver._sweep_levels, memo=brl, build_rows=_count_rows)),
+            "brl": (brl, partial(Solver._sweep_levels, memo=brl, build_rows=_COUNTS.rows)),
         }
         # Each frame with its tables; the tables' rules hold the frame, so
         # the frame must not hold them back, or a dropped Solver is a cycle.
@@ -661,13 +680,11 @@ class Solver:
             if state is not None:
                 return frame, tables, state
         frame = _Frame(key)
-        expand = partial(_x_expand, frame)
-        l_rule = partial(_l_rule, partial(_x_room, frame), expand)
         l, rl, brl = {}, {}, {}
         tables = {
-            "l": (l, partial(Solver._dp, memo=l, body=l_rule, leaf=_empty)),
-            "rl": (rl, partial(Solver._dp, memo=rl, body=partial(_rl_rule, expand), leaf=_empty)),
-            "brl": (brl, partial(Solver._sweep_levels, memo=brl, build_rows=partial(_x_rows, frame))),
+            "l": (l, partial(Solver._dp, memo=l, body=partial(_l_rule, frame.room, frame.expand), leaf=_empty)),
+            "rl": (rl, partial(Solver._dp, memo=rl, body=partial(_rl_rule, frame.expand), leaf=_empty)),
+            "brl": (brl, partial(Solver._sweep_levels, memo=brl, build_rows=frame.rows)),
         }
         self._frames.append((frame, tables))
         return frame, tables, frame.encode(key)
@@ -766,11 +783,11 @@ class Solver:
 
     def _sweep_levels(self, key: tuple[int, int], memo: dict, build_rows) -> int:
         """RL_T * 2^T of a (state, T) key by the level sweep over
-        ``build_rows(root, charge, T)``, :func:`_count_rows` or
-        :func:`_x_rows`: level t computes the states within T - t rounds of
-        the root, a prefix of the states by distance, and writes them into
-        ``memo``.  The rows are charged as they are built, then every key
-        the sweep writes, before any is computed."""
+        ``build_rows(root, charge, T)``, a space's ``rows``: level t computes
+        the states within T - t rounds of the root, a prefix of the states by
+        distance, and writes them into ``memo``.  The rows are charged as
+        they are built, then every key the sweep writes, before any is
+        computed."""
         value = _empty_or_horizon(key)
         if value is not None:
             return value
@@ -838,7 +855,7 @@ class Solver:
 
     def _extract_tree(self, w: WeightedClass | ExpertClass, horizon: int) -> MistakeTree:
         """The tree of :meth:`extract_optimal_tree`, without its weights."""
-        if isinstance(w, ExpertClass):
+        if isinstance(w, ExpertClass):  # tree nodes name domain points
             w = w.explicit()
         domain = w.domain.points
         interned: dict[tuple[str, int, int], MistakeTree] = {}
@@ -870,8 +887,8 @@ class Solver:
         """Fold an optimal depth-<=horizon tree of ``w`` without building it.
 
         Each (state, t) of value 0 is ``leaf(t)``.  Any other takes the first
-        move attaining RL_T(state, t), in :func:`_x_moves` witness order on a
-        frame and the self-loop first on count states, and is
+        move attaining RL_T(state, t), in :meth:`_Frame.moves` witness order
+        on a frame and the self-loop first on count states, and is
         ``join(witness, zero, one)`` of its children's folds.
         """
         v = self.version_space(w)
@@ -882,7 +899,7 @@ class Solver:
         # each level t every state within horizon - t rounds, so every key
         # the walk reaches is a memo entry or a leaf.
         self.bounded_randomized_littlestone(v, horizon)
-        memo, moves = v.tables["brl"][0], _space(v)[1]
+        memo, moves = v.tables["brl"][0], v.space.moves
 
         def value(key) -> int:
             hit = memo.get(key)
@@ -925,10 +942,10 @@ class Solver:
         if slack <= 0:
             raise ValueError("slack must be positive")
         v = self.version_space(w)
-        build_rows = _space(v)[0]
+        build_rows = v.space.rows
         rl, solve = v.tables["rl"]
-        if v.frame is None and v.state and v.state not in rl:
-            lattice = _lattice(v.state)  # one for the RL target's sweep and the rows
+        if v.space is _COUNTS and v.state and v.state not in rl:
+            lattice = _lattice(v.state)  # one for the count RL sweep and the rows
             solve(self, v.state, lattice=lattice)
             build_rows = partial(build_rows, lattice=lattice)
         target = self.randomized_littlestone(v) - slack

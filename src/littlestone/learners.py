@@ -12,9 +12,10 @@ dimensions of the two candidate restrictions:
   otherwise, which equalizes the adversary's two options each round.
 
 The version space is a :class:`~littlestone.dimension.VersionSpace`: a packed
-state in the class's frame (budgets, for an expert class).  A round splits it
-into its two candidate children with a few bitwise operations and reads their
-values from the solver's memo; no restricted class is ever built.
+state in the class's frame, or in the count space for an expert class.  A
+round splits it into its two candidate children (a few bitwise operations on
+a frame, one restriction of the budget vector on counts) and reads their
+values from the solver's memo; no restricted explicit class is ever built.
 
 Predictions are probabilities of answering 1, reported as exact rationals;
 the per-round loss |y - p| is then the exact mistake probability.

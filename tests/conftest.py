@@ -37,7 +37,6 @@ from littlestone.dimension import (
     _levels,
     _rl_rule,
     _W,
-    _x_expand,
 )
 from littlestone.experts import ApproxValue, f_of
 from littlestone.games import _run
@@ -344,7 +343,7 @@ def reference_frame_l(frame, state: int) -> dict[int, int]:
     """The L memo of the unpruned generator DP from ``state`` in ``frame``:
     :func:`reference_l_rule` at every state ``state`` reaches."""
     memo: dict[int, int] = {}
-    body = partial(reference_l_rule, partial(_x_expand, frame))
+    body = partial(reference_l_rule, frame.expand)
     Solver()._dp(state, memo, body, _empty, charge=False)
     return memo
 
@@ -353,7 +352,7 @@ def reference_frame_brl(frame, state: int, horizon: int) -> tuple[int, dict]:
     """RL_T * 2^T of ``state`` in ``frame`` by the generator DP on
     :func:`reference_brl_rule`, and its memo of (state, t) keys."""
     memo: dict = {}
-    body = partial(reference_brl_rule, partial(_x_expand, frame))
+    body = partial(reference_brl_rule, frame.expand)
     return Solver()._dp((state, horizon), memo, body, _empty_or_horizon, charge=False), memo
 
 
@@ -365,7 +364,7 @@ def reference_count_law(w: ExpertClass, horizon: int) -> tuple[int, ...]:
     root = solver.version_space(w)
 
     def value(state: int, t: int) -> int:
-        return int(solver.bounded_randomized_littlestone(root._child(state), t) * 2**t)
+        return int(solver.bounded_randomized_littlestone(root._child(state, None), t) * 2**t)
 
     @cache
     def law(state: int, t: int) -> tuple[int, ...]:
@@ -390,7 +389,7 @@ def reference_x_moves(frame, state: int):
     low = state >> frame.width
     diff = state ^ low
     seen: set[int] = set()
-    for witness, column in frame.moves:
+    for witness, column in frame.behaviors:
         ones = column & live
         if ones in seen:
             continue

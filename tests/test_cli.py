@@ -16,7 +16,7 @@ import littlestone.cli
 from littlestone.cli import fmt, main
 from littlestone.classes import Domain, Member, WeightedClass, universal_class
 from littlestone.dimension import Solver
-from littlestone.experts import capacity_D
+from littlestone.experts import capacity_D, harmonic_number
 from littlestone.trees import (
     LEAF,
     expected_branch_length,
@@ -261,6 +261,48 @@ class TestPlay:
         after = capsys.readouterr().out
         assert after == before
         assert [line for line in after.splitlines() if line.startswith("trial ")]
+
+
+class TestPlayOnCounts:
+    """``play --n`` plays the expert class on count states; only a tree
+    adversary materializes the advice domain, once, before its search."""
+
+    @staticmethod
+    def outcome(tmp_path, capsys, argv) -> tuple:
+        out = tmp_path / "games.jsonl"
+        out.unlink(missing_ok=True)
+        rc = main(["--out", str(out), *argv])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err, out.read_text() if out.exists() else None
+
+    @pytest.mark.parametrize("learner", ["soa", "randsoa", "bounded-randsoa", "ftl", "squint", "constant:1/2"])
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (2, 2), (3, 0)])
+    def test_n_plays_as_the_universal_class_file(self, tmp_path, capsys, n, k, learner):
+        path = write_class_file(tmp_path, universal_class(n, k))
+        for adversary in ("branch", "threshold", "optimal", "proper"):
+            for horizon in ([], ["--horizon", "3"]):
+                game = ["--learner", learner, "--adversary", adversary, *horizon]
+                on_counts = self.outcome(tmp_path, capsys, ["play", "--n", str(n), "--k", str(k), *game])
+                on_file = self.outcome(tmp_path, capsys, ["play", "--class-file", path, "--n", str(n), *game])
+                assert on_counts == on_file, (adversary, horizon)
+
+    @pytest.mark.parametrize("n", [17, 64])
+    def test_proper_games_past_the_enumeration_cap(self, capsys, n):
+        assert main(["play", "--n", str(n), "--k", "0", "--learner", "ftl", "--adversary", "proper"]) == 0
+        out = capsys.readouterr().out
+        assert f"total = {fmt(harmonic_number(n) - 1)}" in out
+        if n == 17:
+            assert "total = 29889983/12252240 " in out
+
+    @pytest.mark.parametrize("adversary", ["threshold", "branch", "optimal"])
+    def test_tree_adversaries_stop_at_the_cap_before_any_search(self, monkeypatch, capsys, adversary):
+        def search(*args):
+            raise AssertionError("a horizon search ran past the enumeration cap")
+
+        monkeypatch.setattr(Solver, "horizon_for_slack", search)
+        argv = ["play", "--n", "20", "--k", "5", "--learner", "soa", "--adversary", adversary]
+        assert main(argv) == 2
+        assert "exceeds the 16-bit enumeration cap" in one_error_line(capsys)
 
 
 class TestTree:

@@ -41,18 +41,14 @@ from littlestone.dimension import (
     EMPTY,
     ComputeBudgetError,
     Solver,
-    _count_rows,
+    _COUNTS,
     _Frame,
     _lattice,
     _levels,
     _pack,
     _u_above,
-    _u_moves,
     _volume,
     _W,
-    _x_expand,
-    _x_moves,
-    _x_room,
 )
 from littlestone.experts import mstar2_closed_form
 from littlestone.trees import (
@@ -578,7 +574,7 @@ def assert_sweep_matches_bisection(w) -> None:
         fresh = Solver()
         space = fresh.version_space(w)
         for (state, t), value in memo.items():
-            assert fresh.bounded_randomized_littlestone(space._child(state), t) == F(value, 2**t)
+            assert fresh.bounded_randomized_littlestone(space._child(state, None), t) == F(value, 2**t)
 
 
 class TestHorizonSweep:
@@ -776,7 +772,7 @@ def test_packed_transitions_match_restrict(w):
             encodings[v.state_key()] = state
             assert frame.encode(_decremented(v.state_key())) == state >> frame.width
             pairs = set()
-            for witness, s, child0, child1 in _x_moves(frame, state):
+            for witness, s, child0, child1 in frame.moves(state):
                 x = v.domain.points[witness]
                 assert s == sum(m.labels[witness] for m in v.members)
                 assert (child0, child1) == (encode(restrict(v, x, 0)), encode(restrict(v, x, 1)))
@@ -793,7 +789,7 @@ def test_packed_transitions_match_restrict(w):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(repeated_row_classes(), tricky_classes()))
 def test_move_tables_match_the_per_state_reference(w):
-    """For every state within three steps of W, ``_x_moves`` and ``_x_expand``
+    """For every state within three steps of W, ``_Frame.moves`` and ``_Frame.expand``
     read off the move table exactly what the per-state dedupe gives: the same
     moves, witnesses, orientation and order."""
     frame = _Frame(w.state_key())
@@ -805,8 +801,8 @@ def test_move_tables_match_the_per_state_reference(w):
             seen.add(state)
             if state:
                 reference = list(reference_x_moves(frame, state))
-                assert list(_x_moves(frame, state)) == reference
-                assert _x_expand(frame, state) == reference_x_expand(frame, state)
+                assert list(frame.moves(state)) == reference
+                assert frame.expand(state) == reference_x_expand(frame, state)
                 below.update(c for _, _, child0, child1 in reference for c in (child0, child1))
         level = below
     assert frame.table and len(frame.table) <= len(seen)
@@ -833,7 +829,7 @@ class TestPackedCounts:
             assert tuple(_levels(packed_dec)) == dec
             decoded = [(s, tuple(_levels(c0)), tuple(_levels(c1))) for s, c0, c1 in packed_splits]
             assert decoded == splits
-            assert list(_u_moves(_pack(counts))) == list(reference_u_moves(_pack(counts)))
+            assert list(_COUNTS.moves(_pack(counts))) == list(reference_u_moves(_pack(counts)))
             stack.append(dec)
             for _, child0, child1 in splits:
                 stack += [child0, child1]
@@ -854,12 +850,13 @@ class TestPackedCounts:
 
 
 @st.composite
-def count_roots(draw) -> tuple[ExpertClass, list[tuple[str, int]]]:
-    """An expert class with mixed budgets, some experts eliminated, and up
-    to three examples that take it to a mid-game version space."""
-    budgets = draw(st.lists(st.none() | st.integers(0, 3), min_size=1, max_size=5))
+def count_roots(draw, experts=5, budget=3, examples=3) -> tuple[ExpertClass, list[tuple[str, int]]]:
+    """An expert class of up to ``experts`` experts with budgets up to
+    ``budget``, some eliminated, and up to ``examples`` examples that take it
+    to a mid-game version space."""
+    budgets = draw(st.lists(st.none() | st.integers(0, budget), min_size=1, max_size=experts))
     advice = st.text("01", min_size=len(budgets), max_size=len(budgets))
-    return ExpertClass(tuple(budgets)), draw(st.lists(st.tuples(advice, st.integers(0, 1)), max_size=3))
+    return ExpertClass(tuple(budgets)), draw(st.lists(st.tuples(advice, st.integers(0, 1)), max_size=examples))
 
 
 def _stepped(solver: Solver, w: WeightedClass | ExpertClass, examples):
@@ -927,7 +924,7 @@ class TestCountLattice:
             assert horizon == reference_horizon_for_slack(ref, w, F(1, 64))
             root = ref.version_space(w)
             for (state, t), value in s._counts["brl"][0].items():
-                assert ref.bounded_randomized_littlestone(root._child(state), t) == F(value, 2**t)
+                assert ref.bounded_randomized_littlestone(root._child(state, None), t) == F(value, 2**t)
 
     @pytest.mark.parametrize("horizon, read", [(1, 1), (2, 5), (3, 15), (8, 35)])
     def test_a_bounded_query_reads_only_the_runs_within_its_horizon(self, monkeypatch, horizon, read):
@@ -974,11 +971,11 @@ class TestCountLattice:
         root = _pack(w.counts())
         pruned, whole = {}, {}
         s = Solver()
-        value = s._sweep_levels((root, horizon), pruned, _count_rows)
-        assert s._sweep_levels((root, horizon), whole, partial(_count_rows, lattice=_lattice(root))) == value
+        value = s._sweep_levels((root, horizon), pruned, _COUNTS.rows)
+        assert s._sweep_levels((root, horizon), whole, partial(_COUNTS.rows, lattice=_lattice(root))) == value
         assert pruned == whole
         if root:
-            assert _count_rows(root, None, horizon) == _count_rows(root, None, horizon, _lattice(root))
+            assert _COUNTS.rows(root, None, horizon) == _COUNTS.rows(root, None, horizon, _lattice(root))
             assert set(_lattice(root, horizon)[0]) <= set(_lattice(root)[0])
 
 
@@ -1009,13 +1006,13 @@ class TestLevelSweepOnFrames:
         s = Solver()
         value = s.bounded_randomized_littlestone(w, horizon)
         v = s.version_space(w)
-        expected, dp = reference_frame_brl(v.frame, v.state, horizon)
+        expected, dp = reference_frame_brl(v.space, v.state, horizon)
         assert value == F(expected, 2**horizon)
         memo = v.tables["brl"][0]
         assert all(memo[key] == entry for key, entry in dp.items())
         # The sweep writes every state within horizon - t rounds at level t,
         # where the DP writes those it reaches in exactly horizon - t moves.
-        depth = _frame_depths(v.frame, v.state)
+        depth = _frame_depths(v.space, v.state)
         assert set(memo) == {
             (state, t) for state, d in depth.items() if state for t in range(1, horizon - d + 1)
         }
@@ -1028,7 +1025,7 @@ class TestLevelSweepOnFrames:
         s = Solver()
         v = s.version_space(universal_class(n, k))
         value = s.bounded_randomized_littlestone(v, horizon)
-        expected, dp = reference_frame_brl(v.frame, v.state, horizon)
+        expected, dp = reference_frame_brl(v.space, v.state, horizon)
         assert value == F(expected, 2**horizon)
         assert v.tables["brl"][0] == dp
 
@@ -1059,7 +1056,7 @@ class TestVolumeBound:
         examples = [(points[i % len(points)], y) for i, y in examples]
         s = Solver()
         root = s.version_space(w)
-        reference = reference_frame_l(root.frame, root.state)
+        reference = reference_frame_l(root.space, root.state)
         for depth in range(len(examples) + 1):
             # A fresh Solver on the version space alone, then the class's.
             fresh = Solver()
@@ -1088,9 +1085,9 @@ class TestVolumeBound:
         reference = reference_frame_l(frame, frame.encode(w.state_key()))
         for state, l in reference.items():
             above = _layers(frame, state)
-            assert _x_room(frame, state, l)
+            assert frame.room(state, l)
             for m in range(l + 2):
-                assert _x_room(frame, state, m) == (_volume(above, m) >= 1 << m)
+                assert frame.room(state, m) == (_volume(above, m) >= 1 << m)
                 # So the admitted m form a prefix, and one test at best + 1
                 # tells whether L can beat best.
                 assert _volume(above, m + 1) <= 2 * _volume(above, m)
@@ -1206,7 +1203,7 @@ class TestFrames:
         state = frame.encode(deep.state_key())
         # The masks filled at budget 1 cover two layers; budget 3 needs four.
         assert frame.repeat > repeat and not frame.table
-        assert _x_expand(frame, state) == reference_x_expand(frame, state)
+        assert frame.expand(state) == reference_x_expand(frame, state)
         assert values(s, deep) == values(Solver(), deep)
         assert len(s._frames) == 1
         assert values(s, shallow) == first == values(Solver(), shallow)
@@ -1226,3 +1223,28 @@ class TestFrames:
         assert s.littlestone(EMPTY_CLASS) == EMPTY
         assert s.littlestone(EMPTY_DOMAIN) == 0
         assert s.randomized_littlestone(universal_class(2, 1)) == F(7, 4)
+
+
+class TestStateSpaces:
+    """The count space and a frame behind one VersionSpace interface."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(count_roots(experts=4, budget=2, examples=4))
+    def test_count_and_frame_version_spaces_agree_at_every_step(self, game):
+        w, examples = game
+        s = Solver()
+
+        def values(v) -> tuple:
+            horizons = (s.bounded_randomized_littlestone(v, t) for t in range(4))
+            return v.is_empty, v.power, s.littlestone(v), s.randomized_littlestone(v), *horizons
+
+        counts, frame = s.version_space(w), s.version_space(w.explicit())
+        assert counts.space is not frame.space
+        for x, y in examples:
+            assert values(counts) == values(frame)
+            for v in (counts, frame):
+                assert [child.key for child in v.split(x)] == [v.step(x, 0).key, v.step(x, 1).key]
+            counts, frame = counts.step(x, y), frame.step(x, y)
+            w = restrict(w, x, y)
+            assert counts.key == w
+        assert values(counts) == values(frame)
