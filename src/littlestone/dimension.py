@@ -117,13 +117,14 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
+from collections.abc import Callable
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, count, islice, repeat
 from math import comb
 from operator import add, mul, rshift
 
-from .classes import ExpertClass, WeightedClass, restrict
+from .classes import ExpertClass, WeightedClass, restrict, with_budget
 from .trees import LEAF, MistakeTree, WeightFunction, node, quasi_balance_weights
 
 EMPTY = -1
@@ -330,7 +331,14 @@ def _volume(above: list[int], m: int) -> int:
     """S(m) = sum over i of above[i] * C(m, i): how many branches of a
     depth-m tree the members can be consistent with, ``above[i]`` of them
     of remaining budget at least i.  A class with L >= m has 2^m <= S(m)."""
-    return sum(map(mul, above, map(comb, repeat(m), range(m + 1))))
+    return sum(map(mul, above, _binomials(m)))
+
+
+@lru_cache(maxsize=64)
+def _binomials(m: int) -> tuple[int, ...]:
+    """C(m, i) for i = 0, ..., m: the room tests of a query ask for a few m,
+    each many times over.  A bounded cache, as a row holds m + 1 ints."""
+    return tuple(map(comb, repeat(m), range(m + 1)))
 
 
 def _pack(counts) -> int:
@@ -418,11 +426,11 @@ def _lattice(root: int, horizon: int | None = None) -> tuple[list[int], list[int
     return tuple(map(list, zip(*found)))
 
 
-def _pairs(states: list[int], needed: list[bool] | None = None):
+def _pairs(states: list[int], needed: Callable[[int, int], bool] | None = None):
     """(position p, level-0 count d0, n, P0, P1, position of the decremented
     state) per state of a lattice ``states``, in its ascending order; with
-    ``needed``, a flag per position, only the runs up to their last needed
-    state, and no run without one.
+    ``needed``, a predicate on (p, d0) asked of each state in that order,
+    only the states it holds for.
 
     A run is the states that differ on level 0 only: they sit at consecutive
     positions, level-0 count 0 first.  A ones vector O is its level-0 count
@@ -435,29 +443,33 @@ def _pairs(states: list[int], needed: list[bool] | None = None):
     vectors, as :meth:`_Counts.moves` takes them: O = 0, whose children are the
     state itself and the decremented state, and one O of each label-swap
     pair.  The lists are shared along a run and grow with d0, so read them
-    before the next state.
+    before the next state.  They grow, catching up along the run, only when
+    a state is yielded, and a run's positions are looked up only once one of
+    its states is: a state ``needed`` turns down costs one call.
     """
     where = dict(zip(states, range(len(states)))).__getitem__
     starts = [p for p, state in enumerate(states) if not state & _LOW]
     for b0, b1 in zip(starts, [*islice(starts, 1, None), len(states)]):
-        if needed is not None:
-            run = needed[b0:b1]
-            if True not in run:
+        aa = None
+        for p in range(b0, b1):
+            d0 = p - b0
+            if needed is not None and not needed(p, d0):
                 continue
-            b1 -= run[::-1].index(True)
-        high = states[b0]
-        low = high >> _W
-        ds = _product(_occupied(high))
-        aa = list(map(where, map(high.__sub__, ds)))
-        bb = list(map(where, map(low.__add__, ds)))
-        down = where(low)
-        p0: list[int] = []
-        p1: list[int] = []
-        for d0 in range(b1 - b0):
-            if not d0 & 1:  # o0 = d0 // 2 joins: the half needs no more
-                p0 += map((-(d0 >> 1)).__add__, aa)
-                p1 += map((d0 >> 1).__add__, bb)
-            yield b0 + d0, d0, ((d0 + 1) * len(aa) + 1) // 2, p0, p1, down
+            if aa is None:
+                high = states[b0]
+                low = high >> _W
+                ds = _product(_occupied(high))
+                aa = list(map(where, map(high.__sub__, ds)))
+                bb = list(map(where, map(low.__add__, ds)))
+                down = where(low)
+                p0: list[int] = []
+                p1: list[int] = []
+                joined = 0  # o0 = 0, ..., joined - 1 are in the lists
+            while joined <= d0 >> 1:  # the half needs o0 up to d0 // 2
+                p0 += map((-joined).__add__, aa)
+                p1 += map(joined.__add__, bb)
+                joined += 1
+            yield p, d0, ((d0 + 1) * len(aa) + 1) // 2, p0, p1, down
 
 
 class _Counts:
@@ -486,10 +498,8 @@ class _Counts:
         for i, p in enumerate(order, 1):
             where[p] = i
         get = where.__getitem__
-        needed = None if horizon is None else [0 < i <= len(rows) for i in where]
-        for p, d0, n, p0, p1, _ in _pairs(states, needed):
-            if 0 < where[p] <= len(rows):
-                rows[where[p] - 1] = (list(map(get, map(d0.__add__, islice(p0, n)))), list(map(get, islice(p1, n))))
+        for p, d0, n, p0, p1, _ in _pairs(states, lambda p, _: 0 < where[p] <= len(rows)):
+            rows[where[p] - 1] = (list(map(get, map(d0.__add__, islice(p0, n)))), list(map(get, islice(p1, n))))
         return [0, *map(states.__getitem__, order)], [0, *islice(ranked, len(order))], rows
 
     def moves(self, state: int):
@@ -647,7 +657,9 @@ class Solver:
     RL_T runs the level sweep in both.  The
     RL memos hold RL * 2^P and the RL_T memos RL_T * 2^T as ints.  Every
     query takes a class or a :class:`VersionSpace` and reads its state's
-    memo entry.
+    memo entry.  A class is encoded once per Solver: :meth:`version_space`
+    keeps one version space per class object, and :meth:`budget_space` one
+    per class object and budget.
     """
 
     def __init__(self, state_budget: int | None = None):
@@ -661,6 +673,9 @@ class Solver:
         # Each frame with its tables; the tables' rules hold the frame, so
         # the frame must not hold them back, or a dropped Solver is a cycle.
         self._frames: list[tuple[_Frame, dict]] = []
+        # (class, its version space) by (id of the class, budget or None); the
+        # class is held so that its id is not reused while the entry lives.
+        self._spaces: dict[tuple[int, int | None], tuple] = {}
 
     @property
     def states_visited(self) -> int:
@@ -690,8 +705,23 @@ class Solver:
         return frame, tables, frame.encode(key)
 
     def version_space(self, w: WeightedClass | ExpertClass | VersionSpace) -> VersionSpace:
-        """``w`` as a state of this solver's state spaces; a VersionSpace as is."""
-        return w if isinstance(w, VersionSpace) else VersionSpace(self, w)
+        """``w`` as a state of this solver's state spaces; a VersionSpace as is.
+
+        A Solver holds one version space per class object, built on the
+        first call, so a game on a class it has seen encodes nothing."""
+        return w if isinstance(w, VersionSpace) else self._space(w, None)
+
+    def budget_space(self, w: WeightedClass | ExpertClass, k: int) -> VersionSpace:
+        """The version space of ``with_budget(w, k)``, one per class object and k."""
+        return self._space(w, k)
+
+    def _space(self, w: WeightedClass | ExpertClass, k: int | None) -> VersionSpace:
+        """The cached version space of ``w`` (of ``with_budget(w, k)`` unless
+        ``k`` is None), built on a miss."""
+        entry = self._spaces.get((id(w), k))
+        if entry is None:
+            entry = self._spaces[id(w), k] = (w, VersionSpace(self, w if k is None else with_budget(w, k)))
+        return entry[1]
 
     def _dp(self, root, memo: dict, body, leaf, charge: bool = True):
         """The value of ``root``: its ``memo`` entry, else ``leaf(root)`` unless
@@ -756,19 +786,27 @@ class Solver:
         # L: the run predecessor p - 1, one level-0 expert short, is a
         # sub-class, so L(p) >= L(p - 1).  Along a run only above_0 grows, by
         # d0, and C(m, 0) = 1, so S(m) at p is the run's S(m) plus d0: when it
-        # leaves no room for L(p - 1) + 1, L(p) = L(p - 1) with no scan.
-        tested = None  # (run start, m) of the run's S(m) in ``room``
-        for p, d0, n, p0, p1, down in _pairs(states):
+        # leaves no room for L(p - 1) + 1, L(p) = L(p - 1) with no scan:
+        # ``scan`` writes it, and _pairs skips the state, its lists not grown.
+        tested = room = None  # (run start, m) of the run's S(m) in ``room``
+
+        def scan(p: int, d0: int) -> bool:
+            """Whether L(p) needs its scan; if the bound says not, L(p) = L(p - 1)."""
+            nonlocal tested, room
+            if not d0:
+                return p > 0
+            m = values[p - 1] + 1
+            if tested != (p - d0, m):
+                tested = (p - d0, m)
+                room = _volume(_u_above(states[p - d0]), m)
+            if room + d0 < 1 << m:
+                values[p] = m - 1
+                return False
+            return True
+
+        for p, d0, n, p0, p1, down in _pairs(states, None if randomized else scan):
             if not p:
                 continue
-            if not randomized and d0:
-                m = values[p - 1] + 1
-                if tested != (p - d0, m):
-                    tested = (p - d0, m)
-                    room = _volume(_u_above(states[p - d0]), m)
-                if room + d0 < 1 << m:
-                    values[p] = m - 1
-                    continue
             best = max(map(pair, map(get, map(d0.__add__, islice(p0, n))), map(get, islice(p1, n))))
             if randomized:
                 loop, best = full + values[down], half + (best >> 1)
@@ -861,8 +899,11 @@ class Solver:
         interned: dict[tuple[str, int, int], MistakeTree] = {}
 
         def join(witness: int, zero: MistakeTree, one: MistakeTree) -> MistakeTree:
-            tree = node(domain[witness], zero, one)
-            return interned.setdefault((tree.instance, id(zero), id(one)), tree)
+            key = (domain[witness], id(zero), id(one))
+            tree = interned.get(key)
+            if tree is None:  # a node is built only for a new key
+                tree = interned[key] = node(domain[witness], zero, one)
+            return tree
 
         return self._walk(w, horizon, lambda t: LEAF, join)
 

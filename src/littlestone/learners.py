@@ -16,6 +16,9 @@ state in the class's frame, or in the count space for an expert class.  A
 round splits it into its two candidate children (a few bitwise operations on
 a frame, one restriction of the budget vector on counts) and reads their
 values from the solver's memo; no restricted explicit class is ever built.
+The solver keeps one version space per class (and per class and budget for
+the aggregator's sub-learners), so a learner on a class the solver has
+seen starts from that shared, immutable root and encodes nothing.
 
 Predictions are probabilities of answering 1, reported as exact rationals;
 the per-round loss |y - p| is then the exact mistake probability.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable
 
-from .classes import ExpertClass, WeightedClass, _check_advice, with_budget
+from .classes import ExpertClass, WeightedClass, _check_advice
 from .classes import restrict  # noqa: F401  # bench/tracing.py wraps learners.restrict
 from .dimension import Solver, VersionSpace
 
@@ -273,7 +276,7 @@ class AdaptiveAggregator(Learner):
         """Add the budget-k sub-learner, replaying it over the stored history
         so its regret statistics match what tracking it from round one would
         have produced."""
-        learner = RandSOALearner(with_budget(self.base, k), self.solver)
+        learner = RandSOALearner(self.solver.budget_space(self.base, k), self.solver)
         regret = 0.0
         variance = 0.0
         alive = True
@@ -350,10 +353,11 @@ class AdaptiveAggregator(Learner):
             self.ceiling = new_ceiling
 
     def clone(self) -> "AdaptiveAggregator":
-        """Copy the learner state; the copy shares this learner's Solver."""
+        """Copy the learner state; the copy shares this learner's Solver and
+        its (immutable) base class, so the Solver's budget spaces serve both."""
         import copy
 
-        return copy.deepcopy(self, {id(self.solver): self.solver})
+        return copy.deepcopy(self, {id(self.solver): self.solver, id(self.base): self.base})
 
     def state_key(self):
         return None

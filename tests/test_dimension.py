@@ -55,6 +55,7 @@ from littlestone.trees import (
     expected_branch_length,
     is_monotone,
     min_branch_length,
+    node,
     quasi_balance_weights,
     shatter_check,
     tree_to_json,
@@ -277,6 +278,24 @@ class TestExtraction:
         # Depth-d cut of the infinite single-hypothesis strategy.
         tree, _ = solver.extract_optimal_tree(single_hypothesis(1), d)
         assert expected_branch_length(tree) == 2 - F(2, 2**d)
+
+    @pytest.mark.parametrize("w,horizon", [(universal_class(2, 2), 6), (universal_class(3, 1), 5)])
+    def test_extraction_builds_each_distinct_node_once(self, w, horizon, monkeypatch):
+        built = []
+
+        def counted(instance, zero, one):
+            built.append(instance)
+            return node(instance, zero, one)
+
+        monkeypatch.setattr(dimension, "node", counted)
+        tree = Solver()._extract_tree(w, horizon)
+        internal, stack = set(), [tree]
+        while stack:
+            t = stack.pop()
+            if not t.is_leaf and id(t) not in internal:
+                internal.add(id(t))
+                stack += (t.zero, t.one)
+        assert len(built) == len(internal)
 
     def test_two_expert_states_use_disagreement_points(self):
         w = universal_class(2, 1)

@@ -21,6 +21,7 @@ from littlestone.classes import (
     restrict,
     universal_class,
 )
+from littlestone import dimension
 from littlestone.dimension import Solver
 from littlestone.games import (
     exact_expected_loss,
@@ -528,3 +529,105 @@ def test_games_read_the_class_memo(rng):
             learner = make_learner(selection, w, s, horizon=horizon)
             assert exact_expected_loss(learner, tree) == expected_branch_length(tree) / 2
         assert s.states_visited == before
+
+
+def _tree_adversaries(w, s):
+    """The branch and threshold adversaries of an optimal tree of ``w`` at
+    slack 1/16, with that tree's horizon; an expert class is materialized."""
+    explicit = w.explicit() if isinstance(w, ExpertClass) else w
+    horizon = s.horizon_for_slack(explicit, F(1, 16))
+    tree, weights = s.extract_optimal_tree(explicit, horizon)
+    return horizon, {
+        "branch": random_branch_adversary(tree, explicit),
+        "threshold": threshold_adversary(tree, weights, explicit),
+    }
+
+
+class TestSharedVersionSpaces:
+    """A Solver holds one version space per class object, and one budget-k
+    version space per class object and k, so a game on a class it has seen
+    builds none."""
+
+    @pytest.mark.parametrize("w", [universal_class(2, 2), expert_class(3, 1)], ids=["u22", "e31"])
+    def test_second_game_builds_no_version_space(self, w, monkeypatch):
+        s = Solver()
+        horizon, adversaries = _tree_adversaries(w, s)
+        selections = [*VERSION_SPACE_LEARNERS, "squint"]
+
+        def games():
+            for selection in selections:
+                for adversary in adversaries.values():
+                    for seed in range(3):
+                        learner = make_learner(selection, w, s, horizon=horizon)
+                        twin = learner.clone()
+                        play(learner, adversary, seed=seed)
+                        play(twin, adversary, seed=seed)
+
+        games()
+        calls = []
+        for owner, name in (
+            (dimension._Frame, "encode"),
+            (dimension.VersionSpace, "__init__"),
+            (dimension.Solver, "_frame"),
+            (WeightedClass, "state_key"),
+            (dimension, "with_budget"),
+        ):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        before = s.states_visited
+        games()
+        assert calls == []
+        assert s.states_visited == before
+
+    @pytest.mark.parametrize("w", [universal_class(2, 3), expert_class(3, 1)], ids=["u23", "e31"])
+    @pytest.mark.parametrize("adversary", ["branch", "threshold"])
+    @pytest.mark.parametrize("selection", [*VERSION_SPACE_LEARNERS, "squint"])
+    def test_warm_solver_plays_as_a_fresh_one(self, w, adversary, selection):
+        warm = Solver()
+        horizon, adversaries = _tree_adversaries(w, warm)
+        for seed in range(4):  # the first game fills the warm Solver's spaces
+            shared = play(make_learner(selection, w, warm, horizon=horizon), adversaries[adversary], seed=seed)
+            fresh = play(make_learner(selection, w, Solver(), horizon=horizon), adversaries[adversary], seed=seed)
+            assert shared.to_jsonl() == fresh.to_jsonl(), seed
+
+    @pytest.mark.parametrize(
+        "make", [lambda: universal_class(2, 2), lambda: expert_class(3, 1)], ids=["u22", "e31"]
+    )
+    def test_equal_classes_are_distinct_entries(self, make):
+        s = Solver()
+        first, second = make(), make()
+        assert first == second and first is not second
+        v = s.version_space(first)
+        assert s.version_space(first) is v and s.version_space(v) is v
+        value = s.randomized_littlestone(first)
+        before = s.states_visited
+        u = s.version_space(second)
+        assert u is not v and u.key == v.key
+        built = dimension.VersionSpace(s, second)
+        assert (u.space, u.tables, u.state, u.label) == (built.space, built.tables, built.state, built.label)
+        assert s.randomized_littlestone(second) == value
+        budgeted = s.budget_space(first, 2)
+        assert s.budget_space(first, 2) is budgeted
+        assert s.budget_space(second, 2) is not budgeted
+        assert s.budget_space(second, 2).key == budgeted.key
+        assert s.states_visited == before
+
+    def test_a_dropped_class_never_lends_its_entry(self, rng):
+        # A class built right after another is dropped may take its address
+        # (CPython reuses the freed block); each still gets its own space.
+        s = Solver()
+        for _ in range(40):
+            parts = [random_weighted_class(rng, max_points=3, max_budget=2) for _ in range(2)]
+            for w in parts:
+                s.littlestone(w)
+            w = None
+            for part in parts:
+                w = WeightedClass(part.domain, part.members)  # the block just freed, likely
+                assert s.littlestone(w) == Solver().littlestone(w)
+                assert s.randomized_littlestone(w) == Solver().randomized_littlestone(w)
+                w = None
