@@ -106,6 +106,12 @@ class WeightedClass:
         """Canonical key identifying this class up to member names/order."""
         return tuple(sorted((m.labels, m.budget) for m in self.members))
 
+    def explicit(self) -> "WeightedClass":
+        """The class itself: it already has its domain (see
+        :meth:`ExpertClass.explicit`).  The same object, so caches keyed by
+        the class still hit."""
+        return self
+
 
 # The most experts whose 2^n-point advice domain is materialized.
 EXPLICIT_MAX_BITS = 16

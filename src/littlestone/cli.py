@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .classes import (
     ClassFileError,
-    ExpertClass,
     UnknownInstanceError,
     expert_class,
     load_class_file,
@@ -37,7 +36,6 @@ from .experts import (
 from .games import (
     AdversaryPreconditionError,
     GameProtocolError,
-    online_optimal_adversary,
     play,
     proper_adversary,
     random_branch_adversary,
@@ -247,21 +245,17 @@ def cmd_play(args) -> int:
             return proper_adversary(args.n)
         # Tree nodes name domain points: an expert class is materialized
         # once, here, so past the 16-expert cap no search runs first.
-        tree_class = w.explicit() if isinstance(w, ExpertClass) else w
-        if args.adversary == "optimal":
-            return online_optimal_adversary(tree_class, _rational("--slack", args.slack), solver)
+        tree_class = w.explicit()
         horizon = (
             args.horizon
-            if args.horizon is not None
+            if args.horizon is not None and args.adversary != "optimal"
             else solver.horizon_for_slack(tree_class, _rational("--slack", args.slack))
         )
-        if args.adversary == "threshold":
-            tree, weights = solver.extract_optimal_tree(tree_class, horizon)
-            return threshold_adversary(tree, weights, declared_class=tree_class, check=False)
         if args.adversary == "branch":
             tree = solver._extract_tree(tree_class, horizon)  # fair coins read no weights
             return random_branch_adversary(tree, declared_class=tree_class, check=False)
-        raise AdversaryPreconditionError(f"unknown adversary {args.adversary!r}")
+        tree, weights = solver.extract_optimal_tree(tree_class, horizon)  # threshold, optimal
+        return threshold_adversary(tree, weights, declared_class=tree_class, check=False)
 
     adversary = build_adversary()  # play() resets it with each trial's seed
     horizon = args.horizon if args.horizon is not None else args.max_rounds

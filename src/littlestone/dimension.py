@@ -76,10 +76,9 @@ adds ``expand`` and ``room`` for its L and RL DP.  A VersionSpace is a
 class held as a state of its space, with the space's tables and a label
 (the frame's domain, or the expert class itself); an example steps it by
 the space's charge, with no explicit class built, and every query accepts
-it in place of a class.  Only three places ask which space a class lives
-in: ``VersionSpace.__init__`` picks it; the horizon search builds one
-lattice for both the count RL sweep and the rows; and tree extraction
-materializes an expert class, because tree nodes name domain points.
+it in place of a class.  Only ``VersionSpace.__init__`` asks which space a
+class lives in.  Tree extraction reads domain points off ``explicit()``,
+which materializes an expert class and returns a weighted class itself.
 
 Randomized values are dyadic, and the DP runs on their integer
 numerators.  RL(W) * 2^P is an integer for P = sum over members of
@@ -477,16 +476,15 @@ class _Counts:
     surviving experts per remaining budget, the same in every Solver, and
     the label of its version spaces is their :class:`ExpertClass`."""
 
-    def rows(self, root: int, charge=None, horizon: int | None = None, lattice=None):
+    def rows(self, root: int, charge=None, horizon: int | None = None):
         """The level sweep's input over the count states ``root`` reaches: the
         states by distance, the empty class first and the root second, up to
         ``horizon`` rounds if given; their distances; and per state within
         ``horizon - 1`` rounds (every one if None), in that order, the position
         lists (i0, i1) of its pairs of children from :func:`_pairs`, the
         self-loop's pair of the state and its decremented state among them.
-        The rows are charged to ``charge``, if given, before they are built;
-        ``lattice`` is ``_lattice(root)`` if already built."""
-        states, _, dists = lattice or _lattice(root, horizon)
+        The rows are charged to ``charge``, if given, before they are built."""
+        states, _, dists = _lattice(root, horizon)
         order = sorted(range(1, len(states)), key=dists.__getitem__)
         ranked = list(map(dists.__getitem__, order))
         if horizon is not None:
@@ -758,14 +756,13 @@ class Solver:
         if self.state_budget is not None:
             self._charge(held + sum(1 for key in keys if key not in memo))
 
-    def _sweep(self, root: int, memo: dict, randomized: bool, lattice=None) -> int:
+    def _sweep(self, root: int, memo: dict, randomized: bool) -> int:
         """L, or RL * 2^P, of the count state ``root``, in one pass over the
         lattice it reaches in ascending order, so children come first.  Every
-        state of the lattice is written into ``memo``, RL at its own 2^P.
-        ``lattice`` is ``_lattice(root)`` if already built."""
+        state of the lattice is written into ``memo``, RL at its own 2^P."""
         if not root:
             return EMPTY
-        states, powers, _ = lattice or _lattice(root)
+        states, powers, _ = _lattice(root)
         self._charge_new(memo, islice(states, 1, None))
         top = powers[-1]  # the root's P, the largest
         # RL * 2^top, an integer at every state.  A child's P is below its
@@ -893,8 +890,7 @@ class Solver:
 
     def _extract_tree(self, w: WeightedClass | ExpertClass, horizon: int) -> MistakeTree:
         """The tree of :meth:`extract_optimal_tree`, without its weights."""
-        if isinstance(w, ExpertClass):  # tree nodes name domain points
-            w = w.explicit()
+        w = w.explicit()  # tree nodes name domain points
         domain = w.domain.points
         interned: dict[tuple[str, int, int], MistakeTree] = {}
 
@@ -983,17 +979,11 @@ class Solver:
         if slack <= 0:
             raise ValueError("slack must be positive")
         v = self.version_space(w)
-        build_rows = v.space.rows
-        rl, solve = v.tables["rl"]
-        if v.space is _COUNTS and v.state and v.state not in rl:
-            lattice = _lattice(v.state)  # one for the count RL sweep and the rows
-            solve(self, v.state, lattice=lattice)
-            build_rows = partial(build_rows, lattice=lattice)
         target = self.randomized_littlestone(v) - slack
         if v.is_empty or target <= 0:  # RL(W, 0) is -1, resp. 0
             return 0
         charge = self._charge if self.state_budget is not None else None
-        states, _, rows = build_rows(v.state, charge)
+        states, _, rows = v.space.rows(v.state, charge)
         memo = v.tables["brl"][0]
         live = states[1:]
         num, den = target.numerator, target.denominator

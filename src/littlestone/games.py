@@ -101,6 +101,16 @@ class Adversary:
         raise NotImplementedError
 
 
+def _require_shattered(tree: MistakeTree, declared_class: WeightedClass | ExpertClass) -> None:
+    """The tree adversaries' precondition: every branch of ``tree`` is
+    realizable by ``declared_class``."""
+    failing = shatter_check(tree, declared_class).failing_branches
+    if failing:
+        raise AdversaryPreconditionError(
+            f"tree is not shattered by the declared class; {len(failing)} branch(es) fail"
+        )
+
+
 class RandomBranchAdversary(Adversary):
     """Walks a mistake tree, labeling each round with a fair coin flip.
 
@@ -115,12 +125,7 @@ class RandomBranchAdversary(Adversary):
         check: bool = True,
     ):
         if declared_class is not None and check:
-            report = shatter_check(tree, declared_class)
-            if not report.ok:
-                raise AdversaryPreconditionError(
-                    f"tree is not shattered by the declared class; "
-                    f"{len(report.failing_branches)} branch(es) fail"
-                )
+            _require_shattered(tree, declared_class)
         self.tree = tree
         self.declared_class = declared_class
         self._node = tree
@@ -157,9 +162,7 @@ class ThresholdAdversary(Adversary):
         check: bool = True,
     ):
         if declared_class is not None and check:
-            report = shatter_check(tree, declared_class)
-            if not report.ok:
-                raise AdversaryPreconditionError("tree is not shattered by the declared class")
+            _require_shattered(tree, declared_class)
         self.tree = tree
         self.weights = weights
         self.declared_class = declared_class
@@ -376,8 +379,7 @@ def worst_case_loss(
     key, version space, rounds left) when the learner exposes a state key;
     the optional budget caps the number of explored game states.
     """
-    if isinstance(w, ExpertClass):
-        w = w.explicit()
+    w = w.explicit()  # the audit enumerates domain points
     if w.is_empty:
         raise ValueError("the empty class admits no realizable play")
     memo: dict = {}

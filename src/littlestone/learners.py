@@ -347,6 +347,8 @@ class AdaptiveAggregator(Learner):
 
     def _ensure_alive(self) -> None:
         while self._pool.get(self.ceiling) is None:
+            if self.solver.budget_space(self.base, 0).is_empty:  # so is every budget's
+                raise EmptyVersionSpaceError("no hypothesis left to predict with")
             new_ceiling = self.ceiling * 2
             for k in range(self.ceiling + 1, new_ceiling + 1):
                 self._spawn(k)

@@ -41,7 +41,6 @@ from .classes import (
     ExampleSequence,
     ExpertClass,
     WeightedClass,
-    min_mistakes,
 )
 
 
@@ -456,15 +455,16 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
     """
     from .dimension import Solver  # dimension imports this module
 
+    space = Solver().version_space(w)
     for x in dict.fromkeys(t.instance for t, _ in _preorder(tree) if not t.is_leaf):
-        min_mistakes([(x, 0)], w)  # raises exactly where a branch through x would
+        space.split(x)  # raises exactly where a branch through x would, on either kind
 
     def pair(t: MistakeTree, v) -> tuple:
         return t, v, (id(t), v.key)
 
     ok: dict[tuple, bool] = {}
     children: dict[tuple, tuple[tuple, tuple]] = {}
-    root = pair(tree, Solver().version_space(w))
+    root = pair(tree, space)
     stack = [root]
     while stack:
         t, v, key = stack[-1]

@@ -127,7 +127,7 @@ def reference_shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -
     class per pair, keyed by ``state_key()`` (budgets for experts).  The
     production check steps packed version spaces by ``split`` instead."""
     for x in dict.fromkeys(t.instance for t, _ in reference_walk(tree)[0] if not t.is_leaf):
-        min_mistakes([(x, 0)], w)  # raises exactly where a branch through x would
+        restrict(w, x, 0)  # raises exactly where a branch through x would, on either kind
 
     def pair(t: MistakeTree, v: WeightedClass | ExpertClass) -> tuple:
         state = v.budgets if isinstance(v, ExpertClass) else v.state_key()

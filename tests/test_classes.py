@@ -19,6 +19,7 @@ from littlestone.classes import (
     universal_class,
     with_budget,
 )
+from littlestone.dimension import Solver
 
 
 def make_class(points, members):
@@ -169,6 +170,13 @@ class TestUniversalClass:
 
     def test_explicit_matches_universal(self):
         assert expert_class(3, 2).explicit() == universal_class(3, 2)
+
+    def test_a_weighted_class_is_its_own_explicit_form(self):
+        # The same object, so a Solver's version space of the class is reused.
+        w = universal_class(2, 1)
+        assert w.explicit() is w
+        solver = Solver()
+        assert solver.version_space(w.explicit()) is solver.version_space(w)
 
 
 class TestMinMistakes:

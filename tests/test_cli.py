@@ -262,6 +262,24 @@ class TestPlay:
         assert after == before
         assert [line for line in after.splitlines() if line.startswith("trial ")]
 
+    @pytest.mark.parametrize("learner", ["soa", "randsoa", "bounded-randsoa", "ftl", "squint", "constant:1/2"])
+    @pytest.mark.parametrize("game", ["u(2,1)", "u(3,1)", "--n 3 --k 1"])
+    def test_optimal_is_threshold_at_the_slack_horizon(self, tmp_path, capsys, game, learner):
+        # Both extract the optimal tree at the slack's horizon and threshold
+        # its weights: the same games, line for line.
+        if game.startswith("u"):
+            n, k = int(game[2]), int(game[4])
+            cls = ["--class-file", write_class_file(tmp_path, universal_class(n, k)), "--n", str(n)]
+        else:
+            cls = game.split()
+        outcomes = [
+            TestPlayOnCounts.outcome(
+                tmp_path, capsys, ["play", *cls, "--learner", learner, "--adversary", adversary, "--trials", "2"]
+            )
+            for adversary in ("optimal", "threshold")
+        ]
+        assert outcomes[0] == outcomes[1]
+
 
 class TestPlayOnCounts:
     """``play --n`` plays the expert class on count states; only a tree

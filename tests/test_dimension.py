@@ -1,8 +1,8 @@
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
-from functools import partial
 
 import pytest
 from conftest import (
@@ -963,19 +963,14 @@ class TestCountLattice:
         assert s._counts["brl"][0] == ref._counts["brl"][0]
         assert len(calls) == len(runs) == read
 
-    def test_a_horizon_search_builds_one_lattice(self, monkeypatch):
-        # The RL target's sweep and the rows read the same lattice.
+    def test_a_horizon_search_builds_one_lattice(self):
+        # The RL target's sweep and the rows each build the whole lattice;
+        # the search and the RL memo are the reference's.
         w = expert_class(3, 2)
         ref = reference_count_solver()
         horizon = reference_horizon_for_slack(ref, w, F(1, 64))
-        calls = []
-        lattice = dimension._lattice
-        monkeypatch.setattr(
-            dimension, "_lattice", lambda root, horizon=None: calls.append(root) or lattice(root, horizon)
-        )
         s = Solver()
         assert s.horizon_for_slack(w, F(1, 64)) == horizon
-        assert calls == [_pack(w.counts())]
         assert s._counts["rl"][0] == ref._counts["rl"][0]
 
     @pytest.mark.parametrize("n, k, rl", [(128, 1, F(85, 16)), (32, 2, F(733, 128))])
@@ -991,10 +986,18 @@ class TestCountLattice:
         pruned, whole = {}, {}
         s = Solver()
         value = s._sweep_levels((root, horizon), pruned, _COUNTS.rows)
-        assert s._sweep_levels((root, horizon), whole, partial(_COUNTS.rows, lattice=_lattice(root))) == value
+
+        def whole_rows(root, charge, horizon):  # every state of the lattice
+            return _COUNTS.rows(root, charge)
+
+        assert s._sweep_levels((root, horizon), whole, whole_rows) == value
         assert pruned == whole
         if root:
-            assert _COUNTS.rows(root, None, horizon) == _COUNTS.rows(root, None, horizon, _lattice(root))
+            states, dists, rows = _COUNTS.rows(root, None)  # the whole lattice, no horizon
+            cut = bisect_right(dists, horizon)
+            assert _COUNTS.rows(root, None, horizon) == (
+                states[:cut], dists[:cut], rows[: bisect_right(dists, horizon - 1) - 1]
+            )
             assert set(_lattice(root, horizon)[0]) <= set(_lattice(root)[0])
 
 

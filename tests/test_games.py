@@ -138,6 +138,22 @@ class TestRandomBranchAdversary:
         with pytest.raises(AdversaryPreconditionError):
             random_branch_adversary(complete_tree(2, "01"), declared_class=w)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tree, w: random_branch_adversary(tree, declared_class=w, check=True),
+            lambda tree, w: threshold_adversary(tree, quasi_balance_weights(tree), declared_class=w, check=True),
+        ],
+        ids=["branch", "threshold"],
+    )
+    def test_both_tree_adversaries_name_the_failing_branches(self, build):
+        # Under u(2,0) the branches 01 and 10 of the depth-2 tree fail.
+        tree = complete_tree(2, "01")
+        with pytest.raises(
+            AdversaryPreconditionError, match=r"^tree is not shattered by the declared class; 2 branch\(es\) fail$"
+        ):
+            build(tree, universal_class(2, 0))
+
     def test_prefix_cache_is_bit_identical(self):
         # Extracted trees share subtrees, so the walk's cache keyed by learner
         # state actually kicks in; the result must still be E_T/2 exactly.

@@ -270,6 +270,22 @@ class TestAdaptiveAggregator:
         assert agg.ceiling >= 2
         assert agg._pool[agg.ceiling] is not None
 
+    def test_empty_class_raises_instead_of_doubling(self, monkeypatch):
+        # No budget revives a class without members, so the ceiling must not
+        # double forever; the spawn counter stops a regression from hanging.
+        spawn, calls = AdaptiveAggregator._spawn, []
+
+        def counted(self, k):
+            calls.append(k)
+            if len(calls) > 64:
+                raise AssertionError("the ceiling keeps doubling on an empty class")
+            spawn(self, k)
+
+        monkeypatch.setattr(AdaptiveAggregator, "_spawn", counted)
+        agg = AdaptiveAggregator(WeightedClass(Domain(("x",)), ()), Solver())
+        with pytest.raises(EmptyVersionSpaceError):
+            agg.predict("x")
+
     def test_tracks_best_budget_on_realizable_stream(self):
         # On an exactly realizable stream the aggregator stays within a
         # square-root-order excess of the budget-0 sub-learner; C = 0.2 is

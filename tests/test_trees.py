@@ -574,6 +574,15 @@ class TestShatterPairs:
         with pytest.raises(UnknownInstanceError):
             shatter_check(t, w)
 
+    @pytest.mark.parametrize(
+        "w", [WeightedClass(Domain(("x",)), ()), ExpertClass((None, None))], ids=["weighted", "experts"]
+    )
+    def test_both_empty_kinds_reject_an_unknown_instance(self, w):
+        # Each instance is checked by a split of the root version space,
+        # which reads it against the domain whether or not a member is left.
+        with pytest.raises(UnknownInstanceError):
+            shatter_check(node("bad", LEAF, LEAF), w)
+
     @given(st.integers(0, 2**32), st.booleans(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_shared_dags_match_the_restrict_pass(self, seed, experts, unknown):
