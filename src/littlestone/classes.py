@@ -239,12 +239,14 @@ def restrict(w: WeightedClass | ExpertClass, x: str, y: int) -> WeightedClass | 
 
 
 def with_budget(w: WeightedClass | ExpertClass, k: int) -> WeightedClass | ExpertClass:
-    """The class with budget k on every member, and on every expert slot.
+    """The class with budget k on every member, and on every surviving
+    expert; an eliminated expert's slot stays None, as ``explicit()`` has
+    no member for it.
 
     Members sharing a label row would become identical, so only the first of
     each row is kept; they share every column, so RL and L are unchanged."""
     if isinstance(w, ExpertClass):
-        return ExpertClass(tuple(k for _ in w.budgets))
+        return ExpertClass(tuple(None if b is None else k for b in w.budgets))
     names: dict[tuple[int, ...], str] = {}
     for m in w.members:
         names.setdefault(m.labels, m.name)

@@ -95,21 +95,31 @@ stack, not recursion.  RL_T runs one level sweep in either space.  It
 builds, once, the states by distance from the root (breadth first on a
 frame, from the lattice on count states) and the index lists of each one's
 pairs of children, then sweeps RL_t * 2^t upward, a level at a time, over
-flat int lists, writing each level into the RL_T memo.  A bounded query
+flat int lists, writing each level into the RL_T memo; each row is read
+through two ``itemgetter``s (see :func:`_readers`).  A bounded query
 expands only the states within T - 1 rounds and computes at level t only
 those within T - t rounds, a prefix of the states by distance; so it writes
 every such state, where a DP would write those it reaches in exactly T - t
 moves.  The horizon search, which needs RL(W, t) for t = 1, 2, ... in turn,
-expands every reachable state and sweeps until its target is met.
+expands every reachable state once and sweeps until its target is met.
+Its target needs RL(W), which it reads off the same rows unless the RL
+memo holds it: one pass in ascending P at the root's scale, the self-loop
+scored apart, as the count sweep runs, writing every state into the RL
+memo at its own scale, the entries the DP or the count sweep would write.
 
 One walk over the RL_T memo, :meth:`Solver._walk`, reads the optimal tree
 off it through the same loop: each (state, t) key takes the first move
 attaining its value (in witness order on a frame, the self-loop first on
-count states) and folds its two children's results with a given join.
-Tree extraction joins interned nodes; the branch-length law joins the
-children's laws, integers at scale 2^t: P(length = L) * 2^t per L, a leaf
-2^t at length 0 and a node its children's laws added one length up.  So
-on an explicit class the law is that of the extracted tree.
+count states) and folds its two children's results with a given join,
+which is also given the move's quasi-balance weight
+w0 = (2^(t-1) + v1 - v0) / 2^t from the children's values v0, v1 at scale
+2^(t-1).  Tree extraction joins interned nodes and builds one weight node
+per new tree node, so it returns the weights that
+:func:`~littlestone.trees.quasi_balance_weights` would fold from the tree.
+The branch-length law joins the children's laws, integers at scale 2^t:
+P(length = L) * 2^t per L, a leaf 2^t at length 0 and a node its children's
+laws added one length up.  So on an explicit class the law is that of the
+extracted tree.
 """
 
 from __future__ import annotations
@@ -121,10 +131,14 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, chain, count, islice, repeat
 from math import comb
-from operator import add, mul, rshift
+from operator import add, itemgetter, mul, rshift
 
 from .classes import ExpertClass, WeightedClass, restrict, with_budget
-from .trees import LEAF, MistakeTree, WeightFunction, node, quasi_balance_weights
+from .trees import LEAF, MistakeTree, PathWeights, WeightFunction, _weight_node, node
+
+# Unused here: extraction builds its weights in the walk.  The benchmark
+# tracer wraps this name, so it stays until its wrappers go (ROADMAP item 6).
+from .trees import quasi_balance_weights
 
 EMPTY = -1
 
@@ -535,12 +549,25 @@ class _Counts:
 _COUNTS = _Counts()
 
 
+def _readers(rows: list) -> None:
+    """The rows of a space's ``rows`` as :func:`_rl_level` reads them, made
+    in place: a row of one pair as its two positions, a longer one as two
+    ``itemgetter``s, each gathering its pairs' values in one C call where
+    ``map`` over an index list builds an iterator per row and level, and a
+    row without moves as (None, None)."""
+    for j, (i0, i1) in enumerate(rows):
+        rows[j] = (i0[0], i1[0]) if len(i0) == 1 else (itemgetter(*i0), itemgetter(*i1)) if i0 else (None, None)
+
+
 def _rl_level(rows, values: list[int], t: int) -> list[int]:
     """RL_t * 2^t of the empty class, then of each row's state, from
-    ``values``, RL_(t-1) * 2^(t-1) by position; a state without moves is 0."""
-    get = values.__getitem__
+    ``values``, RL_(t-1) * 2^(t-1) by position; the rows as :func:`_readers`
+    gives them, and a state without moves is 0."""
     half = 1 << (t - 1)
-    return [-(1 << t)] + [half + max(map(add, map(get, i0), map(get, i1))) if i0 else 0 for i0, i1 in rows]
+    return [-(1 << t)] + [
+        half + values[a] + values[b] if a.__class__ is int else half + max(map(add, a(values), b(values))) if a else 0
+        for a, b in rows
+    ]
 
 
 class VersionSpace:
@@ -834,6 +861,7 @@ class Solver:
             for t in range(1, horizon - dist + 1)
         )
         self._charge_new(memo, keys, held=len(rows))
+        _readers(rows)
         values = [-1] + [0] * (len(states) - 1)
         for t in range(1, horizon + 1):
             values = _rl_level(islice(rows, bisect_right(dists, horizon - t, 1) - 1), values, t)
@@ -883,25 +911,32 @@ class Solver:
         The tree is shattered by the class, monotone, and satisfies
         E_T / 2 = RL(W, horizon) exactly; node labels are the first domain
         witness of the maximizing behavior (ties resolved in witness order).
-        Structurally equal subtrees are one shared node.
+        Structurally equal subtrees are one shared node.  The weights are
+        the tree's quasi-balance weights, built in the same walk from the
+        values it compares: one weight node per tree node, as
+        :func:`~littlestone.trees.quasi_balance_weights` gives them.
         """
-        tree = self._extract_tree(w, horizon)
-        return tree, quasi_balance_weights(tree)
-
-    def _extract_tree(self, w: WeightedClass | ExpertClass, horizon: int) -> MistakeTree:
-        """The tree of :meth:`extract_optimal_tree`, without its weights."""
         w = w.explicit()  # tree nodes name domain points
         domain = w.domain.points
-        interned: dict[tuple[str, int, int], MistakeTree] = {}
+        interned: dict[tuple[str, int, int], tuple[MistakeTree, tuple]] = {}
 
-        def join(witness: int, zero: MistakeTree, one: MistakeTree) -> MistakeTree:
-            key = (domain[witness], id(zero), id(one))
-            tree = interned.get(key)
-            if tree is None:  # a node is built only for a new key
-                tree = interned[key] = node(domain[witness], zero, one)
-            return tree
+        def join(witness: int, w0: tuple[int, int], zero: tuple, one: tuple) -> tuple:
+            """The (tree node, weight node) pair, each built once per new key."""
+            key = (domain[witness], id(zero[0]), id(one[0]))
+            pair = interned.get(key)
+            if pair is None:
+                pair = interned[key] = (
+                    node(domain[witness], zero[0], one[0]),
+                    _weight_node(Fraction(*w0), zero[1], one[1]),
+                )
+            return pair
 
-        return self._walk(w, horizon, lambda t: LEAF, join)
+        tree, root = self._walk(w, horizon, lambda t: (LEAF, None), join)
+        return tree, WeightFunction(PathWeights(root))
+
+    def _extract_tree(self, w: WeightedClass | ExpertClass, horizon: int) -> MistakeTree:
+        """The tree of :meth:`extract_optimal_tree`, its weights dropped."""
+        return self.extract_optimal_tree(w, horizon)[0]
 
     def branch_length_law(
         self, w: WeightedClass | ExpertClass | VersionSpace, horizon: int
@@ -917,7 +952,7 @@ class Solver:
         its children's laws, each at scale 2^(t - 1), one length up.
         """
         return self._walk(
-            w, horizon, lambda t: (1 << t, *repeat(0, t)), lambda _, zero, one: (0, *map(add, zero, one))
+            w, horizon, lambda t: (1 << t, *repeat(0, t)), lambda _, w0, zero, one: (0, *map(add, zero, one))
         )
 
     def _walk(self, w, horizon: int, leaf, join):
@@ -926,7 +961,10 @@ class Solver:
         Each (state, t) of value 0 is ``leaf(t)``.  Any other takes the first
         move attaining RL_T(state, t), in :meth:`_Frame.moves` witness order
         on a frame and the self-loop first on count states, and is
-        ``join(witness, zero, one)`` of its children's folds.
+        ``join(witness, w0, zero, one)`` of its children's folds.  ``w0`` is
+        the move's quasi-balance weight (1 + RL_(t-1)(W1) - RL_(t-1)(W0)) / 2
+        as (numerator, denominator), the children's values being the ones
+        the walk compared: (2^(t-1) + v1 - v0, 2^t) at their scale 2^(t-1).
         """
         v = self.version_space(w)
         if v.is_empty:
@@ -949,8 +987,9 @@ class Solver:
             half = 1 << t
             for witness, _, child0, child1 in moves(state):
                 key0, key1 = (child0, t), (child1, t)
-                if half + value(key0) + value(key1) == target:
-                    return join(witness, (yield key0), (yield key1))
+                v0, v1 = value(key0), value(key1)
+                if half + v0 + v1 == target:
+                    return join(witness, (half + v1 - v0, half << 1), (yield key0), (yield key1))
             raise AssertionError("no move attains the computed dimension")
 
         def fold_leaf(key):
@@ -972,18 +1011,30 @@ class Solver:
         lists.  The first t at which W's value reaches the target is
         returned, so no monotonicity in t is assumed.  Each level is written
         into the RL_T memo, where an extraction at T finds every value it
-        reads.  The state budget is charged for the rows held and each level
-        as it is computed.
+        reads.  RL(W), for the target, is the RL memo's entry if it has one;
+        else :meth:`_rl_pass` reads it off the same rows and writes every
+        state's RL into that memo.  The state budget is charged for the rows
+        held, the RL entries written and each level as it is computed.
         """
         slack = Fraction(slack)
         if slack <= 0:
             raise ValueError("slack must be positive")
         v = self.version_space(w)
-        target = self.randomized_littlestone(v) - slack
-        if v.is_empty or target <= 0:  # RL(W, 0) is -1, resp. 0
+        if v.is_empty:  # RL(W, 0) = -1 = RL(W)
             return 0
         charge = self._charge if self.state_budget is not None else None
-        states, _, rows = v.space.rows(v.state, charge)
+        rl_memo = v.tables["rl"][0]
+        rl = rl_memo.get(v.state)
+        rows = None
+        if rl is None:
+            states, _, rows = v.space.rows(v.state, charge)
+            rl = self._rl_pass(v.space, states, rows, rl_memo)
+        target = Fraction(rl, 1 << v.power) - slack
+        if target <= 0:  # RL(W, 0) = 0 meets it
+            return 0
+        if rows is None:
+            states, _, rows = v.space.rows(v.state, charge)
+        _readers(rows)
         memo = v.tables["brl"][0]
         live = states[1:]
         num, den = target.numerator, target.denominator
@@ -996,6 +1047,44 @@ class Solver:
             values = _rl_level(rows, values, t)
             memo.update(zip(zip(live, repeat(t)), islice(values, 1, None)))
         return t
+
+    def _rl_pass(self, space, states: list[int], rows, memo: dict) -> int:
+        """RL * 2^P of the root ``states[1]`` in one pass over its ``rows``
+        (a space's ``rows`` without a horizon), as :meth:`_sweep` runs it on
+        the lattice: states in ascending P, so a split's children come
+        first, at the root's scale 2^top, the self-loop scored apart.  Every
+        state is written into the RL ``memo`` at its own 2^P, the entries
+        the DP or the sweep would write; they are charged, with the rows
+        held, before any is computed."""
+        self._charge_new(memo, islice(states, 1, None), held=len(rows))
+        powers = list(map(space.power, states))
+        top = powers[1]  # the root's P, the largest
+        # As in _sweep: every child's value is even at this scale, and a
+        # position not yet written holds a value below any pair's sum, so
+        # the self-loop's pair, the state and its decremented state, never
+        # attains the maximum.  It is last in a frame row, first in a count
+        # row, and absent where no move is constant.
+        full, half = 1 << top, 1 << top - 1
+        values = [-(1 << 2 * top + 2)] * len(states)
+        values[0] = -full
+        get = values.__getitem__
+        for j in sorted(range(1, len(states)), key=powers.__getitem__):
+            i0, i1 = rows[j - 1]
+            if not i0:  # no move
+                values[j] = 0
+                continue
+            best = half + (max(map(add, map(get, i0), map(get, i1))) >> 1)
+            if i0[0] == j:
+                loop = full + values[i1[0]]
+            elif i0[-1] == j:
+                loop = full + values[i1[-1]]
+            else:
+                loop = best
+            values[j] = loop if loop > best else best
+        memo.update(
+            zip(islice(states, 1, None), map(rshift, islice(values, 1, None), map(top.__sub__, islice(powers, 1, None))))
+        )
+        return values[1]
 
 
 def result_document(value, states_visited: int) -> dict:

@@ -458,7 +458,8 @@ class ReferenceAggregator:
 
     def _spawn(self, k: int) -> None:
         if isinstance(self.base, ExpertClass):
-            v = ExpertClass(tuple(k for _ in self.base.budgets))
+            # Eliminated experts stay eliminated, as the explicit class drops them.
+            v = ExpertClass(tuple(None if b is None else k for b in self.base.budgets))
         else:
             # Members sharing a label row would coincide at budget k; the first stays.
             rows = list(dict.fromkeys(m.labels for m in self.base.members))

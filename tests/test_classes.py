@@ -245,4 +245,29 @@ def test_universal_round_trips_through_document():
 def test_with_budget_keeps_the_first_member_per_label_row():
     w = make_class(["x", "y"], [("a", [0, 1], 0), ("b", [0, 1], 2), ("c", [1, 1], 1)])
     assert with_budget(w, 3) == make_class(["x", "y"], [("a", [0, 1], 3), ("c", [1, 1], 3)])
-    assert with_budget(ExpertClass((0, None, 2)), 1) == ExpertClass((1, 1, 1))
+    # An eliminated expert stays eliminated, as explicit() has no member for it.
+    assert with_budget(ExpertClass((0, None, 2)), 1) == ExpertClass((1, None, 1))
+
+
+@st.composite
+def expert_classes_with_examples(draw):
+    """Up to six experts, some eliminated, budgets up to 2, and a few
+    labeled advice strings over them."""
+    budgets = draw(st.lists(st.none() | st.integers(0, 2), min_size=1, max_size=6))
+    advice = st.text("01", min_size=len(budgets), max_size=len(budgets))
+    examples = draw(st.lists(st.tuples(advice, st.integers(0, 1)), max_size=4))
+    return ExpertClass(tuple(budgets)), examples
+
+
+@settings(max_examples=80, deadline=None)
+@given(expert_classes_with_examples(), st.integers(0, 2))
+def test_expert_class_bodies_match_the_explicit_class(case, k):
+    # restrict, with_budget and min_mistakes keep one body per class kind;
+    # on an expert class each must agree with its materialized class.
+    w, examples = case
+    x = w.explicit()
+    assert with_budget(w, k).explicit() == with_budget(x, k)
+    assert min_mistakes(examples, w) == min_mistakes(examples, x)
+    for advice, y in examples:
+        assert restrict(w, advice, y).explicit() == restrict(x, advice, y)
+        w, x = restrict(w, advice, y), restrict(x, advice, y)

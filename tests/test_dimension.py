@@ -127,6 +127,8 @@ class TestRandomizedLittlestone:
 
     def test_empty_domain(self):
         assert solver.randomized_littlestone(EMPTY_DOMAIN) == 0
+        # The horizon search's RL pass scores a state without moves 0 too.
+        assert_rl_memo_matches_a_fresh_query(EMPTY_DOMAIN)
 
 
 class TestBoundedDimensions:
@@ -332,6 +334,38 @@ class TestExtraction:
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
             solver.extract_optimal_tree(EMPTY_CLASS, 3)
+
+    @pytest.mark.parametrize(
+        "w,slack",
+        [
+            (universal_class(2, 3), F(1, 64)),
+            (universal_class(3, 2), F(1, 16)),
+            (universal_class(4, 1), F(1, 64)),
+            (ExpertClass((0, None, 2)), F(1, 64)),
+        ],
+        ids=["u23", "u32", "u41", "e0n2"],
+    )
+    def test_walk_weights_equal_the_quasi_balance_weights(self, w, slack):
+        # The walk builds the weights from the values it compares; the fold
+        # over the finished tree gives the same file, byte for byte.
+        s = Solver()
+        tree, weights = s.extract_optimal_tree(w, s.horizon_for_slack(w, slack))
+        folded = quasi_balance_weights(tree)
+        assert tree_to_json(tree, weights) == tree_to_json(tree, folded)
+        assert weights.weights == folded.weights
+
+    def test_extraction_calls_no_weight_fold(self, monkeypatch):
+        import littlestone.trees
+
+        w = universal_class(2, 2)
+        expected = tree_to_json(*Solver().extract_optimal_tree(w, 6))
+
+        def unused(tree):
+            raise AssertionError("extraction builds its weights in the walk")
+
+        for module in (dimension, littlestone.trees):
+            monkeypatch.setattr(module, "quasi_balance_weights", unused)
+        assert tree_to_json(*Solver().extract_optimal_tree(w, 6)) == expected
 
     def test_u28_at_slack_1_64_weighs_every_path_in_dag_time(self):
         w = universal_class(2, 8)
@@ -596,11 +630,35 @@ def assert_sweep_matches_bisection(w) -> None:
             assert fresh.bounded_randomized_littlestone(space._child(state, None), t) == F(value, 2**t)
 
 
+def assert_rl_memo_matches_a_fresh_query(w) -> None:
+    """After the horizon search, which reads RL off its own rows, the RL memo
+    equals the one a fresh Solver's RL query writes, entry for entry; a
+    search that finds RL memoized reads it and writes nothing more."""
+    for slack in SLACKS:
+        s, fresh = Solver(), Solver()
+        horizon = s.horizon_for_slack(w, slack)
+        fresh.randomized_littlestone(w)
+        memo = s.version_space(w).tables["rl"][0]
+        assert memo == fresh.version_space(w).tables["rl"][0]
+        assert fresh.horizon_for_slack(w, slack) == horizon
+        assert memo == fresh.version_space(w).tables["rl"][0]
+
+
 class TestHorizonSweep:
     @settings(max_examples=40, deadline=None)
     @given(tricky_classes())
     def test_explicit_classes_match_the_bisection(self, w):
         assert_sweep_matches_bisection(w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tricky_classes())
+    def test_explicit_rl_memo_equals_the_dp(self, w):
+        assert_rl_memo_matches_a_fresh_query(w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_expert_classes())
+    def test_count_rl_memo_equals_the_sweep(self, w):
+        assert_rl_memo_matches_a_fresh_query(w)
 
     @settings(max_examples=40, deadline=None)
     @given(small_expert_classes())

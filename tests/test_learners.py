@@ -243,6 +243,14 @@ class TestAdaptiveAggregator:
         p = agg.predict("01")
         assert 0 <= p <= 1
 
+    def test_eliminated_experts_stay_out_of_the_mixture(self):
+        # The one live expert advises 0, so every sub-learner predicts 0, as
+        # RandSOA on the class does; an eliminated expert gets no budget back.
+        w = ExpertClass((0, None))
+        assert AdaptiveAggregator(w, Solver()).predict("01") == RandSOALearner(w, Solver()).predict("01") == 0
+        with pytest.raises(EmptyVersionSpaceError):
+            AdaptiveAggregator(ExpertClass((None, None)), Solver()).predict("01")
+
     def test_clone_shares_solver_and_predicts_alike(self):
         own = Solver()
         agg = AdaptiveAggregator(expert_class(3, 1), own)
