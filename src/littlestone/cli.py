@@ -237,28 +237,27 @@ def cmd_play(args) -> int:
         _rational("--learner constant:P", args.learner.split(":", 1)[1])
     w = _load_game_class(args)
     solver = Solver(state_budget=args.budget_states)
-
-    def build_adversary():
-        if args.adversary == "proper":
-            if args.n is None:
-                raise AdversaryPreconditionError("the proper adversary needs --n")
-            return proper_adversary(args.n)
+    given = args.horizon if args.adversary != "optimal" else None  # optimal: the slack's horizon
+    tree_horizon = None
+    if args.adversary == "proper":
+        if args.n is None:
+            raise AdversaryPreconditionError("the proper adversary needs --n")
+        adversary = proper_adversary(args.n)
+    else:
         # Tree nodes name domain points: an expert class is materialized
         # once, here, so past the 16-expert cap no search runs first.
         tree_class = w.explicit()
-        horizon = (
-            args.horizon
-            if args.horizon is not None and args.adversary != "optimal"
-            else solver.horizon_for_slack(tree_class, _rational("--slack", args.slack))
+        tree_horizon = given if given is not None else solver.horizon_for_slack(
+            tree_class, _rational("--slack", args.slack)
         )
-        if args.adversary == "branch":
-            tree = solver._extract_tree(tree_class, horizon)  # fair coins read no weights
-            return random_branch_adversary(tree, declared_class=tree_class, check=False)
-        tree, weights = solver.extract_optimal_tree(tree_class, horizon)  # threshold, optimal
-        return threshold_adversary(tree, weights, declared_class=tree_class, check=False)
-
-    adversary = build_adversary()  # play() resets it with each trial's seed
-    horizon = args.horizon if args.horizon is not None else args.max_rounds
+        tree, weights = solver.extract_optimal_tree(tree_class, tree_horizon)
+        if args.adversary == "branch":  # fair coins read no weights
+            adversary = random_branch_adversary(tree, declared_class=tree_class, check=False)
+        else:  # threshold, optimal
+            adversary = threshold_adversary(tree, weights, declared_class=tree_class, check=False)
+    # The learner's horizon: --horizon where the adversary honours it, else
+    # --max-rounds, else the tree's.  play() resets the adversary each trial.
+    horizon = given if given is not None else args.max_rounds if args.max_rounds is not None else tree_horizon
     totals = []
     out_lines = []
     for trial in range(args.trials):

@@ -91,21 +91,24 @@ return the exact ``Fraction``; deterministic dimensions are ints.
 On explicit frames one loop, :meth:`Solver._dp`, computes L and RL and
 folds the optimal tree: each one-step rule is a generator that yields child
 keys and is sent their values, and the loop keeps the memo on an explicit
-stack, not recursion.  RL_T runs one level sweep in either space.  It
-builds, once, the states by distance from the root (breadth first on a
-frame, from the lattice on count states) and the index lists of each one's
-pairs of children, then sweeps RL_t * 2^t upward, a level at a time, over
-flat int lists, writing each level into the RL_T memo; each row is read
-through two ``itemgetter``s (see :func:`_readers`).  A bounded query
-expands only the states within T - 1 rounds and computes at level t only
-those within T - t rounds, a prefix of the states by distance; so it writes
-every such state, where a DP would write those it reaches in exactly T - t
-moves.  The horizon search, which needs RL(W, t) for t = 1, 2, ... in turn,
-expands every reachable state once and sweeps until its target is met.
-Its target needs RL(W), which it reads off the same rows unless the RL
-memo holds it: one pass in ascending P at the root's scale, the self-loop
-scored apart, as the count sweep runs, writing every state into the RL
-memo at its own scale, the entries the DP or the count sweep would write.
+stack, not recursion.  RL_T runs one level sweep, :func:`_level_sweep`, in
+either space, for bounded queries and the horizon search alike.  A space's
+``rows`` builds, once, the states by distance from the root (breadth first
+on a frame, from the lattice on count states) and the index lists of each
+one's pairs of children, the self-loop's pair first in both spaces; the
+sweep then computes RL_t * 2^t upward, a level at a time, over flat int
+lists, writing each level into the RL_T memo; each row is read through two
+``itemgetter``s (see :func:`_readers`).  A bounded query expands only the
+states within T - 1 rounds and computes at level t only those within
+T - t rounds, a prefix of the states by distance; so it writes every such
+state, where a DP would write those it reaches in exactly T - t moves.
+The horizon search, which needs RL(W, t) for t = 1, 2, ... in turn,
+expands every reachable state once and sweeps every row until its target
+is met.  Its target needs RL(W), which it reads off the same rows unless
+the RL memo holds it: one pass in ascending P at the root's scale, the
+self-loop scored apart, as the count sweep runs, writing every state into
+the RL memo at its own scale, the entries the DP or the count sweep would
+write.
 
 One walk over the RL_T memo, :meth:`Solver._walk`, reads the optimal tree
 off it through the same loop: each (state, t) key takes the first move
@@ -237,19 +240,20 @@ class _Frame:
         return state
 
     def moves(self, state: int):
-        """(first witness, s, child under 0, child under 1) per behavior up to
-        label swap, in witness order; ``s`` members label it 1 and are charged
-        under label 0.  Charging drops a member's top layer, so with
-        ``low = state >> width`` the child under 0 takes ``low`` on the members
-        labeling 1 and ``state`` elsewhere, and the child under 1 the reverse.
-        A constant behavior thus gives the state itself and ``low``."""
+        """(first witness, child under 0, child under 1) per behavior up to
+        label swap, in witness order, as the tree walk reads them; the members
+        labeling the witness 1 are charged under label 0.  Charging drops a
+        member's top layer, so with ``low = state >> width`` the child under 0
+        takes ``low`` on the members labeling 1 and ``state`` elsewhere, and
+        the child under 1 the reverse.  A constant behavior thus gives the
+        state itself and ``low``."""
         live = state & self.mask
         moves = (self.table.get(live) or self.fill(live))[0]
         low = state >> self.width
         diff = state ^ low
-        for witness, s, spread in moves:
+        for witness, _, spread in moves:
             charged = diff & spread
-            yield witness, s, state ^ charged, low ^ charged
+            yield witness, state ^ charged, low ^ charged
 
     def expand(self, state: int):
         """(m, P, decremented state if some behavior is constant else None,
@@ -280,11 +284,13 @@ class _Frame:
         breadth first: the states, index 0 the empty class and index 1
         ``root``; their distances, which do not fall from index 1 on; and per
         state from index 1 on within ``horizon - 1`` rounds (every one if None)
-        the index lists (i0, i1) of its moves' children, a self-loop as the pair
-        of the state and its decremented state.  The expansion stops at the
-        first state past that, so the states are those within ``horizon``
-        rounds.  Each expansion is charged to ``charge``, if given, with the
-        rows held."""
+        the index lists (i0, i1) of its moves' children, the self-loop first,
+        as the pair of the state and its decremented state, as a count row
+        lists it.  The self-loop goes to the front once the splits' children
+        are indexed, so the states keep their breadth-first order.  The
+        expansion stops at the first state past that, so the states are those
+        within ``horizon`` rounds.  Each expansion is charged to ``charge``,
+        if given, with the rows held."""
         states = [0, root]
         dists = [0, 0]
         index = {0: 0, root: 1}
@@ -310,8 +316,7 @@ class _Frame:
             i0 = indices((child0 for _, child0, _ in splits), dist)
             i1 = indices((child1 for _, _, child1 in splits), dist)
             if dec is not None:  # the self-loop: the state itself, and decremented
-                i0.append(j)
-                i1 += indices((dec,), dist)
+                i0, i1 = [j, *i0], indices((dec,), dist) + i1
             rows.append((i0, i1))
         return states, dists, rows
 
@@ -378,11 +383,6 @@ def _u_above(state: int) -> list[int]:
     return list(accumulate(reversed(_levels(state))))[::-1]
 
 
-def _share(level: int) -> int:
-    """What one expert of a ones vector O on ``level`` adds to D = O - (O >> _W)."""
-    return (1 << level * _W) - (1 << (level - 1) * _W) if level else 1
-
-
 def _occupied(state: int) -> list[tuple[int, int]]:
     """(level, count) per occupied level of a packed count state, lowest
     first, found from the top bit down: no pass over the empty levels."""
@@ -395,13 +395,13 @@ def _occupied(state: int) -> list[tuple[int, int]]:
     return out
 
 
-def _product(occupied: list[tuple[int, int]], share=_share) -> list[int]:
-    """The sum over levels j of o_j * share(j) for every vector o <= the
-    ``occupied`` counts, in product order: the lowest level slowest, each
-    o_j from 0 up."""
+def _product(occupied: list[tuple[int, int]]) -> list[int]:
+    """D = O - (O >> _W) for every ones vector O <= the ``occupied`` counts,
+    in product order: the lowest level slowest, each level's count from 0 up.
+    One expert of O on level j adds 2^(32j) - 2^(32(j-1)) to D, or 1 on level 0."""
     out = [0]
     for level, c in occupied:
-        step = share(level)
+        step = (1 << level * _W) - (1 << (level - 1) * _W) if level else 1
         out = list(chain.from_iterable(map(range, out, map(add, out, repeat((c + 1) * step)), repeat(step))))
     return out
 
@@ -496,7 +496,7 @@ class _Counts:
         ``horizon`` rounds if given; their distances; and per state within
         ``horizon - 1`` rounds (every one if None), in that order, the position
         lists (i0, i1) of its pairs of children from :func:`_pairs`, the
-        self-loop's pair of the state and its decremented state among them.
+        self-loop's pair of the state and its decremented state first.
         The rows are charged to ``charge``, if given, before they are built."""
         states, _, dists = _lattice(root, horizon)
         order = sorted(range(1, len(states)), key=dists.__getitem__)
@@ -516,8 +516,8 @@ class _Counts:
 
     def moves(self, state: int):
         """As :meth:`_Frame.moves` for a packed count state, witnesses None:
-        the self-loop, then one split of each label-swap pair; ``s`` experts
-        predict 1 and are charged under label 0.
+        the self-loop, then one split of each label-swap pair; the experts
+        predicting 1 are charged under label 0.
 
         Splits are ones vectors O <= the counts C in product order
         (:func:`_product`); the label swap of split j sits at index size - 1 - j,
@@ -525,12 +525,10 @@ class _Counts:
         With D = O - (O >> _W), the children are C - D and (C >> _W) + D.
         """
         low = state >> _W
-        yield None, 0, state, low
-        occupied = _occupied(state)
-        ds = _product(occupied)
-        ss = _product(occupied, lambda level: 1)
-        for s, d in islice(zip(ss, ds), 1, (len(ds) + 1) // 2):
-            yield None, s, state - d, low + d
+        yield None, state, low
+        ds = _product(_occupied(state))
+        for d in islice(ds, 1, (len(ds) + 1) // 2):
+            yield None, state - d, low + d
 
     def power(self, state: int) -> int:
         return sum(map(mul, _levels(state), count(1)))
@@ -568,6 +566,25 @@ def _rl_level(rows, values: list[int], t: int) -> list[int]:
         half + values[a] + values[b] if a.__class__ is int else half + max(map(add, a(values), b(values))) if a else 0
         for a, b in rows
     ]
+
+
+def _level_sweep(states: list[int], dists: list[int], rows, memo: dict, horizon: int | None = None, charge=None):
+    """RL_t * 2^t of the root ``states[1]`` for t = 1, 2, ..., one level at a
+    time over a space's ``rows``, each level written into the RL_T ``memo``.
+    With ``horizon``, level t computes the states within ``horizon - t``
+    rounds, a prefix of the states by distance, and the sweep ends at
+    ``horizon``; without one, every row, until its caller stops.  Each level
+    is first charged to ``charge``, if given, with the rows held."""
+    _readers(rows)
+    live = states[1:]
+    values = [-1] + [0] * len(live)  # RL_0 * 2^0
+    for t in count(1) if horizon is None else range(1, horizon + 1):
+        if charge is not None:
+            charge(2 * len(rows))
+        level = rows if horizon is None else islice(rows, bisect_right(dists, horizon - t, 1) - 1)
+        values = _rl_level(level, values, t)
+        memo.update(zip(zip(live, repeat(t)), islice(values, 1, None)))
+        yield values[1]
 
 
 class VersionSpace:
@@ -844,7 +861,7 @@ class Solver:
         return values[-1]
 
     def _sweep_levels(self, key: tuple[int, int], memo: dict, build_rows) -> int:
-        """RL_T * 2^T of a (state, T) key by the level sweep over
+        """RL_T * 2^T of a (state, T) key by :func:`_level_sweep` to T over
         ``build_rows(root, charge, T)``, a space's ``rows``: level t computes
         the states within T - t rounds of the root, a prefix of the states by
         distance, and writes them into ``memo``.  The rows are charged as
@@ -861,12 +878,9 @@ class Solver:
             for t in range(1, horizon - dist + 1)
         )
         self._charge_new(memo, keys, held=len(rows))
-        _readers(rows)
-        values = [-1] + [0] * (len(states) - 1)
-        for t in range(1, horizon + 1):
-            values = _rl_level(islice(rows, bisect_right(dists, horizon - t, 1) - 1), values, t)
-            memo.update(zip(zip(islice(states, 1, None), repeat(t)), islice(values, 1, None)))
-        return values[1]
+        for value in _level_sweep(states, dists, rows, memo, horizon):
+            pass
+        return value
 
     # -- queries -------------------------------------------------------------
 
@@ -934,10 +948,6 @@ class Solver:
         tree, root = self._walk(w, horizon, lambda t: (LEAF, None), join)
         return tree, WeightFunction(PathWeights(root))
 
-    def _extract_tree(self, w: WeightedClass | ExpertClass, horizon: int) -> MistakeTree:
-        """The tree of :meth:`extract_optimal_tree`, its weights dropped."""
-        return self.extract_optimal_tree(w, horizon)[0]
-
     def branch_length_law(
         self, w: WeightedClass | ExpertClass | VersionSpace, horizon: int
     ) -> tuple[int, ...]:
@@ -985,7 +995,7 @@ class Solver:
             target = value(key)
             t -= 1
             half = 1 << t
-            for witness, _, child0, child1 in moves(state):
+            for witness, child0, child1 in moves(state):
                 key0, key1 = (child0, t), (child1, t)
                 v0, v1 = value(key0), value(key1)
                 if half + v0 + v1 == target:
@@ -1003,18 +1013,16 @@ class Solver:
     ) -> int:
         """Smallest horizon T with RL(W, T) >= RL(W) - slack.
 
-        The level sweep of a bounded query without a horizon: every state
-        reachable from W and, per state, the index lists of its pairs of
-        children are built once (a self-loop as the pair of the state and its
-        decremented state), by the same rows builder, and RL_t * 2^t of every
-        state is computed for t = 1, 2, ... from level t - 1 over flat int
-        lists.  The first t at which W's value reaches the target is
-        returned, so no monotonicity in t is assumed.  Each level is written
-        into the RL_T memo, where an extraction at T finds every value it
-        reads.  RL(W), for the target, is the RL memo's entry if it has one;
-        else :meth:`_rl_pass` reads it off the same rows and writes every
-        state's RL into that memo.  The state budget is charged for the rows
-        held, the RL entries written and each level as it is computed.
+        The bounded query's level sweep, :func:`_level_sweep`, without a
+        horizon: the rows of every state reachable from W are built once, by
+        the same rows builder, and every row is swept for t = 1, 2, ...  The
+        first t at which W's value reaches the target is returned, so no
+        monotonicity in t is assumed.  Each level is written into the RL_T
+        memo, where an extraction at T finds every value it reads.  RL(W),
+        for the target, is the RL memo's entry if it has one; else
+        :meth:`_rl_pass` reads it off the same rows and writes every state's
+        RL into that memo.  The state budget is charged for the rows held,
+        the RL entries written and each level as it is computed.
         """
         slack = Fraction(slack)
         if slack <= 0:
@@ -1027,26 +1035,18 @@ class Solver:
         rl = rl_memo.get(v.state)
         rows = None
         if rl is None:
-            states, _, rows = v.space.rows(v.state, charge)
+            states, dists, rows = v.space.rows(v.state, charge)
             rl = self._rl_pass(v.space, states, rows, rl_memo)
         target = Fraction(rl, 1 << v.power) - slack
         if target <= 0:  # RL(W, 0) = 0 meets it
             return 0
         if rows is None:
-            states, _, rows = v.space.rows(v.state, charge)
-        _readers(rows)
-        memo = v.tables["brl"][0]
-        live = states[1:]
+            states, dists, rows = v.space.rows(v.state, charge)
         num, den = target.numerator, target.denominator
-        values = [-1] + [0] * len(rows)  # RL_0 * 2^0
-        t = 0
-        while values[1] * den < num << t:  # RL_t(W) < target
-            if charge:
-                charge(2 * len(rows))  # the rows held, and this level
-            t += 1
-            values = _rl_level(rows, values, t)
-            memo.update(zip(zip(live, repeat(t)), islice(values, 1, None)))
-        return t
+        sweep = _level_sweep(states, dists, rows, v.tables["brl"][0], charge=charge)
+        for t, value in enumerate(sweep, 1):
+            if value * den >= num << t:  # RL_t(W) meets the target
+                return t
 
     def _rl_pass(self, space, states: list[int], rows, memo: dict) -> int:
         """RL * 2^P of the root ``states[1]`` in one pass over its ``rows``
@@ -1062,8 +1062,8 @@ class Solver:
         # As in _sweep: every child's value is even at this scale, and a
         # position not yet written holds a value below any pair's sum, so
         # the self-loop's pair, the state and its decremented state, never
-        # attains the maximum.  It is last in a frame row, first in a count
-        # row, and absent where no move is constant.
+        # attains the maximum.  It is first in a row, and absent where no
+        # move is constant.
         full, half = 1 << top, 1 << top - 1
         values = [-(1 << 2 * top + 2)] * len(states)
         values[0] = -full
@@ -1074,13 +1074,7 @@ class Solver:
                 values[j] = 0
                 continue
             best = half + (max(map(add, map(get, i0), map(get, i1))) >> 1)
-            if i0[0] == j:
-                loop = full + values[i1[0]]
-            elif i0[-1] == j:
-                loop = full + values[i1[-1]]
-            else:
-                loop = best
-            values[j] = loop if loop > best else best
+            values[j] = max(best, full + values[i1[0]]) if i0[0] == j else best
         memo.update(
             zip(islice(states, 1, None), map(rshift, islice(values, 1, None), map(top.__sub__, islice(powers, 1, None))))
         )

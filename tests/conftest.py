@@ -57,6 +57,35 @@ from littlestone.trees import (
 )
 
 
+# A class document per rejection in ``load_class``, with a pattern naming
+# the field its message must point at.  ``h`` is a well-formed hypothesis.
+_H = {"name": "h", "labels": [0, 1]}
+MALFORMED_CLASS_DOCUMENTS = [
+    pytest.param(["x", "y"], r"^top level: expected an object", id="top-level-array"),
+    pytest.param({"hypotheses": [_H]}, r"^domain: missing", id="domain-missing"),
+    pytest.param({"domain": ["x", "y"]}, r"^hypotheses: missing", id="hypotheses-missing"),
+    pytest.param({"domain": "xy", "hypotheses": [_H]}, r"^domain: expected an array of strings",
+                 id="domain-string"),
+    pytest.param({"domain": ["x", 1], "hypotheses": [_H]}, r"^domain: expected an array of strings",
+                 id="domain-int"),
+    pytest.param({"domain": ["x", "x"], "hypotheses": [_H]}, r"^domain: .*repeated", id="domain-repeated"),
+    pytest.param({"domain": ["x", "y"], "hypotheses": _H}, r"^hypotheses: expected an array",
+                 id="hypotheses-object"),
+    pytest.param({"domain": ["x", "y"], "hypotheses": [_H, "g"]}, r"^hypotheses\[1\]: expected an object",
+                 id="hypothesis-string"),
+    pytest.param({"domain": ["x", "y"], "hypotheses": [{"name": 3, "labels": [0, 1]}]},
+                 r"^hypotheses\[0\]\.name: expected a string", id="name-int"),
+    pytest.param({"domain": ["x", "y"], "hypotheses": [{"name": "g"}]},
+                 r"^hypotheses\[0\]\.labels: missing \(member 'g'\)", id="labels-missing"),
+    pytest.param({"domain": ["x", "y"], "hypotheses": [{"name": "g", "labels": [0, 2]}]},
+                 r"^hypotheses\[0\]\.labels: expected an array of 0/1 \(member 'g'\)", id="labels-not-binary"),
+    pytest.param({"domain": ["x", "y"], "hypotheses": [{"name": "g", "labels": "01"}]},
+                 r"^hypotheses\[0\]\.labels: expected an array of 0/1 \(member 'g'\)", id="labels-string"),
+    pytest.param({"domain": ["x", "y"], "hypotheses": [_H, {"name": "h", "labels": [1, 1]}]},
+                 r"^hypotheses\[1\]\.name: duplicate member name 'h'", id="name-duplicate"),
+]
+
+
 def oracle_bounded(w: WeightedClass, depth: int) -> tuple[Fraction, int]:
     """(max E_T, max m_T) over all trees of depth <= depth shattered by w.
 

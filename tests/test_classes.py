@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from conftest import random_weighted_class
+from conftest import MALFORMED_CLASS_DOCUMENTS, random_weighted_class
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +81,13 @@ class TestLoadClass:
     def test_missing_budget_defaults_to_zero(self):
         w = load_class({"domain": ["p"], "hypotheses": [{"name": "h", "labels": [0]}]})
         assert w.members[0].budget == 0
+
+    @pytest.mark.parametrize("doc, field", MALFORMED_CLASS_DOCUMENTS)
+    def test_each_rejection_names_its_field(self, doc, field):
+        with pytest.raises(ClassFileError, match=field):
+            load_class(doc)
+        with pytest.raises(ClassFileError, match=field):  # as JSON text too
+            load_class(json.dumps(doc))
 
 
 class TestRestrict:
@@ -213,6 +220,43 @@ class TestMinMistakes:
         w = make_class(["p0", "p1"], [("a", [0, 1], 1), ("b", [1, 1], 0)])
         counts = [min_mistakes(seq[:i], w).mistakes for i in range(len(seq) + 1)]
         assert counts == sorted(counts)
+
+
+@pytest.mark.parametrize(
+    "members, field",
+    [
+        ([("h", (0, 1), 0), ("h", (1, 1), 0)], r"^member names must be unique"),
+        ([("h", (0, 1, 1), 0)], r"^member 'h': labels has 3 entries, domain has 2"),
+        ([("h", (0, 2), 0)], r"^member 'h': labels must be 0/1"),
+        ([("h", (0, 1), -1)], r"^member 'h': negative budget -1"),
+        ([("h", (0, 1), 1), ("g", (0, 1), 1)], r"^member 'g' duplicates another member's labels and budget"),
+    ],
+    ids=["name-repeated", "labels-length", "labels-not-binary", "budget-negative", "labels-and-budget-repeated"],
+)
+def test_weighted_class_rejections_name_their_field(members, field):
+    with pytest.raises(ValueError, match=field):
+        make_class(["x", "y"], members)
+
+
+@pytest.mark.parametrize(
+    "budgets, field",
+    [((), r"^an expert class needs at least one expert slot"),
+     ((1, None, -1), r"^expert budgets must be non-negative")],
+    ids=["no-slot", "budget-negative"],
+)
+def test_expert_class_rejections_name_their_field(budgets, field):
+    with pytest.raises(ValueError, match=field):
+        ExpertClass(budgets)
+
+
+@pytest.mark.parametrize("build", [universal_class, expert_class])
+@pytest.mark.parametrize(
+    "n, k, field", [(0, 1, r"^need at least one expert"), (2, -1, r"^budgets must be non-negative")],
+    ids=["no-expert", "budget-negative"],
+)
+def test_class_builders_reject_bad_sizes(build, n, k, field):
+    with pytest.raises(ValueError, match=field):
+        build(n, k)
 
 
 def test_domain_uniqueness_enforced():

@@ -10,11 +10,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from conftest import recursion_limit, reference_nested_json
+from conftest import MALFORMED_CLASS_DOCUMENTS, recursion_limit, reference_nested_json
 
 import littlestone.cli
 from littlestone.cli import fmt, main
-from littlestone.classes import Domain, Member, WeightedClass, universal_class
+from littlestone.classes import Domain, Member, WeightedClass, expert_class, universal_class
 from littlestone.dimension import Solver
 from littlestone.experts import capacity_D, harmonic_number
 from littlestone.trees import (
@@ -211,6 +211,28 @@ class TestPlay:
         assert "trial 0: total = 0 (0)" in capsys.readouterr().out
         (summary,) = out.read_text().splitlines()
         assert json.loads(summary)["summary"]["total"] == "0"
+
+    @pytest.mark.parametrize(
+        "adversary, horizon, rounds",
+        [("branch", [], 6), ("threshold", [], 6), ("optimal", [], 6), ("optimal", ["--horizon", "1"], 6),
+         ("threshold", ["--horizon", "4"], 4)],
+        ids=["branch", "threshold", "optimal", "optimal-horizon-1", "threshold-horizon-4"],
+    )
+    def test_bounded_randsoa_is_sized_to_the_tree(self, capsys, adversary, horizon, rounds):
+        # Sized to the tree's horizon T, bounded RandSOA pays exactly
+        # RL(W, T) on a branch of the optimal depth-T tree.  At the default
+        # slack of 1/16, T = 6 for e(3,1); optimal plays there whatever
+        # --horizon says, the other tree adversaries at --horizon.
+        w = expert_class(3, 1)
+        assert Solver().horizon_for_slack(w, F(1, 16)) == 6
+        total = fmt(Solver().bounded_randomized_littlestone(w, rounds))
+        argv = ["play", "--n", "3", "--k", "1", "--learner", "bounded-randsoa", "--adversary", adversary,
+                *horizon, "--trials", "2"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        totals = [line.split(" = ")[1].split("  ")[0] for line in lines if line.startswith("trial ")]
+        assert totals == [total, total]
+        assert total.startswith("131/64 " if rounds == 6 else "15/8 ")
 
     def test_incompatible_selection(self, capsys):
         assert main(["play", "--n", "2", "--learner", "constant:0", "--adversary", "proper"]) == 2
@@ -422,6 +444,13 @@ class TestFailuresExitTwo:
             assert "too deep" in one_error_line(capsys)
             assert tree_from_json(tree_to_json(tree)) == (tree, None)
 
+    @pytest.mark.parametrize("doc, field", MALFORMED_CLASS_DOCUMENTS)
+    def test_malformed_class_file(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "class.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dim", str(path)]) == 2
+        assert re.match(field, one_error_line(capsys).removeprefix("error: "))
+
     def test_value_too_long_to_print(self, capsys):
         # The DP finishes; the exact numerator has more digits than int -> str allows.
         argv = ["experts", "--n", "1", "--k", "2", "--what", "dim", "--horizon", "25000"]
@@ -551,7 +580,7 @@ class TestCheck:
             raise AssertionError("the concentration check builds no tree and reads no weights")
 
         monkeypatch.setattr(littlestone.dimension, "quasi_balance_weights", unused)
-        monkeypatch.setattr(Solver, "_extract_tree", unused)
+        monkeypatch.setattr(Solver, "extract_optimal_tree", unused)
         argv = ["check", "concentration", "--n", "2", "--k", "2", "--samples", "500"]
         assert main(argv) == 0
 
