@@ -5,12 +5,22 @@ Every numeric result is printed as an exact rational alongside a decimal
 rendering.  Exit codes: 0 success, 1 a checked bound failed (``check
 concentration`` printed a ``FAIL`` line), 2 precondition, parse or file
 failure, 3 compute-budget exhaustion.
+
+``--out FILE`` takes a command's primary output, and ``--out -`` is stdout.
+For ``play`` that is its JSONL transcripts, written after the games; for
+every other command it is what the command prints on stdout, written to the
+file once the command exits 0 or 1, so an exit of 2 or 3 leaves no file.
+The commands share three paths: ``main`` handles ``--out``, ``_horizon``
+resolves ``--horizon`` or else the ``--slack`` search, and ``_dimension``
+answers ``dim`` and ``experts --what dim``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import sys
@@ -78,31 +88,30 @@ def _rational(option: str, text: str, convert=Fraction):
         raise ValueError(f"bad value {text!r} for {option}: {type(e).__name__}: {e}") from None
 
 
-def _out_stream(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+def _dimension(solver: Solver, w, mode: str, horizon: int | None) -> Fraction:
+    """L (``mode`` "det") or RL (``mode`` "rand") of ``w``, bounded by ``horizon`` where one is given."""
+    if mode == "det":
+        return solver.littlestone(w) if horizon is None else solver.bounded_littlestone(w, horizon)
+    if horizon is None:
+        return solver.randomized_littlestone(w)
+    return solver.bounded_randomized_littlestone(w, horizon)
+
+
+def _horizon(solver: Solver, w, horizon: int | None, slack: str) -> int:
+    """``horizon`` where given, else the least horizon whose RL_T is within
+    ``slack`` (the text of ``--slack``) of RL."""
+    if horizon is not None:
+        return horizon
+    return solver.horizon_for_slack(w, _rational("--slack", slack))
 
 
 def cmd_dim(args) -> int:
     w = load_class_file(args.class_file)
     solver = Solver(state_budget=args.budget_states)
     start = time.perf_counter()
-    if args.mode == "det":
-        value = (
-            solver.bounded_littlestone(w, args.horizon)
-            if args.horizon is not None
-            else solver.littlestone(w)
-        )
-        name = "L"
-    else:
-        value = (
-            solver.bounded_randomized_littlestone(w, args.horizon)
-            if args.horizon is not None
-            else solver.randomized_littlestone(w)
-        )
-        name = "RL"
+    value = _dimension(solver, w, args.mode, args.horizon)
     elapsed = time.perf_counter() - start
+    name = "L" if args.mode == "det" else "RL"
     if args.json:
         print(json.dumps(result_document(value, solver.states_visited)))
         return 0
@@ -116,21 +125,12 @@ def cmd_dim(args) -> int:
 
 
 def cmd_experts(args) -> int:
-    solver = Solver(state_budget=args.budget_states)
     if args.what == "dim":
-        value = (
-            solver.bounded_randomized_littlestone(expert_class(args.n, args.k), args.horizon)
-            if args.horizon is not None
-            else solver.randomized_littlestone(expert_class(args.n, args.k))
-        )
-        print(fmt(value))
+        solver = Solver(state_budget=args.budget_states)
+        print(fmt(_dimension(solver, expert_class(args.n, args.k), "rand", args.horizon)))
     elif args.what == "D":
         print(capacity_D(args.n, args.k))
     elif args.what == "dstar":
-        if args.k < 1:
-            raise AdversaryPreconditionError("dstar requires k >= 1")
-        if args.n < 2:
-            raise AdversaryPreconditionError("dstar requires n >= 2")
         v = d_star(args.n, args.k)
         print(f"{v.value:.12g} (residual {v.residual:.3g})")
     elif args.what == "up":
@@ -182,45 +182,42 @@ def _count(minimum: int):
 
 
 def cmd_tables(args) -> int:
-    # Validate before the stream is opened, so a bad list writes nothing.
-    ns = _n_list(args.n_list) if args.kind == "dnk" else []
-    stream, close = _out_stream(args.out)
-    writer = csv.writer(stream)
-    try:
-        if args.kind == "proper":
-            writer.writerow(["n", "exact", "decimal"])
-            for n in range(2, args.max_n + 1):
-                v = harmonic_number(n) - 1
-                writer.writerow([n, str(v), f"{float(v):.17g}"])
-        elif args.kind == "mstar2":
-            writer.writerow(["k", "exact", "decimal"])
+    writer = csv.writer(sys.stdout)
+    if args.kind == "proper":
+        writer.writerow(["n", "exact", "decimal"])
+        for n in range(2, args.max_n + 1):
+            v = harmonic_number(n) - 1
+            writer.writerow([n, str(v), f"{float(v):.17g}"])
+    elif args.kind == "mstar2":
+        writer.writerow(["k", "exact", "decimal"])
+        for k in range(args.max_k + 1):
+            v = mstar2_closed_form(k)
+            writer.writerow([k, str(v), f"{float(v):.17g}"])
+    else:  # dnk
+        ns = _n_list(args.n_list)  # before the header, so a bad list prints nothing
+        solver = Solver(state_budget=args.budget_states)
+        writer.writerow(
+            ["n", "k", "D", "L_k", "RL_k_num", "RL_k_den", "mstar2", "d_star", "up_min",
+             "RL_k_minus_D_half"]
+        )
+        for n in ns:
             for k in range(args.max_k + 1):
-                v = mstar2_closed_form(k)
-                writer.writerow([k, str(v), f"{float(v):.17g}"])
-        else:  # dnk
-            solver = Solver(state_budget=args.budget_states)
-            writer.writerow(
-                ["n", "k", "D", "L_k", "RL_k_num", "RL_k_den", "mstar2", "d_star", "up_min"]
-            )
-            for n in ns:
-                for k in range(args.max_k + 1):
-                    cls = expert_class(n, k)
-                    rl = solver.randomized_littlestone(cls)
-                    row = [
-                        n,
-                        k,
-                        capacity_D(n, k),
-                        solver.littlestone(cls),
-                        rl.numerator,
-                        rl.denominator,
-                        str(mstar2_closed_form(k)) if n == 2 else "",
-                        f"{d_star(n, k).value:.12g}" if k >= 1 and n >= 2 else "",
-                        f"{up_min_over_grid(n, k):.12g}",
-                    ]
-                    writer.writerow(row)
-    finally:
-        if close:
-            stream.close()
+                cls = expert_class(n, k)
+                rl = solver.randomized_littlestone(cls)
+                d = capacity_D(n, k)
+                row = [
+                    n,
+                    k,
+                    d,
+                    solver.littlestone(cls),
+                    rl.numerator,
+                    rl.denominator,
+                    str(mstar2_closed_form(k)) if n == 2 else "",
+                    f"{d_star(n, k).value:.12g}" if k >= 1 and n >= 2 else "",
+                    f"{up_min_over_grid(n, k):.12g}",
+                    str(rl - Fraction(d, 2)),
+                ]
+                writer.writerow(row)
     return 0
 
 
@@ -247,9 +244,7 @@ def cmd_play(args) -> int:
         # Tree nodes name domain points: an expert class is materialized
         # once, here, so past the 16-expert cap no search runs first.
         tree_class = w.explicit()
-        tree_horizon = given if given is not None else solver.horizon_for_slack(
-            tree_class, _rational("--slack", args.slack)
-        )
+        tree_horizon = _horizon(solver, tree_class, given, args.slack)
         tree, weights = solver.extract_optimal_tree(tree_class, tree_horizon)
         if args.adversary == "branch":  # fair coins read no weights
             adversary = random_branch_adversary(tree, declared_class=tree_class, check=False)
@@ -273,9 +268,11 @@ def cmd_play(args) -> int:
                 f"realizable={cert.realizable}]"
             )
         print(f"trial {trial}: total = {fmt(transcript.total)}{cert_str}")
-    if args.out:
+    if args.out == "-":
+        print("\n".join(out_lines))
+    elif args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(out_lines) + "\n")
+            print("\n".join(out_lines), file=fh)
     if len(totals) > 1:
         mean = sum(totals, Fraction(0)) / len(totals)
         print(f"mean  = {fmt(mean)}")
@@ -287,18 +284,9 @@ def cmd_play(args) -> int:
 def cmd_tree_extract(args) -> int:
     w = load_class_file(args.class_file)
     solver = Solver(state_budget=args.budget_states)
-    horizon = (
-        args.horizon
-        if args.horizon is not None
-        else solver.horizon_for_slack(w, _rational("--slack", args.slack))
-    )
+    horizon = _horizon(solver, w, args.horizon, args.slack)
     tree, weights = solver.extract_optimal_tree(w, horizon)
-    text = tree_to_json(tree, weights)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            print(text, file=fh)  # no second copy of the text with its newline
-    else:
-        print(text)
+    print(tree_to_json(tree, weights))
     e = 2 * solver.bounded_randomized_littlestone(w, horizon)  # the tree's E_T; a memo read
     print(f"# horizon {horizon}, E_T = {fmt(e)}, branch weight = {fmt(e / 2)}", file=sys.stderr)
     return 0
@@ -324,7 +312,7 @@ def cmd_tree_analyze(args) -> int:
         report = shatter_check(tree, w)
         print(f"shattered by class = {report.ok}")
         if not report.ok:
-            print(f"  failing branches: {len(report.failing_branches)}")
+            print(f"  failing branches: {report.failing_count}")
     return 0
 
 
@@ -339,7 +327,7 @@ def cmd_check_concentration(args) -> int:
     eps_list = _eps_list(args.eps)
     solver = Solver(state_budget=args.budget_states)
     w = expert_class(args.n, args.k)
-    horizon = solver.horizon_for_slack(w, _rational("--slack", args.slack))
+    horizon = _horizon(solver, w, None, args.slack)
     law = solver.branch_length_law(w, horizon)  # P(length = L) = law[L] / 2^horizon
     e_t = 2 * solver.bounded_randomized_littlestone(w, horizon)  # a memo read
     scale = 1 << horizon
@@ -459,7 +447,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         # By name at call time, so that a replaced ``cmd_*`` is the one run.
-        return globals()[args.func](args)
+        command = globals()[args.func]
+        if args.out in (None, "-") or args.command == "play":  # play writes its transcripts itself
+            return command(args)
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = command(args)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text.getvalue())
+        return code
     except ComputeBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -473,10 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except (
-        ClassFileError,
         UnknownInstanceError,
-        AdversaryPreconditionError,
-        NotQuasiBalancedError,
         GameProtocolError,
         EmptyVersionSpaceError,
         HorizonExhaustedError,

@@ -104,10 +104,10 @@ class Adversary:
 def _require_shattered(tree: MistakeTree, declared_class: WeightedClass | ExpertClass) -> None:
     """The tree adversaries' precondition: every branch of ``tree`` is
     realizable by ``declared_class``."""
-    failing = shatter_check(tree, declared_class).failing_branches
+    failing = shatter_check(tree, declared_class).failing_count
     if failing:
         raise AdversaryPreconditionError(
-            f"tree is not shattered by the declared class; {len(failing)} branch(es) fail"
+            f"tree is not shattered by the declared class; {failing} branch(es) fail"
         )
 
 

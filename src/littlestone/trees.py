@@ -32,8 +32,9 @@ from __future__ import annotations
 import json
 import random
 import reprlib
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .classes import (
@@ -434,10 +435,31 @@ def sample_branch(tree: MistakeTree, seed_or_rng: int | random.Random) -> Exampl
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShatterReport:
-    ok: bool
-    failing_branches: tuple[tuple[Example, ...], ...]
+    """How many branches of a tree the class does not realize; ``ok`` when none.
+
+    ``failing_branches`` lists them left first.  The list can be exponential
+    in the size of a shared DAG where the count is not, so it is built by
+    ``list_failing`` on first read.  Reports are equal when their counts
+    and lists are.
+    """
+
+    failing_count: int
+    list_failing: Callable[[], tuple[tuple[Example, ...], ...]] = field(repr=False)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failing_count
+
+    @cached_property
+    def failing_branches(self) -> tuple[tuple[Example, ...], ...]:
+        return self.list_failing()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShatterReport):
+            return NotImplemented
+        return (self.failing_count, self.failing_branches) == (other.failing_count, other.failing_branches)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -448,10 +470,12 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
 
     A branch is realizable exactly when the class restricted along it is
     non-empty, so this is one pass over the distinct (node, version space)
-    pairs the tree reaches, not over its root paths; each node's version
-    spaces come from one :meth:`VersionSpace.split`.  Failing branches are
-    listed left first, read off the failing pairs only.  An instance outside
-    the class's domain raises :class:`UnknownInstanceError` wherever it sits.
+    pairs the tree reaches, not over its root paths, counting the failing
+    branches below each pair; each node's version spaces come from one
+    :meth:`VersionSpace.split`, and below an empty class the empty class
+    stands, one pair per node.  The failing branches are listed only when
+    read, off the failing pairs only.  An instance outside the class's
+    domain raises :class:`UnknownInstanceError` wherever it sits.
     """
     from .dimension import Solver  # dimension imports this module
 
@@ -462,39 +486,42 @@ def shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -> ShatterR
     def pair(t: MistakeTree, v) -> tuple:
         return t, v, (id(t), v.key)
 
-    ok: dict[tuple, bool] = {}
+    failing: dict[tuple, int] = {}  # pair key -> failing branches below the pair
     children: dict[tuple, tuple[tuple, tuple]] = {}
     root = pair(tree, space)
     stack = [root]
     while stack:
         t, v, key = stack[-1]
-        if key in ok:
+        if key in failing:
             stack.pop()
-        elif t.is_leaf or v.is_empty:
-            ok[key] = t.is_leaf and not v.is_empty
+        elif t.is_leaf:
+            failing[key] = int(v.is_empty)
             stack.pop()
         elif key in children:
             zero, one = children[key]
-            ok[key] = ok[zero[2]] and ok[one[2]]
+            failing[key] = failing[zero[2]] + failing[one[2]]
             stack.pop()
         else:
-            v0, v1 = v.split(t.instance)
+            v0, v1 = (v, v) if v.is_empty else v.split(t.instance)
             zero, one = pair(t.zero, v0), pair(t.one, v1)
             children[key] = (zero, one)
             stack += (one, zero)
 
-    failing: list[tuple[Example, ...]] = []
-    walk: list[tuple[tuple, tuple[Example, ...]]] = [(root, ())]
-    while walk:
-        (t, v, key), prefix = walk.pop()
-        if ok[key]:
-            continue
-        if key not in children:  # a leaf, or every branch below fails
-            failing += (prefix + tuple(b) for b in branches(t))
-            continue
-        zero, one = children[key]
-        walk += ((one, prefix + ((t.instance, 1),)), (zero, prefix + ((t.instance, 0),)))
-    return ShatterReport(ok=not failing, failing_branches=tuple(failing))
+    def list_failing() -> tuple[tuple[Example, ...], ...]:
+        out: list[tuple[Example, ...]] = []
+        walk: list[tuple[tuple, tuple[Example, ...]]] = [(root, ())]
+        while walk:
+            (t, v, key), prefix = walk.pop()
+            if not failing[key]:
+                continue
+            if t.is_leaf:
+                out.append(prefix)
+                continue
+            zero, one = children[key]
+            walk += ((one, prefix + ((t.instance, 1),)), (zero, prefix + ((t.instance, 0),)))
+        return tuple(out)
+
+    return ShatterReport(failing[root[2]], list_failing)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def reference_shatter_check(tree: MistakeTree, w: WeightedClass | ExpertClass) -
             continue
         zero, one = children[key]
         walk += ((one, prefix + ((t.instance, 1),)), (zero, prefix + ((t.instance, 0),)))
-    return ShatterReport(ok=not failing, failing_branches=tuple(failing))
+    return ShatterReport(len(failing), lambda: tuple(failing))
 
 
 def reference_worst_case_loss(

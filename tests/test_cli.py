@@ -8,9 +8,10 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from conftest import MALFORMED_CLASS_DOCUMENTS, recursion_limit, reference_nested_json
+from conftest import MALFORMED_CLASS_DOCUMENTS, recursion_limit, reference_nested_json, reference_shatter
 
 import littlestone.cli
 from littlestone.cli import fmt, main
@@ -140,10 +141,12 @@ class TestTables:
         header = rows[0]
         assert header == [
             "n", "k", "D", "L_k", "RL_k_num", "RL_k_den", "mstar2", "d_star", "up_min",
+            "RL_k_minus_D_half",
         ]
         for row in rows[1:]:
             n, k = int(row[0]), int(row[1])
             assert int(row[2]) == capacity_D(n, k)
+            assert F(row[9]) == F(int(row[4]), int(row[5])) - F(capacity_D(n, k), 2)
         two = {int(r[1]): r for r in rows[1:] if r[0] == "2"}
         assert F(int(two[2][4]), int(two[2][5])) == F(47, 16)
         assert two[2][6] == "47/16"
@@ -744,6 +747,103 @@ class TestRepeatedCalls:
         monkeypatch.setattr(littlestone.cli, "cmd_dim", lambda args: calls.append(args) or 7)
         assert main(["dim", u2k2_file, "--mode", "det"]) == 7
         assert [(a.class_file, a.mode) for a in calls] == [(u2k2_file, "det")]
+
+
+# (argv, argv of the same command that exits 2 or 3, or None where none does).
+# {cls} is u(2,2), {small} u(2,1), {tree} the optimal u(2,2) tree at horizon 5.
+OUT_RULE_CASES = {
+    "dim": (["dim", "{cls}"], ["--budget-states", "1", "dim", "{cls}"]),
+    "dim-json": (["dim", "{cls}", "--json", "--mode", "det"], ["dim", "{tree}", "--json"]),
+    "experts-dim": (["experts", "--n", "3", "--k", "1"], ["--budget-states", "1", "experts", "--n", "3", "--k", "1"]),
+    "experts-D": (["experts", "--n", "4", "--k", "1", "--what", "D"], ["experts", "--n", "0", "--what", "D"]),
+    "experts-dstar": (["experts", "--n", "2", "--k", "1", "--what", "dstar"],
+                      ["experts", "--n", "2", "--k", "0", "--what", "dstar"]),
+    "experts-up": (["experts", "--n", "2", "--k", "1", "--what", "up"], ["experts", "--n", "0", "--what", "up"]),
+    "experts-up-beta": (["experts", "--n", "2", "--k", "1", "--what", "up", "--beta", "1/3"],
+                        ["experts", "--n", "2", "--what", "up", "--beta", "1/0"]),
+    "tables-proper": (["tables", "--kind", "proper", "--max-n", "5"], None),
+    "tables-mstar2": (["tables", "--kind", "mstar2", "--max-k", "3"], None),
+    "tables-dnk": (["tables", "--kind", "dnk", "--n-list", "2,3", "--max-k", "2"],
+                   ["tables", "--kind", "dnk", "--n-list", "2,x"]),
+    "tree-extract": (["tree", "extract", "{cls}", "--slack", "1/16"],
+                     ["--budget-states", "1", "tree", "extract", "{cls}"]),
+    "tree-analyze": (["tree", "analyze", "{tree}", "--class-file", "{small}"],
+                     ["tree", "analyze", "{tree}", "--class-file", "{tree}"]),
+    "check-concentration": (["check", "concentration", "--n", "2", "--k", "1", "--eps", "0.2,0.3"],
+                            ["check", "concentration", "--eps", "0"]),
+}
+
+
+class TestOutRule:
+    """``--out`` takes a command's primary output: for ``play`` its
+    transcripts, for every other command its stdout, written on exit 0 or 1."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        # dim's wall-time line would differ between two runs.
+        monkeypatch.setattr(littlestone.cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        solver = Solver()
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(tree_to_json(*solver.extract_optimal_tree(universal_class(2, 2), 5)))
+        return {
+            "cls": write_class_file(tmp_path, universal_class(2, 2)),
+            "small": write_class_file(tmp_path, universal_class(2, 1), "small.json"),
+            "tree": str(tree_file),
+        }
+
+    @staticmethod
+    def run(capsys, argv) -> tuple:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("case", OUT_RULE_CASES)
+    def test_out_writes_what_the_command_prints(self, tmp_path, capsys, files, case):
+        argv, failing = ([a.format(**files) for a in v] if v else None for v in OUT_RULE_CASES[case])
+        rc, out, err = self.run(capsys, argv)
+        assert rc in (0, 1) and out
+        path = tmp_path / "out.txt"
+        assert self.run(capsys, ["--out", str(path), *argv]) == (rc, "", err)
+        assert path.read_bytes() == out.encode()
+        assert self.run(capsys, ["--out", "-", *argv]) == (rc, out, err)
+        if failing is not None:
+            path = tmp_path / "failed.txt"
+            rc, out, err = self.run(capsys, ["--out", str(path), *failing])
+            assert rc in (2, 3) and out == "" and err.startswith("error: ")
+            assert not path.exists()
+
+    def test_a_failed_bound_writes_its_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            Solver, "branch_length_law", lambda self, w, horizon: (1 << horizon,) + (0,) * horizon
+        )
+        argv = ["check", "concentration", "--n", "2", "--k", "1"]
+        rc, out, err = self.run(capsys, argv)
+        assert rc == 1 and "FAIL" in out
+        path = tmp_path / "out.txt"
+        assert self.run(capsys, ["--out", str(path), *argv]) == (1, "", err)
+        assert path.read_text() == out
+
+    def test_analyze_prints_the_count_of_failing_branches(self, capsys, files):
+        rc, out, _ = self.run(capsys, ["tree", "analyze", files["tree"], "--class-file", files["small"]])
+        with open(files["tree"], encoding="utf-8") as fh:
+            _, failing = reference_shatter(tree_from_json(fh.read())[0], universal_class(2, 1))
+        assert rc == 0 and len(failing) == 20
+        assert out.endswith("shattered by class = False\n  failing branches: 20\n")
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_play_out_dash_prints_the_transcripts(self, tmp_path, capsys, trials):
+        argv = ["play", "--n", "2", "--k", "1", "--learner", "randsoa", "--adversary", "branch",
+                "--trials", str(trials)]
+        rc, plain, err = self.run(capsys, argv)
+        path = tmp_path / "games.jsonl"
+        assert self.run(capsys, ["--out", str(path), *argv]) == (rc, plain, err) == (0, plain, "")
+        transcripts = path.read_text()
+        assert transcripts.count("\n") >= trials
+        rc, dashed, err = self.run(capsys, ["--out", "-", *argv])
+        assert (rc, err) == (0, "")
+        trial_lines = "".join(plain.splitlines(keepends=True)[:trials])
+        assert dashed == trial_lines + transcripts + plain[len(trial_lines):]
+        assert not Path("-").exists()
 
 
 def test_importing_changes_no_interpreter_setting():

@@ -514,7 +514,9 @@ class TestShatterPairs:
     @staticmethod
     def check(tree: MistakeTree, w):
         report = shatter_check(tree, w)
-        assert (report.ok, report.failing_branches) == reference_shatter(tree, w)
+        ok, failing = reference_shatter(tree, w)
+        assert report.failing_count == len(failing)
+        assert (report.ok, report.failing_branches) == (ok, failing)
         assert report == reference_shatter_check(tree, w)
         return report
 
@@ -562,6 +564,25 @@ class TestShatterPairs:
         assert shatter_check(t, WeightedClass(one_point, (Member("zero", (0,), d),))).ok
         report = shatter_check(t, WeightedClass(one_point, (Member("zero", (0,), d - 1),)))
         assert report.failing_branches == ((("x", 1),) * d,)
+
+    def test_counts_failing_branches_without_listing_them(self):
+        # The u(2,8) tree at slack 1/64 has 12,949,082 branches over 185
+        # distinct nodes; u(2,7) fails 8,584,290 of them and u(2,0) all but 2.
+        solver, w = Solver(), universal_class(2, 8)
+        t, _ = solver.extract_optimal_tree(w, solver.horizon_for_slack(w, F(1, 64)))
+        report = shatter_check(t, universal_class(2, 7))
+        assert (report.ok, report.failing_count) == (False, 8_584_290)
+        assert "failing_branches" not in vars(report)
+        assert shatter_check(t, w).failing_count == 0
+        small = shatter_check(t, universal_class(2, 0))
+        assert small.failing_count == 12_949_080
+        assert "failing_branches" not in vars(small)
+
+    def test_failing_branches_are_listed_once_on_first_read(self):
+        report = shatter_check(complete_tree(4, "x"), TestShatterCheck.two_constants())
+        assert "failing_branches" not in vars(report)
+        assert report.failing_branches is report.failing_branches
+        assert len(report.failing_branches) == report.failing_count == 14
 
     @pytest.mark.parametrize(
         "w, known, unknown",
