@@ -7,9 +7,11 @@ concentration`` printed a ``FAIL`` line), 2 precondition, parse or file
 failure, 3 compute-budget exhaustion.
 
 ``--out FILE`` takes a command's primary output, and ``--out -`` is stdout.
-For ``play`` that is its JSONL transcripts, written after the games; for
-every other command it is what the command prints on stdout, written to the
-file once the command exits 0 or 1, so an exit of 2 or 3 leaves no file.
+For ``play`` that is its JSONL transcripts, written after the games and
+before the trial lines are printed (after them with ``--out -``); for every
+other command it is what the command prints on stdout, written to the file
+once the command exits 0 or 1.  So with ``--out FILE`` an exit of 2 or 3
+leaves no file and prints nothing on stdout.
 The commands share three paths: ``main`` handles ``--out``, ``_horizon``
 resolves ``--horizon`` or else the ``--slack`` search, and ``_dimension``
 answers ``dim`` and ``experts --what dim``.
@@ -253,13 +255,12 @@ def cmd_play(args) -> int:
     # The learner's horizon: --horizon where the adversary honours it, else
     # --max-rounds, else the tree's.  play() resets the adversary each trial.
     horizon = given if given is not None else args.max_rounds if args.max_rounds is not None else tree_horizon
-    totals = []
-    out_lines = []
+    totals, lines, transcripts = [], [], []
     for trial in range(args.trials):
         learner = make_learner(args.learner, w, solver, horizon=horizon, n_experts=args.n)
         transcript = play(learner, adversary, max_rounds=args.max_rounds, seed=args.seed + trial)
         totals.append(transcript.total)
-        out_lines.append(transcript.to_jsonl())
+        transcripts.append(transcript.to_jsonl())
         cert = transcript.certificate
         cert_str = ""
         if cert is not None:
@@ -267,17 +268,18 @@ def cmd_play(args) -> int:
                 f"  [certificate: best={cert.best_member} mistakes={cert.mistakes} "
                 f"realizable={cert.realizable}]"
             )
-        print(f"trial {trial}: total = {fmt(transcript.total)}{cert_str}")
-    if args.out == "-":
-        print("\n".join(out_lines))
-    elif args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            print("\n".join(out_lines), file=fh)
+        lines.append(f"trial {trial}: total = {fmt(transcript.total)}{cert_str}")
     if len(totals) > 1:
         mean = sum(totals, Fraction(0)) / len(totals)
-        print(f"mean  = {fmt(mean)}")
-        print(f"min   = {fmt(min(totals))}")
-        print(f"max   = {fmt(max(totals))}")
+        lines += [f"mean  = {fmt(mean)}", f"min   = {fmt(min(totals))}", f"max   = {fmt(max(totals))}"]
+    # The transcripts go out first, so a file that cannot be written leaves
+    # stdout empty; with ``--out -`` they follow the summary.
+    if args.out == "-":
+        lines += transcripts
+    elif args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print("\n".join(transcripts), file=fh)
+    print("\n".join(lines))
     return 0
 
 

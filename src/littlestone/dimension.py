@@ -34,12 +34,15 @@ the state budget up front.  In ascending order children come before their
 parents, and the states that differ only on level 0 form runs at
 consecutive positions, so the children under a ones vector O sit at fixed
 offsets in O's level-0 count from two positions per O above level 0, one
-lookup each per run.  L and RL take one pass in that order, each state's
-maximum one C-level ``max(map(add or min, ...))`` over its pairs of
-children; RL runs at the root's scale 2^P and writes each state at its own.
-RL_T runs the level sweep below on rows built from the same positions; a
-bounded query at horizon T builds only the states whose sorted budgets each
-lie within T of the root's.
+lookup each per run.  :func:`_pairs` streams each state's pairs of children
+in that order, the self-loop's first, and every reader of the lattice takes
+them from it.  L takes one pass, each state's maximum one C-level
+``max(map(min, ...))`` over its pairs; RL is the one RL pass,
+:meth:`Solver._rl_pass`, over the same pairs, run at the root's scale 2^P
+with the self-loop scored apart, which writes each state at its own.  RL_T
+runs the level sweep below on rows built from the same pairs; a bounded
+query at horizon T builds only the states whose sorted budgets each lie
+within T of the root's.
 
 L is pruned by Berlekamp's volume bound.  A depth-m tree shattered by a
 class has 2^m branches, and a member of remaining budget j is consistent
@@ -105,10 +108,9 @@ state, where a DP would write those it reaches in exactly T - t moves.
 The horizon search, which needs RL(W, t) for t = 1, 2, ... in turn,
 expands every reachable state once and sweeps every row until its target
 is met.  Its target needs RL(W), which it reads off the same rows unless
-the RL memo holds it: one pass in ascending P at the root's scale, the
-self-loop scored apart, as the count sweep runs, writing every state into
-the RL memo at its own scale, the entries the DP or the count sweep would
-write.
+the RL memo holds it: the rows, in ascending P, feed the RL pass that a
+count query feeds its lattice's pairs, which writes every state into the RL
+memo at its own scale, the entries the DP or a count query would write.
 
 One walk over the RL_T memo, :meth:`Solver._walk`, reads the optimal tree
 off it through the same loop: each (state, t) key takes the first move
@@ -440,10 +442,14 @@ def _lattice(root: int, horizon: int | None = None) -> tuple[list[int], list[int
 
 
 def _pairs(states: list[int], needed: Callable[[int, int], bool] | None = None):
-    """(position p, level-0 count d0, n, P0, P1, position of the decremented
-    state) per state of a lattice ``states``, in its ascending order; with
-    ``needed``, a predicate on (p, d0) asked of each state in that order,
-    only the states it holds for.
+    """(position p, children under 0, children under 1, position of the
+    decremented state) per state of a lattice ``states`` but the empty class,
+    in its ascending order; with ``needed``, a predicate on (p, d0) asked of
+    each such state in that order, d0 its level-0 count, only the states it
+    holds for.  The children are position iterators over the first half of
+    the state's ones vectors, as :meth:`_Counts.moves` takes them: O = 0,
+    whose children are the state itself and the decremented state, then one
+    O of each label-swap pair.
 
     A run is the states that differ on level 0 only: they sit at consecutive
     positions, level-0 count 0 first.  A ones vector O is its level-0 count
@@ -451,20 +457,17 @@ def _pairs(states: list[int], needed: Callable[[int, int], bool] | None = None):
     level-0 count 0, the children under O are then at aa[h] + d0 - o0 and
     bb[h] + o0, where aa[h] and bb[h] are the positions of the children of
     ``high`` under h alone.
-    So P0 lists aa[h] - o0 and P1 lists bb[h] + o0 in product order, o0
-    slowest.  Its first n entries are the first half of the state's ones
-    vectors, as :meth:`_Counts.moves` takes them: O = 0, whose children are the
-    state itself and the decremented state, and one O of each label-swap
-    pair.  The lists are shared along a run and grow with d0, so read them
-    before the next state.  They grow, catching up along the run, only when
-    a state is yielded, and a run's positions are looked up only once one of
-    its states is: a state ``needed`` turns down costs one call.
+    So the lists p0 of aa[h] - o0 and p1 of bb[h] + o0, in product order, o0
+    slowest, are shared along a run and grow with d0: consume a state's
+    iterators before the next state.  They grow, catching up along the run,
+    only when a state is yielded, and a run's positions are looked up only
+    once one of its states is: a state ``needed`` turns down costs one call.
     """
     where = dict(zip(states, range(len(states)))).__getitem__
     starts = [p for p, state in enumerate(states) if not state & _LOW]
     for b0, b1 in zip(starts, [*islice(starts, 1, None), len(states)]):
         aa = None
-        for p in range(b0, b1):
+        for p in range(b0 or 1, b1):  # the empty class, at 0, has no moves
             d0 = p - b0
             if needed is not None and not needed(p, d0):
                 continue
@@ -482,7 +485,8 @@ def _pairs(states: list[int], needed: Callable[[int, int], bool] | None = None):
                 p0 += map((-joined).__add__, aa)
                 p1 += map(joined.__add__, bb)
                 joined += 1
-            yield p, d0, ((d0 + 1) * len(aa) + 1) // 2, p0, p1, down
+            n = ((d0 + 1) * len(aa) + 1) // 2
+            yield p, map(d0.__add__, islice(p0, n)), islice(p1, n), down
 
 
 class _Counts:
@@ -510,8 +514,8 @@ class _Counts:
         for i, p in enumerate(order, 1):
             where[p] = i
         get = where.__getitem__
-        for p, d0, n, p0, p1, _ in _pairs(states, lambda p, _: 0 < where[p] <= len(rows)):
-            rows[where[p] - 1] = (list(map(get, map(d0.__add__, islice(p0, n)))), list(map(get, islice(p1, n))))
+        for p, c0, c1, _ in _pairs(states, lambda p, _: 0 < where[p] <= len(rows)):
+            rows[where[p] - 1] = (list(map(get, c0)), list(map(get, c1)))
         return [0, *map(states.__getitem__, order)], [0, *islice(ranked, len(order))], rows
 
     def moves(self, state: int):
@@ -555,6 +559,16 @@ def _readers(rows: list) -> None:
     row without moves as (None, None)."""
     for j, (i0, i1) in enumerate(rows):
         rows[j] = (i0[0], i1[0]) if len(i0) == 1 else (itemgetter(*i0), itemgetter(*i1)) if i0 else (None, None)
+
+
+def _ascending(rows: list, powers: list[int]):
+    """The entries of :meth:`Solver._rl_pass` from a space's ``rows``
+    without a horizon, states in ascending P, so children first: a row whose
+    pairs start at the state itself starts with the self-loop's pair, and
+    its decremented state is that pair's child under 1."""
+    for j in sorted(range(1, len(powers)), key=powers.__getitem__):
+        i0, i1 = rows[j - 1]
+        yield j, i0, i1, i1[0] if i0 and i0[0] == j else None
 
 
 def _rl_level(rows, values: list[int], t: int) -> list[int]:
@@ -708,8 +722,8 @@ class Solver:
         self.state_budget = state_budget
         l, rl, brl = {}, {}, {}
         self._counts = {
-            "l": (l, partial(Solver._sweep, memo=l, randomized=False)),
-            "rl": (rl, partial(Solver._sweep, memo=rl, randomized=True)),
+            "l": (l, partial(Solver._sweep, memo=l)),
+            "rl": (rl, partial(Solver._lattice_rl, memo=rl)),
             "brl": (brl, partial(Solver._sweep_levels, memo=brl, build_rows=_COUNTS.rows)),
         }
         # Each frame with its tables; the tables' rules hold the frame, so
@@ -768,7 +782,9 @@ class Solver:
     def _dp(self, root, memo: dict, body, leaf, charge: bool = True):
         """The value of ``root``: its ``memo`` entry, else ``leaf(root)`` unless
         None, else what the generator ``body(root)`` returns once sent the value
-        of each key it yields, charged (if ``charge``) and memoized."""
+        of each key it yields, memoized.  If ``charge``, each key is charged as
+        it is pushed, with every key the stack holds: a budget of the final
+        memo size passes, and one less raises."""
         # The key being expanded and its rule's send; the stack holds its ancestors'.
         parent = send = None
         stack = []
@@ -778,9 +794,9 @@ class Solver:
             if value is None:
                 value = leaf(key)
                 if value is None:
-                    if charge:
-                        self._charge()
                     stack.append((parent, send))
+                    if charge:  # the keys on the stack, this one too, are not in the memo yet
+                        self._charge(len(stack))
                     parent, send = key, body(key).send
             while send is not None:
                 try:
@@ -800,31 +816,21 @@ class Solver:
         if self.state_budget is not None:
             self._charge(held + sum(1 for key in keys if key not in memo))
 
-    def _sweep(self, root: int, memo: dict, randomized: bool) -> int:
-        """L, or RL * 2^P, of the count state ``root``, in one pass over the
-        lattice it reaches in ascending order, so children come first.  Every
-        state of the lattice is written into ``memo``, RL at its own 2^P."""
+    def _sweep(self, root: int, memo: dict) -> int:
+        """L of the count state ``root``, in one pass over the lattice it
+        reaches in ascending order, so children come first.  Every state of
+        the lattice is written into ``memo``."""
         if not root:
             return EMPTY
-        states, powers, _ = _lattice(root)
+        states, _, _ = _lattice(root)
         self._charge_new(memo, islice(states, 1, None))
-        top = powers[-1]  # the root's P, the largest
-        # RL * 2^top, an integer at every state.  A child's P is below its
-        # parent's, so every child's value is even at this scale and the
-        # halving in (1 + a + b) / 2 is exact.  Until a state is written its
-        # position holds a value below any pair's sum (resp. minimum): its
-        # pair O = 0, the self-loop scored apart, reads it and so never
-        # attains the maximum.
-        if randomized:
-            full, half = 1 << top, 1 << top - 1
-            values = [-(1 << 2 * top + 2)] * len(states)
-            values[0] = -full
-        else:
-            values = [EMPTY - 1] * len(states)
-            values[0] = EMPTY
+        # Until a state is written its position holds a value below any
+        # pair's minimum: its pair O = 0, the decremented state read apart,
+        # reads it and so never attains the maximum.
+        values = [EMPTY - 1] * len(states)
+        values[0] = EMPTY
         get = values.__getitem__
-        pair = add if randomized else min
-        # L: the run predecessor p - 1, one level-0 expert short, is a
+        # The run predecessor p - 1, one level-0 expert short, is a
         # sub-class, so L(p) >= L(p - 1).  Along a run only above_0 grows, by
         # d0, and C(m, 0) = 1, so S(m) at p is the run's S(m) plus d0: when it
         # leaves no room for L(p - 1) + 1, L(p) = L(p - 1) with no scan:
@@ -835,7 +841,7 @@ class Solver:
             """Whether L(p) needs its scan; if the bound says not, L(p) = L(p - 1)."""
             nonlocal tested, room
             if not d0:
-                return p > 0
+                return True
             m = values[p - 1] + 1
             if tested != (p - d0, m):
                 tested = (p - d0, m)
@@ -845,20 +851,19 @@ class Solver:
                 return False
             return True
 
-        for p, d0, n, p0, p1, down in _pairs(states, None if randomized else scan):
-            if not p:
-                continue
-            best = max(map(pair, map(get, map(d0.__add__, islice(p0, n))), map(get, islice(p1, n))))
-            if randomized:
-                loop, best = full + values[down], half + (best >> 1)
-                values[p] = loop if loop > best else best
-            else:
-                values[p] = 1 + max(values[down], best)
-        live = islice(values, 1, None)
-        if randomized:
-            live = map(rshift, live, map(top.__sub__, islice(powers, 1, None)))
-        memo.update(zip(islice(states, 1, None), live))
+        for p, c0, c1, down in _pairs(states, scan):
+            values[p] = 1 + max(values[down], max(map(min, map(get, c0), map(get, c1))))
+        memo.update(zip(islice(states, 1, None), islice(values, 1, None)))
         return values[-1]
+
+    def _lattice_rl(self, root: int, memo: dict) -> int:
+        """RL * 2^P of the count state ``root`` by :meth:`_rl_pass` over the
+        :func:`_pairs` of the lattice it reaches, charged before any pair is."""
+        if not root:
+            return EMPTY
+        states, powers, _ = _lattice(root)
+        self._charge_new(memo, islice(states, 1, None))
+        return self._rl_pass(states, powers, _pairs(states), memo, -1)
 
     def _sweep_levels(self, key: tuple[int, int], memo: dict, build_rows) -> int:
         """RL_T * 2^T of a (state, T) key by :func:`_level_sweep` to T over
@@ -1036,7 +1041,9 @@ class Solver:
         rows = None
         if rl is None:
             states, dists, rows = v.space.rows(v.state, charge)
-            rl = self._rl_pass(v.space, states, rows, rl_memo)
+            self._charge_new(rl_memo, islice(states, 1, None), held=len(rows))
+            powers = list(map(v.space.power, states))
+            rl = self._rl_pass(states, powers, _ascending(rows, powers), rl_memo, 1)
         target = Fraction(rl, 1 << v.power) - slack
         if target <= 0:  # RL(W, 0) = 0 meets it
             return 0
@@ -1048,37 +1055,37 @@ class Solver:
             if value * den >= num << t:  # RL_t(W) meets the target
                 return t
 
-    def _rl_pass(self, space, states: list[int], rows, memo: dict) -> int:
-        """RL * 2^P of the root ``states[1]`` in one pass over its ``rows``
-        (a space's ``rows`` without a horizon), as :meth:`_sweep` runs it on
-        the lattice: states in ascending P, so a split's children come
-        first, at the root's scale 2^top, the self-loop scored apart.  Every
-        state is written into the RL ``memo`` at its own 2^P, the entries
-        the DP or the sweep would write; they are charged, with the rows
-        held, before any is computed."""
-        self._charge_new(memo, islice(states, 1, None), held=len(rows))
-        powers = list(map(space.power, states))
-        top = powers[1]  # the root's P, the largest
-        # As in _sweep: every child's value is even at this scale, and a
-        # position not yet written holds a value below any pair's sum, so
-        # the self-loop's pair, the state and its decremented state, never
-        # attains the maximum.  It is first in a row, and absent where no
-        # move is constant.
+    @staticmethod
+    def _rl_pass(states: list[int], powers: list[int], entries, memo: dict, root: int) -> int:
+        """RL * 2^P of ``states[root]`` in one pass over ``entries``: per state
+        but the empty class, children first, (position, children under 0,
+        children under 1, position of the decremented state where some move
+        is constant, else None), the children position iterables pairing
+        each move's two children, the self-loop's pair first if any.  The
+        pass runs at the root's scale 2^top, ``powers[root]`` the largest P,
+        and writes every state into the RL ``memo`` at its own 2^P.  Count
+        queries feed it :func:`_pairs` over their lattice, the horizon
+        search its rows in ascending P, where a state without moves has
+        empty lists and is 0."""
+        top = powers[root]
+        # RL * 2^top, an integer at every state.  A child's P is below its
+        # parent's, so every child's value is even at this scale and the
+        # halving in (1 + a + b) / 2 is exact.  Until a state is written its
+        # position holds a value below any pair's sum: the self-loop's pair,
+        # the state and its decremented state, scored apart, reads it and so
+        # never attains the maximum.
         full, half = 1 << top, 1 << top - 1
         values = [-(1 << 2 * top + 2)] * len(states)
         values[0] = -full
         get = values.__getitem__
-        for j in sorted(range(1, len(states)), key=powers.__getitem__):
-            i0, i1 = rows[j - 1]
-            if not i0:  # no move
-                values[j] = 0
-                continue
-            best = half + (max(map(add, map(get, i0), map(get, i1))) >> 1)
-            values[j] = max(best, full + values[i1[0]]) if i0[0] == j else best
+        for p, c0, c1, down in entries:
+            best = half + (max(map(add, map(get, c0), map(get, c1))) >> 1) if c0 else 0
+            loop = best if down is None else full + values[down]
+            values[p] = loop if loop > best else best
         memo.update(
             zip(islice(states, 1, None), map(rshift, islice(values, 1, None), map(top.__sub__, islice(powers, 1, None))))
         )
-        return values[1]
+        return values[root]
 
 
 def result_document(value, states_visited: int) -> dict:

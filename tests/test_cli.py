@@ -841,9 +841,17 @@ class TestOutRule:
         assert transcripts.count("\n") >= trials
         rc, dashed, err = self.run(capsys, ["--out", "-", *argv])
         assert (rc, err) == (0, "")
-        trial_lines = "".join(plain.splitlines(keepends=True)[:trials])
-        assert dashed == trial_lines + transcripts + plain[len(trial_lines):]
+        assert dashed == plain + transcripts  # the trial and mean/min/max lines first
         assert not Path("-").exists()
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_play_out_that_cannot_be_written_prints_nothing(self, tmp_path, capsys, trials):
+        path = tmp_path / "missing-dir" / "x.jsonl"
+        argv = ["--out", str(path), "play", "--n", "2", "--k", "1", "--learner", "randsoa",
+                "--adversary", "branch", "--trials", str(trials)]
+        rc, out, err = self.run(capsys, argv)
+        assert (rc, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert not path.parent.exists()
 
 
 def test_importing_changes_no_interpreter_setting():

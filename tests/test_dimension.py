@@ -46,6 +46,7 @@ from littlestone.dimension import (
     _lattice,
     _levels,
     _pack,
+    _pairs,
     _u_above,
     _volume,
     _W,
@@ -568,7 +569,7 @@ class TestDyadicEngine:
     @pytest.mark.parametrize(
         "query, passing, kept",
         [
-            (lambda s: s.littlestone(universal_class(3, 2)), 40, 40),
+            (lambda s: s.littlestone(universal_class(3, 2)), 44, 40),
             (lambda s: s.randomized_littlestone(expert_class(8, 2)), 164, 0),
             (lambda s: s.bounded_randomized_littlestone(expert_class(4, 3), 8), 332 + 69, 0),
             (lambda s: s.extract_optimal_tree(universal_class(2, 2), 6), 59 + 15, 0),
@@ -576,11 +577,12 @@ class TestDyadicEngine:
         ids=["l-u32", "rl-e82", "brl8-e43", "extract-u22"],
     )
     def test_budget_fires_at_pinned_points(self, query, passing, kept):
-        # A frame's DP charges a state before it is expanded, so its smallest
-        # passing budget sits below the final count, and a budget one short
-        # stops after ``passing`` states.  A count query charges its lattice
-        # up front (RL_T: each of its 332 keys and the 69 rows it holds), so
-        # a budget one short stops before any state.  RL_T on a frame charges
+        # A frame's DP charges a state as it pushes it, with every state its
+        # stack holds, so its smallest passing budget is the final count, 44,
+        # and a budget one short stops with the 40 states written by then, 4
+        # more on the stack.  A count query charges its lattice up front
+        # (RL_T: each of its 332 keys and the 69 rows it holds), so a budget
+        # one short stops before any state.  RL_T on a frame charges
         # its expansions as they are held (15 within 5 rounds of u(2,2)), then
         # its 59 keys up front, so it too stops before any state.  Extraction
         # adds no charge.
@@ -589,6 +591,24 @@ class TestDyadicEngine:
         with pytest.raises(ComputeBudgetError):
             query(tight)
         assert tight.states_visited == kept
+
+    @pytest.mark.parametrize("query", ["littlestone", "randomized_littlestone"])
+    @pytest.mark.parametrize(
+        "w",
+        [universal_class(3, 1), universal_class(2, 6), universal_class(3, 2)]
+        + [random_weighted_class(random.Random(seed), 4, 4, 2) for seed in range(8)],
+        ids=["u31", "u26", "u32", *(f"random{seed}" for seed in range(8))],
+    )
+    def test_an_explicit_query_passes_at_its_memo_size_and_raises_one_below(self, query, w):
+        # The DP charges every state on its stack with the memo, so the
+        # budget bounds the memo and the pending states together.
+        s = Solver()
+        value = getattr(s, query)(w)
+        needed = s.states_visited
+        assert needed > 0
+        assert getattr(Solver(state_budget=needed), query)(w) == value
+        with pytest.raises(ComputeBudgetError):
+            getattr(Solver(state_budget=needed - 1), query)(w)
 
     def test_public_values_are_fractions(self):
         s = Solver()
@@ -987,6 +1007,23 @@ class TestCountLattice:
         assert states == sorted(depth)
         assert dists == [depth[s] for s in states]
         assert powers == [sum(level * c for level, c in enumerate(_levels(s), 1)) for s in states]
+
+    @settings(max_examples=80, deadline=None)
+    @given(count_roots())
+    def test_pairs_are_the_self_loop_then_the_reference_splits(self, root):
+        # Every reader of _pairs takes its entries as they come; each entry's
+        # position pairs, mapped back to states, are the state itself and its
+        # decremented state, then one split of each label-swap pair.
+        w, examples = root
+        states = _lattice(_stepped(Solver(), w, examples).state)[0]
+        entries = [(p, list(zip(c0, c1)), down) for p, c0, c1, down in _pairs(states)]
+        assert [p for p, _, _ in entries] == list(range(1, len(states)))  # the empty class has none
+        for p, pairs, down in entries:
+            counts = tuple(_levels(states[p]))
+            dec = trim_counts(list(counts[1:]))
+            expected = [(counts, dec)] + [(child0, child1) for _, child0, child1 in reference_count_splits(counts)]
+            assert [(tuple(_levels(states[a])), tuple(_levels(states[b]))) for a, b in pairs] == expected
+            assert tuple(_levels(states[down])) == dec
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=5), st.integers(0, 7))
