@@ -89,6 +89,8 @@ class WeightedClass:
                 )
             if any(b not in (0, 1) for b in m.labels):
                 raise ValueError(f"member {m.name!r}: labels must be 0/1")
+            if type(m.budget) is not int:  # bool included
+                raise ValueError(f"member {m.name!r}: budget must be an integer, got {m.budget!r}")
             if m.budget < 0:
                 raise ValueError(f"member {m.name!r}: negative budget {m.budget}")
             key = (m.labels, m.budget)
@@ -133,8 +135,12 @@ class ExpertClass:
         if not self.budgets:
             raise ValueError("an expert class needs at least one expert slot")
         for b in self.budgets:
-            if b is not None and b < 0:
-                raise ValueError("expert budgets must be non-negative")
+            # One test per slot on the valid path: restrict builds a class per step.
+            if b is not None and (type(b) is not int or b < 0):
+                if type(b) is int:
+                    raise ValueError("expert budgets must be non-negative")
+                i = next(i for i, c in enumerate(self.budgets) if c is b)
+                raise ValueError(f"expert slot {i}: budget must be an integer, got {b!r}")
 
     @property
     def n(self) -> int:
@@ -195,11 +201,7 @@ def _parse_advice(instance: str, n: int) -> tuple[int, ...]:
 
 def universal_class(n: int, k: int) -> WeightedClass:
     """The n projection functions over an explicit {0,1}^n domain, budget k each."""
-    if n < 1:
-        raise ValueError("need at least one expert")
-    if k < 0:
-        raise ValueError("budgets must be non-negative")
-    return ExpertClass((k,) * n).explicit()
+    return expert_class(n, k).explicit()
 
 
 def expert_class(n: int, k: int) -> ExpertClass:

@@ -22,10 +22,19 @@ seen starts from that shared, immutable root and encodes nothing.
 
 Predictions are probabilities of answering 1, reported as exact rationals;
 the per-round loss |y - p| is then the exact mistake probability.
+
+A learner copies itself (:meth:`Learner.clone`, which the audits in
+:mod:`~littlestone.games` call at every branch) with one shallow copy.  That
+is sound because ``update`` replaces attributes with new immutable values
+and never changes one in place, and because the copies are meant to share
+the Solver and its memo.  The adaptive aggregator is the exception: its
+``update`` appends to its history and adds to its per-budget records in
+place, so it deep-copies everything but the Solver and its base class.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +70,11 @@ class Learner:
         raise NotImplementedError
 
     def clone(self) -> "Learner":
-        raise NotImplementedError
+        """A copy that plays on independently of this learner: one shallow
+        copy.  The rule that makes it sound: ``update`` replaces attributes
+        and never changes them in place, and the Solver is shared.  A
+        learner whose ``update`` mutates state in place overrides this."""
+        return copy.copy(self)
 
     def state_key(self) -> Hashable | None:
         """Hashable key capturing all prediction-relevant state, or None."""
@@ -82,9 +95,6 @@ class ConstantLearner(Learner):
 
     def update(self, x: str, y: int) -> None:
         pass
-
-    def clone(self) -> "ConstantLearner":
-        return ConstantLearner(self.p)
 
     def state_key(self):
         return ("const", self.p)
@@ -128,9 +138,6 @@ class SOALearner(Learner):
     def update(self, x: str, y: int) -> None:
         self.version_space = self.version_space.step(x, y)
 
-    def clone(self) -> "SOALearner":
-        return SOALearner(self.version_space, self.solver)
-
     def state_key(self):
         return ("soa", self.version_space.key)
 
@@ -156,9 +163,6 @@ class RandSOALearner(Learner):
 
     def update(self, x: str, y: int) -> None:
         self.version_space = self.version_space.step(x, y)
-
-    def clone(self) -> "RandSOALearner":
-        return RandSOALearner(self.version_space, self.solver)
 
     def state_key(self):
         return ("randsoa", self.version_space.key)
@@ -197,9 +201,6 @@ class BoundedRandSOALearner(Learner):
         self.version_space = self.version_space.step(x, y)
         self.remaining -= 1
 
-    def clone(self) -> "BoundedRandSOALearner":
-        return BoundedRandSOALearner(self.version_space, self.remaining, self.solver)
-
     def state_key(self):
         return ("brandsoa", self.version_space.key, self.remaining)
 
@@ -226,6 +227,8 @@ class FollowTheLeader(Learner):
         return Fraction(ones, len(self.survivors))
 
     def update(self, x: str, y: int) -> None:
+        if y not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {y!r}")
         _check_advice(x, self.n)
         self.survivors = frozenset(i for i in self.survivors if int(x[i]) == y)
 
@@ -235,9 +238,6 @@ class FollowTheLeader(Learner):
             raise UnrealizableSequenceError("every expert has erred")
         w = Fraction(1, len(self.survivors))
         return [w if i in self.survivors else Fraction(0) for i in range(self.n)]
-
-    def clone(self) -> "FollowTheLeader":
-        return FollowTheLeader(self.n, self.survivors)
 
     def state_key(self):
         return ("ftl", self.survivors)
@@ -262,37 +262,24 @@ class AdaptiveAggregator(Learner):
     def __init__(self, base: WeightedClass | ExpertClass, solver: Solver | None = None):
         self.base = base
         self.solver = solver or Solver()
-        self.history: list[tuple[str, int]] = []
-        self.loss_history: list[float] = []
+        self.history: list[tuple[str, int, float]] = []  # (x, y, the aggregator's loss)
         self.ceiling = 1
-        self._pool: dict[int, RandSOALearner | None] = {}
-        self._regret: dict[int, float] = {}
-        self._variance: dict[int, float] = {}
+        # k -> [budget-k RandSOA sub-learner, or None once it empties; R_k; V_k]
+        self._pool: dict[int, list] = {}
         for k in range(self.ceiling + 1):
             self._spawn(k)
         self._last: tuple[str, Fraction, dict[int, Fraction]] | None = None
 
     def _spawn(self, k: int) -> None:
-        """Add the budget-k sub-learner, replaying it over the stored history
-        so its regret statistics match what tracking it from round one would
+        """Add the budget-k record, replaying its sub-learner over the stored
+        history so R_k and V_k match what tracking it from round one would
         have produced."""
-        learner = RandSOALearner(self.solver.budget_space(self.base, k), self.solver)
-        regret = 0.0
-        variance = 0.0
-        alive = True
-        for (x, y), agg_loss in zip(self.history, self.loss_history):
-            if learner.version_space.is_empty:
-                alive = False
+        sub = RandSOALearner(self.solver.budget_space(self.base, k), self.solver)
+        self._pool[k] = record = [None if sub.version_space.is_empty else sub, 0.0, 0.0]
+        for x, y, loss in self.history:
+            if record[0] is None:
                 break
-            r = agg_loss - abs(float(learner.predict(x)) - y)
-            regret += r
-            variance += r * r
-            learner.update(x, y)
-        if learner.version_space.is_empty:
-            alive = False
-        self._pool[k] = learner if alive else None
-        self._regret[k] = regret
-        self._variance[k] = variance
+            _charge({k: record[0].predict(x)}, self._pool, x, y, loss)
 
     @staticmethod
     def prior(k: int) -> Fraction:
@@ -301,13 +288,11 @@ class AdaptiveAggregator(Learner):
     def predict(self, x: str) -> Fraction:
         self._ensure_alive()
         preds: dict[int, Fraction] = {}
-        for k, sub in self._pool.items():
+        exps: dict[int, list[float]] = {}
+        for k, (sub, regret, variance) in self._pool.items():
             if sub is not None:
                 preds[k] = sub.predict(x)
-        exps = {
-            k: [eta * self._regret[k] - eta**2 * self._variance[k] for eta in _ETAS]
-            for k in preds
-        }
+                exps[k] = [eta * regret - eta**2 * variance for eta in _ETAS]
         # Normalize by the largest exponent for stability; the common factor
         # cancels in the convex combination.
         top = max(map(max, exps.values()))
@@ -326,27 +311,19 @@ class AdaptiveAggregator(Learner):
         return p
 
     def update(self, x: str, y: int) -> None:
+        if y not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {y!r}")
         if self._last is None or self._last[0] != x:
             self.predict(x)
         _, p, preds = self._last
         loss = abs(float(p) - y)
-        for k, p_k in preds.items():
-            r = loss - abs(float(p_k) - y)
-            self._regret[k] += r
-            self._variance[k] += r * r
-        for k, sub in self._pool.items():
-            if sub is None:
-                continue
-            sub.update(x, y)
-            if sub.version_space.is_empty:
-                self._pool[k] = None
-        self.history.append((x, y))
-        self.loss_history.append(loss)
+        _charge(preds, self._pool, x, y, loss)
+        self.history.append((x, y, loss))
         self._last = None
         self._ensure_alive()
 
     def _ensure_alive(self) -> None:
-        while self._pool.get(self.ceiling) is None:
+        while self._pool[self.ceiling][0] is None:
             if self.solver.budget_space(self.base, 0).is_empty:  # so is every budget's
                 raise EmptyVersionSpaceError("no hypothesis left to predict with")
             new_ceiling = self.ceiling * 2
@@ -356,9 +333,9 @@ class AdaptiveAggregator(Learner):
 
     def clone(self) -> "AdaptiveAggregator":
         """Copy the learner state; the copy shares this learner's Solver and
-        its (immutable) base class, so the Solver's budget spaces serve both."""
-        import copy
-
+        its (immutable) base class, so the Solver's budget spaces serve both.
+        A deep copy, because ``update`` appends to the history and adds to
+        the records in place."""
         return copy.deepcopy(self, {id(self.solver): self.solver, id(self.base): self.base})
 
     def state_key(self):
@@ -366,6 +343,22 @@ class AdaptiveAggregator(Learner):
 
 
 _ETAS = tuple(float(eta) for eta in AdaptiveAggregator.ETA_GRID)
+
+
+def _charge(preds: dict[int, Fraction], pool: dict[int, list], x: str, y: int, loss: float) -> None:
+    """Charge one round to each predicting budget's record: add the regret
+    r = loss - |p_k - y| to R_k and r * r to V_k, then step the sub-learner,
+    dropping it once its version space is empty.  ``update`` charges each
+    round once; ``_spawn`` replays the stored rounds through it."""
+    for k, p_k in preds.items():
+        record = pool[k]
+        r = loss - abs(float(p_k) - y)
+        record[1] += r
+        record[2] += r * r
+        sub = record[0]
+        sub.update(x, y)
+        if sub.version_space.is_empty:
+            record[0] = None
 
 
 @dataclass

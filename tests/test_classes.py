@@ -230,8 +230,11 @@ class TestMinMistakes:
         ([("h", (0, 2), 0)], r"^member 'h': labels must be 0/1"),
         ([("h", (0, 1), -1)], r"^member 'h': negative budget -1"),
         ([("h", (0, 1), 1), ("g", (0, 1), 1)], r"^member 'g' duplicates another member's labels and budget"),
+        ([("h", (0, 1), 0), ("g", (1, 1), 1.0)], r"^member 'g': budget must be an integer, got 1\.0$"),
+        ([("h", (0, 1), True)], r"^member 'h': budget must be an integer, got True$"),
     ],
-    ids=["name-repeated", "labels-length", "labels-not-binary", "budget-negative", "labels-and-budget-repeated"],
+    ids=["name-repeated", "labels-length", "labels-not-binary", "budget-negative", "labels-and-budget-repeated",
+         "budget-float", "budget-bool"],
 )
 def test_weighted_class_rejections_name_their_field(members, field):
     with pytest.raises(ValueError, match=field):
@@ -241,8 +244,11 @@ def test_weighted_class_rejections_name_their_field(members, field):
 @pytest.mark.parametrize(
     "budgets, field",
     [((), r"^an expert class needs at least one expert slot"),
-     ((1, None, -1), r"^expert budgets must be non-negative")],
-    ids=["no-slot", "budget-negative"],
+     ((1, None, -1), r"^expert budgets must be non-negative"),
+     ((1, None, 1.5), r"^expert slot 2: budget must be an integer, got 1\.5$"),
+     ((1, 1.0), r"^expert slot 1: budget must be an integer, got 1\.0$"),
+     ((0, False), r"^expert slot 1: budget must be an integer, got False$")],
+    ids=["no-slot", "budget-negative", "budget-float", "budget-float-equal-to-an-int", "budget-bool"],
 )
 def test_expert_class_rejections_name_their_field(budgets, field):
     with pytest.raises(ValueError, match=field):
@@ -251,8 +257,11 @@ def test_expert_class_rejections_name_their_field(budgets, field):
 
 @pytest.mark.parametrize("build", [universal_class, expert_class])
 @pytest.mark.parametrize(
-    "n, k, field", [(0, 1, r"^need at least one expert"), (2, -1, r"^budgets must be non-negative")],
-    ids=["no-expert", "budget-negative"],
+    "n, k, field",
+    [(0, 1, r"^need at least one expert"), (2, -1, r"^budgets must be non-negative"),
+     (2, 1.0, r"^expert slot 0: budget must be an integer, got 1\.0$"),
+     (2, True, r"^expert slot 0: budget must be an integer, got True$")],
+    ids=["no-expert", "budget-negative", "budget-float", "budget-bool"],
 )
 def test_class_builders_reject_bad_sizes(build, n, k, field):
     with pytest.raises(ValueError, match=field):

@@ -260,7 +260,7 @@ class TestAdaptiveAggregator:
         twin = agg.clone()
         assert twin.solver is own
         assert all(
-            sub.solver is own for sub in twin._pool.values() if sub is not None
+            sub.solver is own for sub, _, _ in twin._pool.values() if sub is not None
         )
         assert twin.history == agg.history and twin.history is not agg.history
         for x in ("000", "011", "111"):
@@ -276,7 +276,7 @@ class TestAdaptiveAggregator:
             agg.predict("11")
             agg.update("11", 0)
         assert agg.ceiling >= 2
-        assert agg._pool[agg.ceiling] is not None
+        assert agg._pool[agg.ceiling][0] is not None
 
     def test_empty_class_raises_instead_of_doubling(self, monkeypatch):
         # No budget revives a class without members, so the ceiling must not
@@ -400,6 +400,60 @@ class TestMakeLearner:
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_learner("oracle", universal_class(2, 0), solver)
+
+
+class TestLearnerCopies:
+    """``clone`` copies a learner once, shallowly for all but squint, and a
+    rejected update changes nothing."""
+
+    SELECTIONS = ("soa", "randsoa", "bounded-randsoa", "squint", "ftl", "constant:1/3")
+    # The first expert is right on every round of the realizable stream; every
+    # expert errs on the first three rounds of the other, so squint doubles its
+    # ceiling twice (replaying the history into new budgets) before the copy.
+    STREAMS = {
+        "realizable": [("011", 0), ("110", 1), ("101", 1), ("001", 0), ("111", 1), ("010", 0)],
+        "defeats-budgets": [("111", 0), ("000", 1), ("111", 0), ("011", 1), ("101", 0), ("010", 1)],
+    }
+
+    @staticmethod
+    def _learner(selection, w, s):
+        return make_learner(selection, w, s, horizon=7, n_experts=3)
+
+    @staticmethod
+    def _play(learner, rounds):
+        for x, y in rounds:
+            learner.predict(x)
+            learner.update(x, y)
+        return learner
+
+    @staticmethod
+    def _state(learner):
+        return learner.state_key(), getattr(learner, "history", None), learner.predict("011")
+
+    @pytest.mark.parametrize("w", [universal_class(3, 1), expert_class(3, 1)], ids=["u31", "e31"])
+    @pytest.mark.parametrize(
+        "selection, stream",
+        [*((selection, "realizable") for selection in SELECTIONS), ("squint", "defeats-budgets")],
+    )
+    def test_a_clone_diverges_from_its_original(self, w, selection, stream):
+        s, rounds = Solver(), self.STREAMS[stream]
+        learner = self._play(self._learner(selection, w, s), rounds[:3])
+        twin = learner.clone()
+        self._play(twin, rounds[3:])
+        assert self._state(learner) == self._state(self._play(self._learner(selection, w, s), rounds[:3]))
+        assert self._state(twin) == self._state(self._play(self._learner(selection, w, s), rounds))
+
+    @pytest.mark.parametrize("selection", ["ftl", "squint"])
+    def test_a_rejected_label_changes_nothing(self, selection):
+        learner = self._play(self._learner(selection, expert_class(3, 1), Solver()), [("011", 0), ("110", 1)])
+        twin = learner.clone()
+        learner.predict("101")
+        with pytest.raises(ValueError, match=r"^label must be 0 or 1, got 2$"):
+            learner.update("101", 2)
+        assert learner.state_key() == twin.state_key()
+        assert getattr(learner, "history", None) == getattr(twin, "history", None)
+        for x in ("101", "000", "111"):
+            assert learner.predict(x) == twin.predict(x)
 
 
 # -- version spaces on packed states -----------------------------------------------
