@@ -205,10 +205,15 @@ def universal_class(n: int, k: int) -> WeightedClass:
 
 
 def expert_class(n: int, k: int) -> ExpertClass:
-    """Implicit-domain variant of :func:`universal_class`; scales to large n."""
+    """Implicit-domain variant of :func:`universal_class`; scales to large n.
+
+    ``n`` must be an int, as it picks the count space the class is solved
+    in; a ``k`` that is not an int is rejected as expert slot 0's budget."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("need at least one expert")
-    if k < 0:
+    if type(k) is int and k < 0:
         raise ValueError("budgets must be non-negative")
     return ExpertClass((k,) * n)
 

@@ -21,11 +21,12 @@ member matrix matters, never the raw domain size.  A move and its label
 swap lead to the same two children, so only one of each pair is scored.
 Universal expert classes additionally compress states to counts of
 surviving experts per remaining budget, which keeps n experts tractable
-without materializing a 2^n domain.  A count state is one int too: level
-j's count in bits [32j, 32(j + 1)), the same field width in every Solver.
-A split charging O (the ones vector, packed alike) of the counts C has
-children C - O + (O >> 32) and O + ((C - O) >> 32), and the decremented
-state is C >> 32.
+without materializing a 2^n domain.  A count state is one int too, level
+j's count in the w-bit field at bit wj, where w is the width of the class's
+count space: the narrowest of 8, 16 and 32 bits whose field holds its n
+experts, as no level counts more.  A split charging O (the ones vector,
+packed alike) of the counts C has children C - O + (O >> w) and
+O + ((C - O) >> w), and the decremented state is C >> w.
 
 Count states sweep their lattice.  Budgets sorted in descending order, a
 count root reaches exactly the states whose i-th budget is at most the
@@ -34,9 +35,9 @@ the state budget up front.  In ascending order children come before their
 parents, and the states that differ only on level 0 form runs at
 consecutive positions, so the children under a ones vector O sit at fixed
 offsets in O's level-0 count from two positions per O above level 0, one
-lookup each per run.  :func:`_pairs` streams each state's pairs of children
-in that order, the self-loop's first, and every reader of the lattice takes
-them from it.  L takes one pass, each state's maximum one C-level
+lookup each per run.  :meth:`_Counts.pairs` streams each state's pairs of
+children in that order, the self-loop's first, and every reader of the
+lattice takes them from it.  L takes one pass, each state's maximum one C-level
 ``max(map(min, ...))`` over its pairs; RL is the one RL pass,
 :meth:`Solver._rl_pass`, over the same pairs, run at the root's scale 2^P
 with the self-loop scored apart, which writes each state at its own.  RL_T
@@ -70,12 +71,14 @@ Each frame keeps its own memos; a query uses the first frame with a slot
 for each of its members, so every version space of a class shares the
 class's memo, and opens a new frame otherwise.
 
-Both state spaces, the one count space ``_COUNTS`` (a :class:`_Counts`)
-and each :class:`_Frame`, offer one interface: ``rows`` (the level sweep's
-input from a root), ``moves`` (a state's moves up to label swap, in the
-order the tree walk tries them), ``power`` (a state's P), and ``split``,
-``step`` and ``key`` of a :class:`VersionSpace` in the space.  A frame
-adds ``expand`` and ``room`` for its L and RL DP.  A VersionSpace is a
+Both kinds of state space, a :class:`_Counts` per field width and a
+:class:`_Frame` per root class, offer one interface: ``rows`` (the level
+sweep's input from a root), ``moves`` (a state's moves up to label swap, in
+the order the tree walk tries them), ``power`` (a state's P), ``split``,
+``step`` and ``key`` of a :class:`VersionSpace` in the space, and
+``solves``, its L and RL computations; a frame's run the DP over its
+``expand`` and ``room``.  A :class:`Solver` keeps one set of tables per
+space, in one registry keyed by space.  A VersionSpace is a
 class held as a state of its space, with the space's tables and a label
 (the frame's domain, or the expert class itself); an example steps it by
 the space's charge, with no explicit class built, and every query accepts
@@ -147,10 +150,6 @@ from .trees import quasi_balance_weights
 
 EMPTY = -1
 
-# Bits per budget level of a packed count state, and the mask of level 0.
-_W = 32
-_LOW = (1 << _W) - 1
-
 
 def _ranked(key):
     """((labels, occurrence), budget) per member of a canonical key; members
@@ -183,7 +182,7 @@ class _Frame:
     layers (see :meth:`moves`).  A deeper class that grows ``repeat``
     empties the table, which then refills with masks covering the new layers.
 
-    A frame is a state space (see :class:`_Counts` for the other one); the
+    A frame is a state space (see :class:`_Counts` for the other kind); the
     label of its version spaces is the root class's domain.
     """
 
@@ -346,6 +345,15 @@ class _Frame:
         charged = (state ^ low) & self.columns[i] * self.repeat if state else 0
         return v._child(low ^ charged if y else state ^ charged, v.label)
 
+    def solves(self):
+        """The L and RL solves of a Solver's tables over this space, each
+        called with the Solver, a key and its memo: the DP on the L and RL
+        rules over this frame's ``expand``."""
+        return (
+            partial(Solver._dp, body=partial(_l_rule, self.room, self.expand), leaf=_empty),
+            partial(Solver._dp, body=partial(_rl_rule, self.expand), leaf=_empty),
+        )
+
 
 def _volume(above: list[int], m: int) -> int:
     """S(m) = sum over i of above[i] * C(m, i): how many branches of a
@@ -361,148 +369,142 @@ def _binomials(m: int) -> tuple[int, ...]:
     return tuple(map(comb, repeat(m), range(m + 1)))
 
 
-def _pack(counts) -> int:
-    """The packed count state of per-level counts (index = remaining budget)."""
-    state = 0
-    for level, c in enumerate(counts):
-        if c >> _W:
-            raise ValueError(f"{c} experts on one budget level exceed the {_W}-bit count field")
-        state |= c << level * _W
-    return state
-
-
-def _levels(state: int) -> memoryview:
-    """The per-level counts of a packed count state, decoded by ``to_bytes``,
-    never a shift loop."""
-    data = state.to_bytes(-(-state.bit_length() // _W) * 4, sys.byteorder)
-    levels = memoryview(data).cast("I")  # native 32-bit words
-    return levels if sys.byteorder == "little" else levels[::-1]
-
-
-def _u_above(state: int) -> list[int]:
-    """above_i of a packed count state per level i: the experts of remaining
-    budget at least i, a suffix sum of the level counts."""
-    return list(accumulate(reversed(_levels(state))))[::-1]
-
-
-def _occupied(state: int) -> list[tuple[int, int]]:
-    """(level, count) per occupied level of a packed count state, lowest
-    first, found from the top bit down: no pass over the empty levels."""
-    out = []
-    while state:
-        level = (state.bit_length() - 1) // _W
-        out.append((level, state >> level * _W))
-        state &= (1 << level * _W) - 1
-    out.reverse()
-    return out
-
-
-def _product(occupied: list[tuple[int, int]]) -> list[int]:
-    """D = O - (O >> _W) for every ones vector O <= the ``occupied`` counts,
-    in product order: the lowest level slowest, each level's count from 0 up.
-    One expert of O on level j adds 2^(32j) - 2^(32(j-1)) to D, or 1 on level 0."""
-    out = [0]
-    for level, c in occupied:
-        step = (1 << level * _W) - (1 << (level - 1) * _W) if level else 1
-        out = list(chain.from_iterable(map(range, out, map(add, out, repeat((c + 1) * step)), repeat(step))))
-    return out
-
-
-def _lattice(root: int, horizon: int | None = None) -> tuple[list[int], list[int], list[int]]:
-    """Every count state the count state ``root`` reaches, ascending, with
-    its P and its distance: the fewest rounds from ``root`` to it.  With
-    ``horizon``, only the states whose matched gap is at most ``horizon``.
-
-    With budgets sorted in descending order, a root a reaches exactly the
-    states b with b_i <= a_i for each i <= len(b): its tail-dominated
-    lattice.  The distance is the largest a_i - b_i over those i, the
-    matched gap, and a_i + 1 over the root's experts past len(b).  The empty
-    class is first.  The gap never falls as a state takes more experts, and
-    a child's gap is at most its parent's + 1, so the states within
-    ``horizon - 1`` rounds keep their children, their runs' heads (level-0
-    count 0) and the heads' children: all a level sweep to ``horizon`` reads.
-    """
-    levels = _levels(root)
-    budgets = list(chain.from_iterable(map(repeat, reversed(range(len(levels))), reversed(levels))))
-    budgets.append(-1)  # past the last expert: no unmatched one is left
-    # Per state built so far: (state, the largest budget the next expert may
-    # take, P, matched gap).
-    frontier = [(0, budgets[0], 0, 0)]
-    found = [(0, 0, budgets[0] + 1)]
-    for a, unmatched in zip(budgets, islice(budgets, 1, None)):
-        least = 0 if horizon is None else max(a - horizon, 0)  # a gap a - b past horizon is dropped
-        frontier = [
-            (state + (1 << _W * b), b, power + b + 1, max(gap, a - b))
-            for state, top, power, gap in frontier
-            for b in range(least, min(top, a) + 1)
-        ]
-        found += [(state, power, max(gap, unmatched + 1)) for state, _, power, gap in frontier]
-    found.sort()
-    return tuple(map(list, zip(*found)))
-
-
-def _pairs(states: list[int], needed: Callable[[int, int], bool] | None = None):
-    """(position p, children under 0, children under 1, position of the
-    decremented state) per state of a lattice ``states`` but the empty class,
-    in its ascending order; with ``needed``, a predicate on (p, d0) asked of
-    each such state in that order, d0 its level-0 count, only the states it
-    holds for.  The children are position iterators over the first half of
-    the state's ones vectors, as :meth:`_Counts.moves` takes them: O = 0,
-    whose children are the state itself and the decremented state, then one
-    O of each label-swap pair.
-
-    A run is the states that differ on level 0 only: they sit at consecutive
-    positions, level-0 count 0 first.  A ones vector O is its level-0 count
-    o0 and the vector h above it.  In the run of the state ``high`` with
-    level-0 count 0, the children under O are then at aa[h] + d0 - o0 and
-    bb[h] + o0, where aa[h] and bb[h] are the positions of the children of
-    ``high`` under h alone.
-    So the lists p0 of aa[h] - o0 and p1 of bb[h] + o0, in product order, o0
-    slowest, are shared along a run and grow with d0: consume a state's
-    iterators before the next state.  They grow, catching up along the run,
-    only when a state is yielded, and a run's positions are looked up only
-    once one of its states is: a state ``needed`` turns down costs one call.
-    """
-    where = dict(zip(states, range(len(states)))).__getitem__
-    starts = [p for p, state in enumerate(states) if not state & _LOW]
-    for b0, b1 in zip(starts, [*islice(starts, 1, None), len(states)]):
-        aa = None
-        for p in range(b0 or 1, b1):  # the empty class, at 0, has no moves
-            d0 = p - b0
-            if needed is not None and not needed(p, d0):
-                continue
-            if aa is None:
-                high = states[b0]
-                low = high >> _W
-                ds = _product(_occupied(high))
-                aa = list(map(where, map(high.__sub__, ds)))
-                bb = list(map(where, map(low.__add__, ds)))
-                down = where(low)
-                p0: list[int] = []
-                p1: list[int] = []
-                joined = 0  # o0 = 0, ..., joined - 1 are in the lists
-            while joined <= d0 >> 1:  # the half needs o0 up to d0 // 2
-                p0 += map((-joined).__add__, aa)
-                p1 += map(joined.__add__, bb)
-                joined += 1
-            n = ((d0 + 1) * len(aa) + 1) // 2
-            yield p, map(d0.__add__, islice(p0, n)), islice(p1, n), down
-
-
 class _Counts:
-    """The count space of expert classes: a state is the packed counts of
-    surviving experts per remaining budget, the same in every Solver, and
-    the label of its version spaces is their :class:`ExpertClass`."""
+    """The count space of expert classes at one field width: a state is the
+    packed counts of surviving experts per remaining budget, level j's in
+    the ``width``-bit field at bit ``width * j``, ``mask`` the field of level
+    0 and ``code`` the ``memoryview`` format of one field.  The label of its
+    version spaces is their :class:`ExpertClass`.  Every Solver shares the
+    spaces of :data:`_COUNT_SPACES` and keeps its own tables for each."""
+
+    def __init__(self, width: int, code: str):
+        self.width, self.code = width, code
+        self.mask = (1 << width) - 1
+
+    def pack(self, counts) -> int:
+        """The packed count state of per-level counts (index = remaining budget)."""
+        if max(counts, default=0) > self.mask:
+            raise ValueError(f"{max(counts)} experts on one budget level exceed the {self.width}-bit count field")
+        return sum(c << level * self.width for level, c in enumerate(counts))
+
+    def levels(self, state: int) -> memoryview:
+        """The per-level counts of a packed count state, decoded by ``to_bytes``,
+        never a shift loop."""
+        data = state.to_bytes(-(-state.bit_length() // self.width) * (self.width >> 3), sys.byteorder)
+        levels = memoryview(data).cast(self.code)  # native words of one field each
+        return levels if sys.byteorder == "little" else levels[::-1]
+
+    def above(self, state: int) -> list[int]:
+        """above_i of a packed count state per level i: the experts of remaining
+        budget at least i, a suffix sum of the level counts."""
+        return list(accumulate(reversed(self.levels(state))))[::-1]
+
+    def product(self, state: int) -> list[int]:
+        """D = O - (O >> width) for every ones vector O <= the counts of the
+        packed count state ``state``, in product order: the lowest level
+        slowest, each level's count from 0 up.  One expert of O on level j
+        adds 2^(width * j) - 2^(width * (j - 1)) to D, or 1 on level 0.  The
+        occupied levels are found from the top bit down: no pass over the
+        empty levels."""
+        occupied = []
+        while state:
+            level = (state.bit_length() - 1) // self.width
+            occupied.append((level, state >> level * self.width))
+            state &= (1 << level * self.width) - 1
+        out = [0]
+        for level, c in reversed(occupied):
+            step = (1 << level * self.width) - (1 << (level - 1) * self.width) if level else 1
+            out = list(chain.from_iterable(map(range, out, map(add, out, repeat((c + 1) * step)), repeat(step))))
+        return out
+
+    def lattice(self, root: int, horizon: int | None = None) -> tuple[list[int], list[int], list[int]]:
+        """Every count state the count state ``root`` reaches, ascending, with
+        its P and its distance: the fewest rounds from ``root`` to it.  With
+        ``horizon``, only the states whose matched gap is at most ``horizon``.
+
+        With budgets sorted in descending order, a root a reaches exactly the
+        states b with b_i <= a_i for each i <= len(b): its tail-dominated
+        lattice.  The distance is the largest a_i - b_i over those i, the
+        matched gap, and a_i + 1 over the root's experts past len(b).  The empty
+        class is first.  The gap never falls as a state takes more experts, and
+        a child's gap is at most its parent's + 1, so the states within
+        ``horizon - 1`` rounds keep their children, their runs' heads (level-0
+        count 0) and the heads' children: all a level sweep to ``horizon`` reads.
+        """
+        levels, width = self.levels(root), self.width
+        budgets = list(chain.from_iterable(map(repeat, reversed(range(len(levels))), reversed(levels))))
+        budgets.append(-1)  # past the last expert: no unmatched one is left
+        # Per state built so far: (state, the largest budget the next expert may
+        # take, P, matched gap).
+        frontier = [(0, budgets[0], 0, 0)]
+        found = [(0, 0, budgets[0] + 1)]
+        for a, unmatched in zip(budgets, islice(budgets, 1, None)):
+            least = 0 if horizon is None else max(a - horizon, 0)  # a gap a - b past horizon is dropped
+            frontier = [
+                (state + (1 << width * b), b, power + b + 1, max(gap, a - b))
+                for state, top, power, gap in frontier
+                for b in range(least, min(top, a) + 1)
+            ]
+            found += [(state, power, max(gap, unmatched + 1)) for state, _, power, gap in frontier]
+        found.sort()
+        return tuple(map(list, zip(*found)))
+
+    def pairs(self, states: list[int], needed: Callable[[int, int], bool] | None = None):
+        """(position p, children under 0, children under 1, position of the
+        decremented state) per state of a lattice ``states`` but the empty class,
+        in its ascending order; with ``needed``, a predicate on (p, d0) asked of
+        each such state in that order, d0 its level-0 count, only the states it
+        holds for.  The children are position iterators over the first half of
+        the state's ones vectors, as :meth:`moves` takes them: O = 0, whose
+        children are the state itself and the decremented state, then one O of
+        each label-swap pair.
+
+        A run is the states that differ on level 0 only: they sit at consecutive
+        positions, level-0 count 0 first.  A ones vector O is its level-0 count
+        o0 and the vector h above it.  In the run of the state ``high`` with
+        level-0 count 0, the children under O are then at aa[h] + d0 - o0 and
+        bb[h] + o0, where aa[h] and bb[h] are the positions of the children of
+        ``high`` under h alone.
+        So the lists p0 of aa[h] - o0 and p1 of bb[h] + o0, in product order, o0
+        slowest, are shared along a run and grow with d0: consume a state's
+        iterators before the next state.  They grow, catching up along the run,
+        only when a state is yielded, and a run's positions are looked up only
+        once one of its states is: a state ``needed`` turns down costs one call.
+        """
+        where = dict(zip(states, range(len(states)))).__getitem__
+        starts = [p for p, state in enumerate(states) if not state & self.mask]
+        for b0, b1 in zip(starts, [*islice(starts, 1, None), len(states)]):
+            aa = None
+            for p in range(b0 or 1, b1):  # the empty class, at 0, has no moves
+                d0 = p - b0
+                if needed is not None and not needed(p, d0):
+                    continue
+                if aa is None:
+                    high = states[b0]
+                    low = high >> self.width
+                    ds = self.product(high)
+                    aa = list(map(where, map(high.__sub__, ds)))
+                    bb = list(map(where, map(low.__add__, ds)))
+                    down = where(low)
+                    p0: list[int] = []
+                    p1: list[int] = []
+                    joined = 0  # o0 = 0, ..., joined - 1 are in the lists
+                while joined <= d0 >> 1:  # the half needs o0 up to d0 // 2
+                    p0 += map((-joined).__add__, aa)
+                    p1 += map(joined.__add__, bb)
+                    joined += 1
+                n = ((d0 + 1) * len(aa) + 1) // 2
+                yield p, map(d0.__add__, islice(p0, n)), islice(p1, n), down
 
     def rows(self, root: int, charge=None, horizon: int | None = None):
         """The level sweep's input over the count states ``root`` reaches: the
         states by distance, the empty class first and the root second, up to
         ``horizon`` rounds if given; their distances; and per state within
         ``horizon - 1`` rounds (every one if None), in that order, the position
-        lists (i0, i1) of its pairs of children from :func:`_pairs`, the
+        lists (i0, i1) of its pairs of children from :meth:`pairs`, the
         self-loop's pair of the state and its decremented state first.
         The rows are charged to ``charge``, if given, before they are built."""
-        states, _, dists = _lattice(root, horizon)
+        states, _, dists = self.lattice(root, horizon)
         order = sorted(range(1, len(states)), key=dists.__getitem__)
         ranked = list(map(dists.__getitem__, order))
         if horizon is not None:
@@ -514,7 +516,7 @@ class _Counts:
         for i, p in enumerate(order, 1):
             where[p] = i
         get = where.__getitem__
-        for p, c0, c1, _ in _pairs(states, lambda p, _: 0 < where[p] <= len(rows)):
+        for p, c0, c1, _ in self.pairs(states, lambda p, _: 0 < where[p] <= len(rows)):
             rows[where[p] - 1] = (list(map(get, c0)), list(map(get, c1)))
         return [0, *map(states.__getitem__, order)], [0, *islice(ranked, len(order))], rows
 
@@ -524,18 +526,18 @@ class _Counts:
         predicting 1 are charged under label 0.
 
         Splits are ones vectors O <= the counts C in product order
-        (:func:`_product`); the label swap of split j sits at index size - 1 - j,
+        (:meth:`product`); the label swap of split j sits at index size - 1 - j,
         so the first half, past the all-zero self-loop, holds one of each pair.
-        With D = O - (O >> _W), the children are C - D and (C >> _W) + D.
+        With D = O - (O >> width), the children are C - D and (C >> width) + D.
         """
-        low = state >> _W
+        low = state >> self.width
         yield None, state, low
-        ds = _product(_occupied(state))
+        ds = self.product(state)
         for d in islice(ds, 1, (len(ds) + 1) // 2):
             yield None, state - d, low + d
 
     def power(self, state: int) -> int:
-        return sum(map(mul, _levels(state), count(1)))
+        return sum(map(mul, self.levels(state), count(1)))
 
     def key(self, v: "VersionSpace"):
         return v.label
@@ -545,10 +547,16 @@ class _Counts:
 
     def step(self, v: "VersionSpace", x: str, y: int) -> "VersionSpace":
         experts = restrict(v.label, x, y)
-        return v._child(_pack(experts.counts()), experts)
+        return v._child(self.pack(experts.counts()), experts)
+
+    def solves(self):
+        """The L and RL solves of a Solver's tables over this space (see
+        :meth:`_Frame.solves`): the lattice sweeps."""
+        return partial(Solver._sweep, space=self), partial(Solver._lattice_rl, space=self)
 
 
-_COUNTS = _Counts()
+# One count space per field width: the widths ``memoryview.cast`` decodes.
+_COUNT_SPACES = (_Counts(8, "B"), _Counts(16, "H"), _Counts(32, "I"))
 
 
 def _readers(rows: list) -> None:
@@ -604,23 +612,25 @@ def _level_sweep(states: list[int], dists: list[int], rows, memo: dict, horizon:
 class VersionSpace:
     """A class as a state of a :class:`Solver`'s state space, stepped by examples.
 
-    ``space`` is the class's :class:`_Frame` or the count space
-    :data:`_COUNTS`, ``state`` the class's packed state in it, and ``label``
-    what an example's instance is read against: the frame's domain (a column
-    mask stands in for the point), or the expert class itself.  Steps,
-    splits, keys and powers are the space's.  Values come from the tables
-    the space was built over, so every step of a class reads the class's
-    memo.  Immutable.
+    ``space`` is the class's :class:`_Frame`, or the narrowest count space of
+    :data:`_COUNT_SPACES` whose field holds its n experts; ``state`` is the
+    class's packed state in it, and ``label`` what an example's instance is
+    read against: the frame's domain (a column mask stands in for the
+    point), or the expert class itself.  Steps, splits, keys and powers are
+    the space's.  Values come from the Solver's tables of the space, so
+    every step of a class reads the class's memo.  Immutable.
     """
 
     __slots__ = ("space", "tables", "state", "label")
 
     def __init__(self, solver: "Solver", w: WeightedClass | ExpertClass):
         if isinstance(w, ExpertClass):
-            self.space, self.tables, self.state, self.label = _COUNTS, solver._counts, _pack(w.counts()), w
+            space = _COUNT_SPACES[(w.n > 0xFF) + (w.n > 0xFFFF)]  # no level counts more than n experts
+            self.state, self.label = space.pack(w.counts()), w
         else:
-            self.space, self.tables, self.state = solver._frame(w.state_key())
+            space, self.state = solver._frame(w.state_key())
             self.label = w.domain
+        self.space, self.tables = space, solver._tables_of(space)
 
     def _child(self, state: int, label) -> "VersionSpace":
         child = object.__new__(VersionSpace)
@@ -707,8 +717,9 @@ class ComputeBudgetError(RuntimeError):
 class Solver:
     """Shared-memo dimension computations over weighted and expert classes.
 
-    One (memo, solve) table per value and state space: the count space,
-    whose values sweep the lattice a count state reaches, and each
+    One (memo, solve) table per value and state space, in one registry
+    keyed by space, built on the space's first use: each count space, whose
+    L and RL sweep the lattice a count state reaches, and each
     :class:`_Frame` of packed explicit states, whose L and RL run the DP;
     RL_T runs the level sweep in both.  The
     RL memos hold RL * 2^P and the RL_T memos RL_T * 2^T as ints.  Every
@@ -720,45 +731,43 @@ class Solver:
 
     def __init__(self, state_budget: int | None = None):
         self.state_budget = state_budget
-        l, rl, brl = {}, {}, {}
-        self._counts = {
-            "l": (l, partial(Solver._sweep, memo=l)),
-            "rl": (rl, partial(Solver._lattice_rl, memo=rl)),
-            "brl": (brl, partial(Solver._sweep_levels, memo=brl, build_rows=_COUNTS.rows)),
-        }
-        # Each frame with its tables; the tables' rules hold the frame, so
-        # the frame must not hold them back, or a dropped Solver is a cycle.
-        self._frames: list[tuple[_Frame, dict]] = []
+        # The tables of each space by space, count spaces and frames alike;
+        # the tables' solves hold the space, so the space must not hold them
+        # back, or a dropped Solver is a cycle.
+        self._tables: dict[_Counts | _Frame, dict] = {}
+        self._frames: list[_Frame] = []  # in the order they were opened
         # (class, its version space) by (id of the class, budget or None); the
         # class is held so that its id is not reused while the entry lives.
         self._spaces: dict[tuple[int, int | None], tuple] = {}
 
     @property
     def states_visited(self) -> int:
-        tables = [self._counts, *(tables for _, tables in self._frames)]
-        return sum(len(memo) for table in tables for memo, _ in table.values())
+        return sum(len(memo) for tables in self._tables.values() for memo, _ in tables.values())
 
     def _charge(self, pending: int = 0) -> None:
         """Raise once the memo entries plus ``pending`` held items pass the budget."""
         if self.state_budget is not None and self.states_visited + pending > self.state_budget:
             raise ComputeBudgetError(f"state budget of {self.state_budget} exceeded")
 
-    def _frame(self, key) -> tuple[_Frame, dict, int]:
+    def _frame(self, key) -> tuple[_Frame, int]:
         """The first frame with a slot for every member of ``key``, opening
-        one from ``key`` if none has; its tables; the packed state of ``key``."""
-        for frame, tables in self._frames:
+        one from ``key`` if none has, and the packed state of ``key``."""
+        for frame in self._frames:
             state = frame.encode(key)
             if state is not None:
-                return frame, tables, state
+                return frame, state
         frame = _Frame(key)
-        l, rl, brl = {}, {}, {}
-        tables = {
-            "l": (l, partial(Solver._dp, memo=l, body=partial(_l_rule, frame.room, frame.expand), leaf=_empty)),
-            "rl": (rl, partial(Solver._dp, memo=rl, body=partial(_rl_rule, frame.expand), leaf=_empty)),
-            "brl": (brl, partial(Solver._sweep_levels, memo=brl, build_rows=frame.rows)),
-        }
-        self._frames.append((frame, tables))
-        return frame, tables, frame.encode(key)
+        self._frames.append(frame)
+        return frame, frame.encode(key)
+
+    def _tables_of(self, space) -> dict:
+        """The (memo, solve) table per value of a space, built on its first
+        use: the space's L and RL solves, and the level sweep over its rows."""
+        tables = self._tables.get(space)
+        if tables is None:
+            solves = (*space.solves(), partial(Solver._sweep_levels, build_rows=space.rows))
+            tables = self._tables[space] = {value: ({}, solve) for value, solve in zip(("l", "rl", "brl"), solves)}
+        return tables
 
     def version_space(self, w: WeightedClass | ExpertClass | VersionSpace) -> VersionSpace:
         """``w`` as a state of this solver's state spaces; a VersionSpace as is.
@@ -816,13 +825,13 @@ class Solver:
         if self.state_budget is not None:
             self._charge(held + sum(1 for key in keys if key not in memo))
 
-    def _sweep(self, root: int, memo: dict) -> int:
+    def _sweep(self, root: int, memo: dict, space: _Counts) -> int:
         """L of the count state ``root``, in one pass over the lattice it
         reaches in ascending order, so children come first.  Every state of
         the lattice is written into ``memo``."""
         if not root:
             return EMPTY
-        states, _, _ = _lattice(root)
+        states, _, _ = space.lattice(root)
         self._charge_new(memo, islice(states, 1, None))
         # Until a state is written its position holds a value below any
         # pair's minimum: its pair O = 0, the decremented state read apart,
@@ -834,7 +843,7 @@ class Solver:
         # sub-class, so L(p) >= L(p - 1).  Along a run only above_0 grows, by
         # d0, and C(m, 0) = 1, so S(m) at p is the run's S(m) plus d0: when it
         # leaves no room for L(p - 1) + 1, L(p) = L(p - 1) with no scan:
-        # ``scan`` writes it, and _pairs skips the state, its lists not grown.
+        # ``scan`` writes it, and ``pairs`` skips the state, its lists not grown.
         tested = room = None  # (run start, m) of the run's S(m) in ``room``
 
         def scan(p: int, d0: int) -> bool:
@@ -845,25 +854,25 @@ class Solver:
             m = values[p - 1] + 1
             if tested != (p - d0, m):
                 tested = (p - d0, m)
-                room = _volume(_u_above(states[p - d0]), m)
+                room = _volume(space.above(states[p - d0]), m)
             if room + d0 < 1 << m:
                 values[p] = m - 1
                 return False
             return True
 
-        for p, c0, c1, down in _pairs(states, scan):
+        for p, c0, c1, down in space.pairs(states, scan):
             values[p] = 1 + max(values[down], max(map(min, map(get, c0), map(get, c1))))
         memo.update(zip(islice(states, 1, None), islice(values, 1, None)))
         return values[-1]
 
-    def _lattice_rl(self, root: int, memo: dict) -> int:
+    def _lattice_rl(self, root: int, memo: dict, space: _Counts) -> int:
         """RL * 2^P of the count state ``root`` by :meth:`_rl_pass` over the
-        :func:`_pairs` of the lattice it reaches, charged before any pair is."""
+        pairs of the lattice it reaches, charged before any pair is."""
         if not root:
             return EMPTY
-        states, powers, _ = _lattice(root)
+        states, powers, _ = space.lattice(root)
         self._charge_new(memo, islice(states, 1, None))
-        return self._rl_pass(states, powers, _pairs(states), memo, -1)
+        return self._rl_pass(states, powers, space.pairs(states), memo, -1)
 
     def _sweep_levels(self, key: tuple[int, int], memo: dict, build_rows) -> int:
         """RL_T * 2^T of a (state, T) key by :func:`_level_sweep` to T over
@@ -894,7 +903,7 @@ class Solver:
         computes; a learner's queries mostly hit, so they skip the solve."""
         memo, solve = table
         value = memo.get(key)
-        return solve(self, key) if value is None else value
+        return solve(self, key, memo) if value is None else value
 
     def littlestone(self, w: WeightedClass | ExpertClass | VersionSpace) -> int:
         """Optimal deterministic mistake bound; EMPTY (-1) for the empty class."""
@@ -1064,7 +1073,7 @@ class Solver:
         each move's two children, the self-loop's pair first if any.  The
         pass runs at the root's scale 2^top, ``powers[root]`` the largest P,
         and writes every state into the RL ``memo`` at its own 2^P.  Count
-        queries feed it :func:`_pairs` over their lattice, the horizon
+        queries feed it :meth:`_Counts.pairs` over their lattice, the horizon
         search its rows in ascending P, where a state without moves has
         empty lists and is 0."""
         top = powers[root]

@@ -144,7 +144,7 @@ def vovk_up(n: int, k: int, beta: float) -> ApproxValue:
         raise ValueError("beta must lie strictly between 0 and 1")
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    num = math.log2(n) + k * math.log2(1 / beta)
+    num = math.log2(n) - k * math.log2(beta)  # 1 / beta overflows to inf for a subnormal beta
     den = math.log2(2 / (1 + beta))
     return ApproxValue(num / den, "closed-form-rational")
 

@@ -12,7 +12,7 @@ dimensions of the two candidate restrictions:
   otherwise, which equalizes the adversary's two options each round.
 
 The version space is a :class:`~littlestone.dimension.VersionSpace`: a packed
-state in the class's frame, or in the count space for an expert class.  A
+state in the class's frame, or in an expert class's count space.  A
 round splits it into its two candidate children (a few bitwise operations on
 a frame, one restriction of the budget vector on counts) and reads their
 values from the solver's memo; no restricted explicit class is ever built.

@@ -30,13 +30,12 @@ from littlestone.classes import (
     restrict,
 )
 from littlestone.dimension import (
+    _COUNT_SPACES,
     ComputeBudgetError,
     Solver,
     _empty,
     _empty_or_horizon,
-    _levels,
     _rl_rule,
-    _W,
 )
 from littlestone.experts import ApproxValue, f_of
 from littlestone.games import _run
@@ -276,20 +275,21 @@ def reference_count_splits(counts: tuple[int, ...]):
         yield sum(ones), trim_counts(child0), trim_counts(child1)
 
 
-def reference_u_expand(state: int):
-    """(m, P, decremented state, splits) of a packed count state, as the
-    generator DP expanded it; the all-zero split is always a self-loop, and
-    ``s`` experts predict 1 and are charged under 0.
+def reference_u_expand(space, state: int):
+    """(m, P, decremented state, splits) of a packed count state of the
+    count space ``space``, as the generator DP expanded it; the all-zero
+    split is always a self-loop, and ``s`` experts predict 1 and are charged
+    under 0.
 
     Splits are ones vectors O in product order over the occupied levels,
     the lowest level slowest; the label swap of split j then sits at index
     size - 1 - j, so the first half, past the all-zero one, holds one of
-    each pair.  With D = O - (O >> _W), the children of the counts C are
-    C - D and (C >> _W) + D.  The production count space sweeps the lattice
-    a state reaches instead.
+    each pair.  With w the space's field width and D = O - (O >> w), the
+    children of the counts C are C - D and (C >> w) + D.  The production
+    count space sweeps the lattice a state reaches instead.
     """
-    levels = _levels(state)
-    low = state >> _W
+    levels, width = space.levels(state), space.width
+    low = state >> width
     # Per split in product order: s, and D built from each level's share.
     ss = [0]
     ds = [0]
@@ -297,7 +297,7 @@ def reference_u_expand(state: int):
     for level, c in compress(enumerate(levels), levels):
         m += c
         power += (level + 1) * c
-        share = (1 << level * _W) - (1 << (level - 1) * _W) if level else 1
+        share = (1 << level * width) - (1 << (level - 1) * width) if level else 1
         counts = range(c + 1)
         ss = [s + o for s in ss for o in counts]
         ds = [d + o * share for d in ds for o in counts]
@@ -306,10 +306,10 @@ def reference_u_expand(state: int):
     return m, power, low, splits
 
 
-def reference_u_moves(state: int):
+def reference_u_moves(space, state: int):
     """The self-loop, then the splits of :func:`reference_u_expand`, as
     (None, s, child under 0, child under 1)."""
-    _, _, low, splits = reference_u_expand(state)
+    _, _, low, splits = reference_u_expand(space, state)
     yield None, 0, state, low
     for s, child0, child1 in splits:
         yield None, s, child0, child1
@@ -354,17 +354,17 @@ def reference_dp_tables(expand) -> dict:
         ("rl", _rl_rule, _empty),
         ("brl", reference_brl_rule, _empty_or_horizon),
     ):
-        memo: dict = {}
-        tables[value] = (memo, partial(Solver._dp, memo=memo, body=partial(rule, expand), leaf=leaf))
+        tables[value] = ({}, partial(Solver._dp, body=partial(rule, expand), leaf=leaf))
     return tables
 
 
 def reference_count_solver(state_budget: int | None = None) -> Solver:
     """A Solver whose L, RL and RL_T queries on count states run the
-    generator DP: :func:`reference_dp_tables` over
-    :func:`reference_u_expand`, into the same memos."""
+    generator DP: in each count space, :func:`reference_dp_tables` over
+    :func:`reference_u_expand` of that space, into the same memos."""
     solver = Solver(state_budget)
-    solver._counts = reference_dp_tables(reference_u_expand)
+    for space in _COUNT_SPACES:
+        solver._tables[space] = reference_dp_tables(partial(reference_u_expand, space))
     return solver
 
 
@@ -400,7 +400,7 @@ def reference_count_law(w: ExpertClass, horizon: int) -> tuple[int, ...]:
         target = value(state, t)
         if target == 0:
             return (1 << t, *[0] * t)
-        for _, _, child0, child1 in reference_u_moves(state):
+        for _, _, child0, child1 in reference_u_moves(root.space, state):
             if (1 << t - 1) + value(child0, t - 1) + value(child1, t - 1) == target:
                 return (0, *map(add, law(child0, t - 1), law(child1, t - 1)))
         raise AssertionError("no move attains the computed dimension")

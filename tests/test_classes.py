@@ -268,6 +268,22 @@ def test_class_builders_reject_bad_sizes(build, n, k, field):
         build(n, k)
 
 
+@pytest.mark.parametrize(
+    "n, k, field",
+    [(2.0, 1, r"^n must be an integer, got 2\.0$"),
+     (True, 1, r"^n must be an integer, got True$"),
+     ("2", 1, r"^n must be an integer, got '2'$"),
+     (2, "1", r"^expert slot 0: budget must be an integer, got '1'$"),
+     (2, 1.0, r"^expert slot 0: budget must be an integer, got 1\.0$"),
+     (2, False, r"^expert slot 0: budget must be an integer, got False$")],
+    ids=["n-float", "n-bool", "n-str", "k-str", "k-float", "k-bool"],
+)
+def test_expert_class_rejects_sizes_that_are_not_ints(n, k, field):
+    # n picks the class's count space, so it must be a true int, not a bool.
+    with pytest.raises(ValueError, match=field):
+        expert_class(n, k)
+
+
 def test_domain_uniqueness_enforced():
     with pytest.raises(ValueError, match="unique"):
         Domain(("p", "p"))

@@ -114,10 +114,10 @@ class TestExperts:
 
     def test_budget_is_charged_before_the_lattice_sweep(self, monkeypatch, capsys):
         # e(64, 2) reaches 47,904 count states, known before any is computed.
-        def sweep(states):
+        def sweep(space, states, needed=None):
             raise AssertionError("swept past the state budget")
 
-        monkeypatch.setattr(littlestone.dimension, "_pairs", sweep)
+        monkeypatch.setattr(littlestone.dimension._Counts, "pairs", sweep)
         argv = ["--budget-states", "1000", "experts", "--what", "dim", "--n", "64", "--k", "2"]
         assert main(argv) == 3
         assert capsys.readouterr().err == "error: state budget of 1000 exceeded\n"

@@ -38,18 +38,13 @@ from littlestone.classes import (
 )
 from littlestone import dimension
 from littlestone.dimension import (
+    _COUNT_SPACES,
     EMPTY,
     ComputeBudgetError,
     Solver,
-    _COUNTS,
+    VersionSpace,
     _Frame,
-    _lattice,
-    _levels,
-    _pack,
-    _pairs,
-    _u_above,
     _volume,
-    _W,
 )
 from littlestone.experts import mstar2_closed_form
 from littlestone.trees import (
@@ -699,7 +694,7 @@ class TestHorizonSweep:
             s.extract_optimal_tree(w, horizon)
             assert s.states_visited == reachable * (horizon + 1)
         # One move table entry per live mask expanded, each for a visited state.
-        assert sum(len(frame.table) for frame, _ in s._frames) <= s.states_visited
+        assert sum(len(frame.table) for frame in s._frames) <= s.states_visited
 
     @pytest.mark.parametrize(
         "w", [universal_class(2, 2), expert_class(3, 2), single_hypothesis(1)], ids=["u22", "e32", "h1"]
@@ -909,7 +904,8 @@ class TestPackedCounts:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_expansion_matches_the_tuple_reference(self, n, k):
         """Every state reachable from e(n, k) expands, decoded, to the tuple
-        reference's m, P, decremented state and splits, in the same order."""
+        reference's m, P, decremented state and splits, in the same order,
+        in the count space of each field width."""
         seen = set()
         stack = [expert_class(n, k).counts()]
         while stack:
@@ -919,14 +915,16 @@ class TestPackedCounts:
             seen.add(counts)
             dec = trim_counts(list(counts[1:]))
             splits = list(reference_count_splits(counts))
-            m, power, packed_dec, packed_splits = reference_u_expand(_pack(counts))
-            assert m == sum(counts)
-            assert power == sum(level * c for level, c in enumerate(counts, 1))
-            assert tuple(_levels(packed_dec)) == dec
-            decoded = [(s, tuple(_levels(c0)), tuple(_levels(c1))) for s, c0, c1 in packed_splits]
-            assert decoded == splits
-            reference = [(None, child0, child1) for _, _, child0, child1 in reference_u_moves(_pack(counts))]
-            assert list(_COUNTS.moves(_pack(counts))) == reference
+            for space in _COUNT_SPACES:
+                state, levels = space.pack(counts), space.levels
+                m, power, packed_dec, packed_splits = reference_u_expand(space, state)
+                assert m == sum(counts)
+                assert power == space.power(state) == sum(level * c for level, c in enumerate(counts, 1))
+                assert tuple(levels(packed_dec)) == dec
+                decoded = [(s, tuple(levels(c0)), tuple(levels(c1))) for s, c0, c1 in packed_splits]
+                assert decoded == splits
+                reference = [(None, child0, child1) for _, _, child0, child1 in reference_u_moves(space, state)]
+                assert list(space.moves(state)) == reference
             stack.append(dec)
             for _, child0, child1 in splits:
                 stack += [child0, child1]
@@ -938,12 +936,15 @@ class TestPackedCounts:
         assert s.randomized_littlestone(expert_class(2, 200)) == mstar2_closed_form(200)
 
     def test_count_field_overflow_rejected(self):
-        top = (1 << _W) - 1
-        assert tuple(_levels(_pack((0, top, 1)))) == (0, top, 1)
-        # A plain tuple: an expert class this large would materialize its budgets.
-        for counts in ((1 << _W,), (3, 1 << _W), (1, 2, 1 << _W + 1)):
-            with pytest.raises(ValueError, match="count field"):
-                _pack(counts)
+        # Each width's pack holds a level count up to its mask, and rejects
+        # one past it.
+        for space in _COUNT_SPACES:
+            top, width = space.mask, space.width
+            assert tuple(space.levels(space.pack((0, top, 1)))) == (0, top, 1)
+            # A plain tuple: an expert class this large would materialize its budgets.
+            for counts in ((top + 1,), (3, top + 1), (1, 2, top + 1), (1, 2, 1 << width + 1)):
+                with pytest.raises(ValueError, match=f"{width}-bit count field"):
+                    space.pack(counts)
 
 
 @st.composite
@@ -963,21 +964,74 @@ def _stepped(solver: Solver, w: WeightedClass | ExpertClass, examples):
     return v
 
 
-def _reachable(root: int) -> dict[int, int]:
-    """Every count state ``root`` reaches, with its BFS depth, over the
-    generator DP's children: the decremented state and both split children."""
+def _reachable(space, root: int) -> dict[int, int]:
+    """Every count state ``root`` reaches in the count space ``space``, with
+    its BFS depth, over the generator DP's children: the decremented state
+    and both split children."""
     depth = {root: 0}
     level = [root]
     while level:
         below = []
         for state in level:
-            _, _, dec, splits = reference_u_expand(state)
+            _, _, dec, splits = reference_u_expand(space, state)
             for child in (dec, *(c for _, child0, child1 in splits for c in (child0, child1))):
                 if child not in depth:
                     depth[child] = depth[state] + 1
                     below.append(child)
         level = below
     return depth
+
+
+def _in_space(solver: Solver, w: ExpertClass, space) -> VersionSpace:
+    """``w`` as a version space of the count space ``space``, whatever width
+    its n would pick."""
+    v = object.__new__(VersionSpace)
+    v.space, v.tables, v.state, v.label = space, solver._tables_of(space), space.pack(w.counts()), w
+    return v
+
+
+class TestCountSpaces:
+    """One count space per field width; a class takes the narrowest whose
+    field holds its n experts."""
+
+    @pytest.mark.parametrize("n, width", [(1, 8), (255, 8), (256, 16), (65_535, 16), (65_536, 32)])
+    def test_a_class_takes_the_narrowest_field_that_holds_n(self, n, width):
+        v = Solver().version_space(expert_class(n, 0))
+        assert v.space.width == width
+        assert tuple(v.space.levels(v.state)) == (n,)
+
+    @pytest.mark.parametrize(
+        "w",
+        [expert_class(1, 5), expert_class(2, 6), expert_class(3, 3), expert_class(5, 2), expert_class(8, 1),
+         ExpertClass((None, 2, 0, 1, 3))],
+        ids=["e15", "e26", "e33", "e52", "e81", "mid-game"],
+    )
+    def test_memos_are_equal_across_widths(self, w):
+        """L, RL and RL_T, and their memos with each key decoded to its count
+        tuple, are the same in the count space of every width."""
+        results = []
+        for space in _COUNT_SPACES:
+            s = Solver()
+            v = _in_space(s, w, space)
+            values = (
+                s.littlestone(v),
+                s.randomized_littlestone(v),
+                s.bounded_randomized_littlestone(v, 5),
+                s.horizon_for_slack(v.step(("01" * w.n)[: w.n], 0), F(1, 16)),
+            )
+            l, rl, brl = (v.tables[value][0] for value in ("l", "rl", "brl"))
+            decoded = (
+                {tuple(space.levels(state)): value for state, value in l.items()},
+                {tuple(space.levels(state)): value for state, value in rl.items()},
+                {(tuple(space.levels(state)), t): value for (state, t), value in brl.items()},
+            )
+            assert list(map(len, decoded)) == [len(l), len(rl), len(brl)]
+            results.append((values, decoded, s.states_visited))
+        assert results[0] == results[1] == results[2]
+        # A class of at most 255 experts picks the 8-bit space itself.
+        s = Solver()
+        assert s.version_space(w).space is _COUNT_SPACES[0]
+        assert s.littlestone(w) == results[0][0][0]
 
 
 class TestCountLattice:
@@ -994,36 +1048,39 @@ class TestCountLattice:
         for t in (0, 1, 3, 6, 2):
             assert s.bounded_randomized_littlestone(v, t) == ref.bounded_randomized_littlestone(r, t)
         for value in ("l", "rl", "brl"):
-            assert s._counts[value][0] == ref._counts[value][0]
+            assert v.tables[value][0] == r.tables[value][0]
         assert s.states_visited == ref.states_visited
 
     @settings(max_examples=80, deadline=None)
     @given(count_roots())
     def test_lattice_is_the_reachable_set_at_its_bfs_depths(self, root):
         w, examples = root
-        state = _stepped(Solver(), w, examples).state
-        states, powers, dists = _lattice(state)
-        depth = _reachable(state)
+        v = _stepped(Solver(), w, examples)
+        space = v.space
+        states, powers, dists = space.lattice(v.state)
+        depth = _reachable(space, v.state)
         assert states == sorted(depth)
         assert dists == [depth[s] for s in states]
-        assert powers == [sum(level * c for level, c in enumerate(_levels(s), 1)) for s in states]
+        assert powers == [sum(level * c for level, c in enumerate(space.levels(s), 1)) for s in states]
 
     @settings(max_examples=80, deadline=None)
     @given(count_roots())
     def test_pairs_are_the_self_loop_then_the_reference_splits(self, root):
-        # Every reader of _pairs takes its entries as they come; each entry's
-        # position pairs, mapped back to states, are the state itself and its
-        # decremented state, then one split of each label-swap pair.
+        # Every reader of the pairs takes its entries as they come; each
+        # entry's position pairs, mapped back to states, are the state itself
+        # and its decremented state, then one split of each label-swap pair.
         w, examples = root
-        states = _lattice(_stepped(Solver(), w, examples).state)[0]
-        entries = [(p, list(zip(c0, c1)), down) for p, c0, c1, down in _pairs(states)]
+        v = _stepped(Solver(), w, examples)
+        space, levels = v.space, v.space.levels
+        states = space.lattice(v.state)[0]
+        entries = [(p, list(zip(c0, c1)), down) for p, c0, c1, down in space.pairs(states)]
         assert [p for p, _, _ in entries] == list(range(1, len(states)))  # the empty class has none
         for p, pairs, down in entries:
-            counts = tuple(_levels(states[p]))
+            counts = tuple(levels(states[p]))
             dec = trim_counts(list(counts[1:]))
             expected = [(counts, dec)] + [(child0, child1) for _, child0, child1 in reference_count_splits(counts)]
-            assert [(tuple(_levels(states[a])), tuple(_levels(states[b]))) for a, b in pairs] == expected
-            assert tuple(_levels(states[down])) == dec
+            assert [(tuple(levels(states[a])), tuple(levels(states[b]))) for a, b in pairs] == expected
+            assert tuple(levels(states[down])) == dec
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=5), st.integers(0, 7))
@@ -1037,25 +1094,26 @@ class TestCountLattice:
             horizon = s.horizon_for_slack(w, F(1, 64))
             assert horizon == reference_horizon_for_slack(ref, w, F(1, 64))
             root = ref.version_space(w)
-            for (state, t), value in s._counts["brl"][0].items():
+            for (state, t), value in s.version_space(w).tables["brl"][0].items():
                 assert ref.bounded_randomized_littlestone(root._child(state, None), t) == F(value, 2**t)
 
     @pytest.mark.parametrize("horizon, read", [(1, 1), (2, 5), (3, 15), (8, 35)])
     def test_a_bounded_query_reads_only_the_runs_within_its_horizon(self, monkeypatch, horizon, read):
         # A run is the states that differ on level 0 only; rows are built
-        # for the states within horizon - 1 rounds, one _product per run.
+        # for the states within horizon - 1 rounds, one product per run.
         # e(4,3) reaches 69 classes in 35 runs, each within 4 rounds.
         w = expert_class(4, 3)
-        states, _, dists = _lattice(_pack(w.counts()))
-        runs = {s >> _W for s, d in zip(states, dists) if s and d < horizon}
+        s = Solver()
+        v = s.version_space(w)
+        states, _, dists = v.space.lattice(v.state)
+        runs = {state >> v.space.width for state, d in zip(states, dists) if state and d < horizon}
         ref = reference_count_solver()
         value = ref.bounded_randomized_littlestone(w, horizon)
         calls = []
-        product = dimension._product
-        monkeypatch.setattr(dimension, "_product", lambda *args: calls.append(args) or product(*args))
-        s = Solver()
+        product = dimension._Counts.product
+        monkeypatch.setattr(dimension._Counts, "product", lambda *args: calls.append(args) or product(*args))
         assert s.bounded_randomized_littlestone(w, horizon) == value
-        assert s._counts["brl"][0] == ref._counts["brl"][0]
+        assert v.tables["brl"][0] == ref.version_space(w).tables["brl"][0]
         assert len(calls) == len(runs) == read
 
     def test_a_horizon_search_builds_one_lattice(self):
@@ -1066,7 +1124,7 @@ class TestCountLattice:
         horizon = reference_horizon_for_slack(ref, w, F(1, 64))
         s = Solver()
         assert s.horizon_for_slack(w, F(1, 64)) == horizon
-        assert s._counts["rl"][0] == ref._counts["rl"][0]
+        assert s.version_space(w).tables["rl"][0] == ref.version_space(w).tables["rl"][0]
 
     @pytest.mark.parametrize("n, k, rl", [(128, 1, F(85, 16)), (32, 2, F(733, 128))])
     def test_wide_cells_pinned(self, n, k, rl):
@@ -1077,23 +1135,24 @@ class TestCountLattice:
     def test_a_bounded_query_sweeps_its_pruned_lattice_as_the_whole_one(self, w, horizon):
         # The pruned lattice drops only states past the horizon, so the rows,
         # and with them every value and memo entry, are the whole lattice's.
-        root = _pack(w.counts())
         pruned, whole = {}, {}
         s = Solver()
-        value = s._sweep_levels((root, horizon), pruned, _COUNTS.rows)
+        v = s.version_space(w)
+        root, space = v.state, v.space
+        value = s._sweep_levels((root, horizon), pruned, space.rows)
 
         def whole_rows(root, charge, horizon):  # every state of the lattice
-            return _COUNTS.rows(root, charge)
+            return space.rows(root, charge)
 
         assert s._sweep_levels((root, horizon), whole, whole_rows) == value
         assert pruned == whole
         if root:
-            states, dists, rows = _COUNTS.rows(root, None)  # the whole lattice, no horizon
+            states, dists, rows = space.rows(root, None)  # the whole lattice, no horizon
             cut = bisect_right(dists, horizon)
-            assert _COUNTS.rows(root, None, horizon) == (
+            assert space.rows(root, None, horizon) == (
                 states[:cut], dists[:cut], rows[: bisect_right(dists, horizon - 1) - 1]
             )
-            assert set(_lattice(root, horizon)[0]) <= set(_lattice(root)[0])
+            assert set(space.lattice(root, horizon)[0]) <= set(space.lattice(root)[0])
 
 
 def _frame_depths(frame: _Frame, root: int) -> dict[int, int]:
@@ -1214,12 +1273,13 @@ class TestVolumeBound:
         w = expert_class(n, k)
         ref = reference_count_solver()
         ref.littlestone(w)
-        reference = ref._counts["l"][0]
-        assert len(reference) == len(_lattice(_pack(w.counts()))[0]) - 1
+        r = ref.version_space(w)
+        space, reference = r.space, r.tables["l"][0]
+        assert len(reference) == len(space.lattice(r.state)[0]) - 1
         for state, l in reference.items():
-            above = _u_above(state)
-            d0 = state & (1 << _W) - 1
-            high = _u_above(state - d0)
+            above = space.above(state)
+            d0 = state & space.mask
+            high = space.above(state - d0)
             assert _volume(above, l) >= 1 << l
             for m in range(l + 2):
                 # Along a run only above_0 moves: S(m) is the run's plus d0.
@@ -1227,7 +1287,7 @@ class TestVolumeBound:
                 assert _volume(above, m + 1) <= 2 * _volume(above, m)
         s = Solver()
         s.littlestone(w)
-        assert s._counts["l"][0] == reference
+        assert s.version_space(w).tables["l"][0] == reference
 
 
 class TestFrames:
@@ -1241,7 +1301,8 @@ class TestFrames:
                 assert s.states_visited == 63 + 44  # RL's every state, L's pruned search
             horizon = 4
             s.bounded_randomized_littlestone(w, horizon)
-            ((_, tables),) = s._frames
+            (frame,) = s._frames
+            tables = s._tables[frame]
             before = {value: len(tables[value][0]) for value in ("rl", "brl")}
             v = w
             for depth in range(horizon):
@@ -1309,7 +1370,7 @@ class TestFrames:
 
         s = Solver()
         first = values(s, shallow)
-        ((frame, _),) = s._frames
+        (frame,) = s._frames
         repeat = frame.repeat
         assert frame.table
         # A class with a row the frame lacks is not encoded, and leaves the

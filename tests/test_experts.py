@@ -207,6 +207,13 @@ class TestVovkUp:
     def test_grid_minimum_approaches_d_star(self):
         assert abs(up_min_over_grid(2, 1, 2000) - d_star(2, 1).value) <= 1e-3
 
+    @pytest.mark.parametrize("n, k, beta", [(3, 1, 1e-320), (2, 4, 5e-324), (4, 2, 1e-300)])
+    def test_subnormal_beta_is_finite(self, n, k, beta):
+        # 1 / beta overflows a float once beta is subnormal; -log2(beta) does not.
+        value = vovk_up(n, k, beta).value
+        assert math.isfinite(value)
+        assert value == (math.log2(n) - k * math.log2(beta)) / math.log2(2 / (1 + beta))
+
     def test_beta_range_enforced(self):
         for beta in (0, 1, -0.5, 2):
             with pytest.raises(ValueError):
