@@ -710,6 +710,13 @@ def _empty_or_horizon(key) -> int | None:
     return 0 if t == 0 else None
 
 
+def _nonnegative_int(name: str, value) -> int:
+    """``value`` if it is an int >= 0 (a bool is not), else a ValueError naming ``name``."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 class ComputeBudgetError(RuntimeError):
     """A configured cap on visited dynamic-programming states was exceeded."""
 
@@ -730,7 +737,7 @@ class Solver:
     """
 
     def __init__(self, state_budget: int | None = None):
-        self.state_budget = state_budget
+        self.state_budget = None if state_budget is None else _nonnegative_int("state_budget", state_budget)
         # The tables of each space by space, count spaces and frames alike;
         # the tables' solves hold the space, so the space must not hold them
         # back, or a dropped Solver is a cycle.
@@ -774,15 +781,11 @@ class Solver:
 
         A Solver holds one version space per class object, built on the
         first call, so a game on a class it has seen encodes nothing."""
-        return w if isinstance(w, VersionSpace) else self._space(w, None)
+        return w if isinstance(w, VersionSpace) else self.budget_space(w)
 
-    def budget_space(self, w: WeightedClass | ExpertClass, k: int) -> VersionSpace:
-        """The version space of ``with_budget(w, k)``, one per class object and k."""
-        return self._space(w, k)
-
-    def _space(self, w: WeightedClass | ExpertClass, k: int | None) -> VersionSpace:
-        """The cached version space of ``w`` (of ``with_budget(w, k)`` unless
-        ``k`` is None), built on a miss."""
+    def budget_space(self, w: WeightedClass | ExpertClass, k: int | None = None) -> VersionSpace:
+        """The version space of ``with_budget(w, k)``, or of ``w`` itself if
+        ``k`` is None: one per class object and k, built on the first call."""
         entry = self._spaces.get((id(w), k))
         if entry is None:
             entry = self._spaces[id(w), k] = (w, VersionSpace(self, w if k is None else with_budget(w, k)))
@@ -919,15 +922,12 @@ class Solver:
         self, w: WeightedClass | ExpertClass | VersionSpace, horizon: int
     ) -> int:
         """min(horizon, L(W)): depth caps can only shorten balanced trees."""
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
-        return min(horizon, self.littlestone(w))
+        return min(_nonnegative_int("horizon", horizon), self.littlestone(w))
 
     def bounded_randomized_littlestone(
         self, w: WeightedClass | ExpertClass | VersionSpace, horizon: int
     ) -> Fraction:
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
+        _nonnegative_int("horizon", horizon)
         v = self.version_space(w)
         return Fraction(self._value(v.tables["brl"], (v.state, horizon)), 1 << horizon)
 

@@ -9,6 +9,12 @@ least E_T/2 deterministically.  The proper-game adversary implements the
 harmonic-number lower bound against learners that commit a mixture of
 experts before seeing their advice.
 
+Each adversary is built by its class: ``random_branch_adversary``,
+``threshold_adversary`` and ``proper_adversary`` are other names for
+:class:`RandomBranchAdversary`, :class:`ThresholdAdversary` and
+:class:`ProperAdversary`.  ``online_optimal_adversary(w, slack,
+solver=None)`` extracts the optimal tree of ``w`` and thresholds on it.
+
 Every transcript records exact rational losses and a realizability
 certificate against the adversary's declared class.
 """
@@ -29,7 +35,7 @@ from .classes import (
     min_mistakes,
 )
 from .classes import restrict  # noqa: F401  # bench/tracing.py wraps games.restrict
-from .dimension import ComputeBudgetError, Solver, VersionSpace
+from .dimension import ComputeBudgetError, Solver, VersionSpace, _nonnegative_int
 from .learners import Learner
 from .trees import MistakeTree, WeightFunction, shatter_check
 
@@ -128,8 +134,7 @@ class RandomBranchAdversary(Adversary):
             _require_shattered(tree, declared_class)
         self.tree = tree
         self.declared_class = declared_class
-        self._node = tree
-        self._rng = random.Random(0)
+        self.reset(random.Random(0))
 
     def reset(self, rng: random.Random) -> None:
         self._node = self.tree
@@ -192,40 +197,23 @@ class ThresholdAdversary(Adversary):
         return y
 
 
-def random_branch_adversary(
-    tree: MistakeTree,
-    declared_class: WeightedClass | ExpertClass | None = None,
-    check: bool = True,
-) -> RandomBranchAdversary:
-    return RandomBranchAdversary(tree, declared_class, check)
-
-
-def threshold_adversary(
-    tree: MistakeTree,
-    weights: WeightFunction,
-    declared_class: WeightedClass | ExpertClass | None = None,
-    check: bool = True,
-) -> ThresholdAdversary:
-    return ThresholdAdversary(tree, weights, declared_class, check)
-
-
 def online_optimal_adversary(
     w: WeightedClass | ExpertClass,
     slack,
     solver: Solver | None = None,
-    check: bool = False,
 ) -> ThresholdAdversary:
     """Threshold adversary on the optimal bounded tree for the class.
 
     Guarantees total loss >= RL(W) - slack against every learner: the tree
     is extracted at the smallest horizon whose bounded dimension is within
-    slack of RL(W), and its quasi-balanced weights steer the walk.
+    slack of RL(W), and its quasi-balanced weights steer the walk.  The tree
+    is extracted from ``w``, so it is shattered by construction and not checked.
     """
     solver = solver or Solver()
     slack = Fraction(slack)
     horizon = solver.horizon_for_slack(w, slack)
     tree, weights = solver.extract_optimal_tree(w, horizon)
-    return ThresholdAdversary(tree, weights, declared_class=w, check=check)
+    return ThresholdAdversary(tree, weights, declared_class=w, check=False)
 
 
 class ProperAdversary(Adversary):
@@ -239,18 +227,14 @@ class ProperAdversary(Adversary):
     requires_expert_weights = True
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one expert")
+        self.declared_class = expert_class(n, 0)  # raises for an n that is not an int >= 1
         self.n = n
-        self.declared_class = expert_class(n, 0)
+        self.reset(random.Random(0))
+
+    def reset(self, rng: random.Random) -> None:
         self._bad: set[int] = set()
         self._rounds = 0
         self._advice: str | None = None
-
-    def reset(self, rng: random.Random) -> None:
-        self._bad = set()
-        self._rounds = 0
-        self._advice = None
 
     def next_instance(self, learner: Learner) -> str | None:
         if self._rounds >= self.n - 1:
@@ -275,8 +259,10 @@ class ProperAdversary(Adversary):
         return 0
 
 
-def proper_adversary(n: int) -> ProperAdversary:
-    return ProperAdversary(n)
+# The factory names, kept as aliases of the classes they build.
+random_branch_adversary = RandomBranchAdversary
+threshold_adversary = ThresholdAdversary
+proper_adversary = ProperAdversary
 
 
 def play(
@@ -379,6 +365,7 @@ def worst_case_loss(
     key, version space, rounds left) when the learner exposes a state key;
     the optional budget caps the number of explored game states.
     """
+    _nonnegative_int("horizon", horizon)  # a count down that never reaches 0 would not end
     w = w.explicit()  # the audit enumerates domain points
     if w.is_empty:
         raise ValueError("the empty class admits no realizable play")

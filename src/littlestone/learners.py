@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Hashable
 
 from .classes import ExpertClass, WeightedClass, _check_advice
 from .classes import restrict  # noqa: F401  # bench/tracing.py wraps learners.restrict
-from .dimension import Solver, VersionSpace
+from .dimension import Solver, VersionSpace, _nonnegative_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -177,9 +177,7 @@ class BoundedRandSOALearner(Learner):
         horizon: int,
         solver: Solver | None = None,
     ):
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
-        self.remaining = horizon
+        self.remaining = _nonnegative_int("horizon", horizon)
         self.solver = solver or Solver()
         self.version_space = self.solver.version_space(version_space)
 

@@ -120,8 +120,7 @@ class MistakeTree:
 LEAF = MistakeTree()
 
 
-def node(instance: str, zero: MistakeTree, one: MistakeTree) -> MistakeTree:
-    return MistakeTree(instance=instance, zero=zero, one=one)
+node = MistakeTree  # node(instance, zero, one)
 
 
 def complete_tree(depth: int, instance: str = "x") -> MistakeTree:

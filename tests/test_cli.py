@@ -87,6 +87,16 @@ class TestDim:
         path = write_class_file(tmp_path, universal_class(3, 2))
         assert main(["--budget-states", "2", "dim", path]) == 3
 
+    def test_duplicate_members_are_collapsed_with_a_note(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text('{"domain": ["a", "b"], "hypotheses": '
+                        '[{"name": "h", "labels": [0, 1], "budget": 0}, '
+                        '{"name": "g", "labels": [0, 1], "budget": 0}, '
+                        '{"name": "f", "labels": [1, 1], "budget": 0}]}')
+        assert main(["dim", str(path), "--mode", "det"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["L = 1 (1)", "note: collapsed 1 duplicate member(s) on load"]
+
 
 class TestExperts:
     def test_dim_closed_form(self, capsys):
@@ -503,6 +513,23 @@ class TestFailuresExitTwo:
                 "--adversary", "threshold"]
         assert main(argv) == 2
         assert f"length-{n} bit string" in one_error_line(capsys)
+
+    def test_play_needs_a_class_file_or_n(self, capsys):
+        assert main(["play", "--learner", "ftl", "--adversary", "threshold"]) == 2
+        assert one_error_line(capsys) == "error: need either a class file or --n/--k\n"
+
+    def test_proper_game_on_a_class_file_needs_n(self, u2k2_file, capsys):
+        argv = ["play", "--class-file", u2k2_file, "--learner", "ftl", "--adversary", "proper"]
+        assert main(argv) == 2
+        assert "--n" in one_error_line(capsys)
+
+    def test_extract_at_slack_zero(self, u2k2_file, capsys):
+        assert main(["tree", "extract", u2k2_file, "--slack", "0"]) == 2
+        assert one_error_line(capsys) == "error: slack must be positive\n"
+
+    def test_negative_horizon(self, u2k2_file, capsys):
+        assert main(["dim", u2k2_file, "--mode", "det", "--horizon", "-1"]) == 2
+        assert one_error_line(capsys) == "error: horizon must be a non-negative integer, got -1\n"
 
     def test_unknown_instance_is_printed_without_quotes(self, tmp_path, capsys):
         # UnknownInstanceError is a KeyError, whose str() would quote the message.

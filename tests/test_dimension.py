@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -47,6 +48,8 @@ from littlestone.dimension import (
     _volume,
 )
 from littlestone.experts import mstar2_closed_form
+from littlestone.games import worst_case_loss
+from littlestone.learners import BoundedRandSOALearner, ConstantLearner
 from littlestone.trees import (
     expected_branch_length,
     is_monotone,
@@ -468,6 +471,45 @@ def test_states_visited_reported():
     s = Solver()
     s.randomized_littlestone(universal_class(2, 1))
     assert s.states_visited > 0
+
+
+# -- argument checks ------------------------------------------------------
+
+HORIZON_QUERIES = {
+    "bounded_littlestone": lambda w, t: Solver().bounded_littlestone(w, t),
+    "bounded_randomized_littlestone": lambda w, t: Solver().bounded_randomized_littlestone(w, t),
+    "extract_optimal_tree": lambda w, t: Solver().extract_optimal_tree(w, t),
+    "branch_length_law": lambda w, t: Solver().branch_length_law(w, t),
+    "BoundedRandSOALearner": lambda w, t: BoundedRandSOALearner(w, t),
+    "worst_case_loss": lambda w, t: worst_case_loss(ConstantLearner(0), w, t),
+}
+
+
+@pytest.mark.parametrize("query", HORIZON_QUERIES.values(), ids=HORIZON_QUERIES.keys())
+@pytest.mark.parametrize("horizon", [-1, 2.5, 2.0, True, False, "2", None, F(2)])
+def test_a_horizon_must_be_a_non_negative_int(query, horizon):
+    message = f"horizon must be a non-negative integer, got {horizon!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        query(expert_class(2, 1), horizon)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, 2.0, True, False, "5"])
+def test_a_state_budget_must_be_none_or_a_non_negative_int(budget):
+    message = f"state_budget must be a non-negative integer, got {budget!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Solver(state_budget=budget)
+
+
+@pytest.mark.parametrize("budget", [None, 0, 5])
+def test_state_budgets_none_and_ints_are_accepted(budget):
+    assert Solver(state_budget=budget).state_budget == budget
+
+
+def test_budget_space_without_a_budget_is_the_version_space():
+    s, w = Solver(), universal_class(2, 1)
+    assert s.budget_space(w) is s.budget_space(w, None) is s.version_space(w)
+    assert s.budget_space(w, 0) is not s.version_space(w)
+    assert not hasattr(s, "_space")
 
 
 # -- dyadic integer engine ------------------------------------------------

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from fractions import Fraction as F
@@ -23,6 +24,7 @@ from littlestone.classes import (
     min_mistakes,
     universal_class,
 )
+from littlestone import games
 from littlestone.dimension import ComputeBudgetError, Solver
 from littlestone.games import (
     AdversaryPreconditionError,
@@ -110,6 +112,51 @@ class TestPlay:
         assert first["round"] == 1 and first["p"] == "1/3"
         assert json.loads(lines[-1])["summary"]["realizable"] is True
         assert F(first["loss"]) == transcript.rounds[0].loss
+
+    def test_a_float_prediction_is_recorded_as_its_exact_fraction(self):
+        class Tenth(Learner):
+            def predict(self, x):
+                return 0.1
+
+            def update(self, x, y):
+                pass
+
+            def clone(self):
+                return self
+
+        transcript = play(Tenth(), random_branch_adversary(complete_tree(3)), seed=1)
+        assert F(0.1) != F(1, 10)
+        assert all(type(r.p) is F and r.p == F(0.1) for r in transcript.rounds)
+        assert transcript.total == sum(abs(r.y - F(0.1)) for r in transcript.rounds)
+
+
+class TestAdversaryConstructors:
+    CLASSES = (games.RandomBranchAdversary, games.ThresholdAdversary, games.ProperAdversary)
+
+    def test_the_factory_names_are_the_classes(self):
+        assert games.random_branch_adversary is games.RandomBranchAdversary
+        assert games.threshold_adversary is games.ThresholdAdversary
+        assert games.proper_adversary is games.ProperAdversary
+
+    @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_class_defines_its_own_game_methods(self, cls):
+        # bench/tracing.py wraps these from each class's own __dict__.
+        assert {"reset", "next_instance", "answer"} <= cls.__dict__.keys()
+
+    def test_online_optimal_adversary_has_no_check_option(self):
+        assert list(inspect.signature(online_optimal_adversary).parameters) == ["w", "slack", "solver"]
+
+    @pytest.mark.parametrize("n, message", [(0, "need at least one expert"),
+                                            (2.0, "n must be an integer, got 2.0")])
+    def test_proper_adversary_takes_expert_class_checks_of_n(self, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            proper_adversary(n)
+
+    def test_a_new_proper_adversary_is_in_its_reset_state(self):
+        played = proper_adversary(3)
+        play(FollowTheLeader(3), played)
+        played.reset(random.Random(5))
+        assert vars(played) == vars(proper_adversary(3))
 
 
 class TestRandomBranchAdversary:

@@ -317,6 +317,19 @@ class TestSerialization:
             tree_from_json('{"instance": "x", "zero": {"leaf": true}}')
 
 
+def test_node_is_the_tree_class():
+    assert node is MistakeTree
+    assert node("x", LEAF, LEAF) == MistakeTree(instance="x", zero=LEAF, one=LEAF)
+
+
+def test_branch_weight_past_the_weighted_paths_names_the_prefix():
+    weights = quasi_balance_weights(node("a", node("b", LEAF, LEAF), LEAF))
+    assert weights.branch_weight([0, 1]) == weights.branch_weight([1]) == F(3, 4)
+    with pytest.raises(KeyError) as err:
+        weights.branch_weight([0, 1, 0])
+    assert err.value.args == ("01",)
+
+
 def test_internal_node_needs_both_children():
     with pytest.raises(ValueError):
         MistakeTree(instance="x", zero=LEAF, one=None)
