@@ -276,31 +276,20 @@ class RealizabilityResult:
 
 def min_mistakes(s: ExampleSequence, w: WeightedClass | ExpertClass) -> RealizabilityResult:
     """Fewest disagreements any member has with s, and whether some member
-    stays within its budget ("realizable by the class")."""
+    stays within its budget ("realizable by the class").  The first member
+    with the fewest is named."""
     if isinstance(w, ExpertClass):
-        best: tuple[int, str] | None = None
-        ok = False
-        advice = None
-        for i, b in enumerate(w.budgets):
-            if b is None:
-                continue
-            if advice is None:  # parsed once, and only if some expert is alive
-                advice = [(_parse_advice(x, w.n), y) for x, y in s]
-            errs = sum(1 for a, y in advice if a[i] != y)
-            if best is None or errs < best[0]:
-                best = (errs, f"e{i + 1}")
-            ok = ok or errs <= b
-        if best is None:
-            return RealizabilityResult(None, False)
-        return RealizabilityResult(best[0], ok, best[1])
-    indices = [(w.domain.index(x), y) for x, y in s]
-    best = None
-    ok = False
-    for m in w.members:
-        errs = sum(1 for i, y in indices if m.labels[i] != y)
+        alive = [(i, b) for i, b in enumerate(w.budgets) if b is not None]
+        advice = [(_parse_advice(x, w.n), y) for x, y in s] if alive else []  # parsed only for a live expert
+        members = ((f"e{i + 1}", sum(1 for a, y in advice if a[i] != y), b) for i, b in alive)
+    else:
+        indices = [(w.domain.index(x), y) for x, y in s]
+        members = ((m.name, sum(1 for i, y in indices if m.labels[i] != y), m.budget) for m in w.members)
+    best, ok = None, False
+    for name, errs, budget in members:  # (name, disagreements with s, budget)
         if best is None or errs < best[0]:
-            best = (errs, m.name)
-        ok = ok or errs <= m.budget
+            best = (errs, name)
+        ok = ok or errs <= budget
     if best is None:
         return RealizabilityResult(None, False)
     return RealizabilityResult(best[0], ok, best[1])

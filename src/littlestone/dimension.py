@@ -74,15 +74,15 @@ class's memo, and opens a new frame otherwise.
 Both kinds of state space, a :class:`_Counts` per field width and a
 :class:`_Frame` per root class, offer one interface: ``rows`` (the level
 sweep's input from a root), ``moves`` (a state's moves up to label swap, in
-the order the tree walk tries them), ``power`` (a state's P), ``split``,
-``step`` and ``key`` of a :class:`VersionSpace` in the space, and
-``solves``, its L and RL computations; a frame's run the DP over its
-``expand`` and ``room``.  A :class:`Solver` keeps one set of tables per
-space, in one registry keyed by space.  A VersionSpace is a
-class held as a state of its space, with the space's tables and a label
-(the frame's domain, or the expert class itself); an example steps it by
-the space's charge, with no explicit class built, and every query accepts
-it in place of a class.  Only ``VersionSpace.__init__`` asks which space a
+the order the tree walk tries them), ``power`` (a state's P), ``step``
+and ``key`` of a :class:`VersionSpace` in the space, and ``solves``, its
+L and RL computations; a frame's run the DP over its ``expand`` and
+``room``.  A :class:`Solver` keeps one set of tables per space, in one
+registry keyed by space.  A VersionSpace is a class held as a state of its
+space, with the space's tables and a label (the frame's domain, or the
+expert class itself); an example steps it by the space's charge, with no
+explicit class built, a split is its two steps, and every query accepts it
+in place of a class.  Only ``VersionSpace.__init__`` asks which space a
 class lives in.  Tree extraction reads domain points off ``explicit()``,
 which materializes an expert class and returns a weighted class itself.
 
@@ -110,10 +110,11 @@ T - t rounds, a prefix of the states by distance; so it writes every such
 state, where a DP would write those it reaches in exactly T - t moves.
 The horizon search, which needs RL(W, t) for t = 1, 2, ... in turn,
 expands every reachable state once and sweeps every row until its target
-is met.  Its target needs RL(W), which it reads off the same rows unless
-the RL memo holds it: the rows, in ascending P, feed the RL pass that a
-count query feeds its lattice's pairs, which writes every state into the RL
-memo at its own scale, the entries the DP or a count query would write.
+is met.  Its target needs RL(W), which it always reads off the same rows:
+the rows, in ascending P, feed the RL pass that a count query feeds its
+lattice's pairs, which writes every state into the RL memo at its own
+scale, the entries the DP or a count query would write.  Every rows
+builder charges through the Solver's one hook, :meth:`Solver._charge`.
 
 One walk over the RL_T memo, :meth:`Solver._walk`, reads the optimal tree
 off it through the same loop: each (state, t) key takes the first move
@@ -280,7 +281,7 @@ class _Frame:
             state >>= self.width
         return _volume(above, m) >= 1 << m
 
-    def rows(self, root: int, charge=None, horizon: int | None = None):
+    def rows(self, root: int, charge: Callable[[int], None], horizon: int | None = None):
         """The level sweep's input over the states ``root`` reaches, found
         breadth first: the states, index 0 the empty class and index 1
         ``root``; their distances, which do not fall from index 1 on; and per
@@ -290,8 +291,8 @@ class _Frame:
         lists it.  The self-loop goes to the front once the splits' children
         are indexed, so the states keep their breadth-first order.  The
         expansion stops at the first state past that, so the states are those
-        within ``horizon`` rounds.  Each expansion is charged to ``charge``,
-        if given, with the rows held."""
+        within ``horizon`` rounds.  Each expansion is charged to ``charge``
+        with the rows held."""
         states = [0, root]
         dists = [0, 0]
         index = {0: 0, root: 1}
@@ -311,8 +312,7 @@ class _Frame:
             dist = dists[j] + 1
             if horizon is not None and dist > horizon:
                 break
-            if charge is not None:
-                charge(len(rows) + 1)
+            charge(len(rows) + 1)
             _, _, dec, splits = self.expand(state)
             i0 = indices((child0 for _, child0, _ in splits), dist)
             i1 = indices((child1 for _, _, child1 in splits), dist)
@@ -326,16 +326,10 @@ class _Frame:
     def key(self, v: "VersionSpace"):
         return self, v.state
 
-    # In ``split`` and ``step``, ``charged`` masks the members labeling x
-    # with 1 at each of their layers, those charged under label 0, so the
-    # children are ``state ^ charged`` and ``low ^ charged`` as in
-    # :meth:`moves`.  The empty class may sit in a frame opened without columns.
-
-    def split(self, v: "VersionSpace", x: str) -> tuple["VersionSpace", "VersionSpace"]:
-        i, state = v.label.index(x), v.state
-        low = state >> self.width
-        charged = (state ^ low) & self.columns[i] * self.repeat if state else 0
-        return v._child(state ^ charged, v.label), v._child(low ^ charged, v.label)
+    # In ``step``, ``charged`` masks the members labeling x with 1 at each
+    # of their layers, those charged under label 0, so the children are
+    # ``state ^ charged`` and ``low ^ charged`` as in :meth:`moves`.  The
+    # empty class may sit in a frame opened without columns.
 
     def step(self, v: "VersionSpace", x: str, y: int) -> "VersionSpace":
         if y not in (0, 1):
@@ -496,22 +490,21 @@ class _Counts:
                 n = ((d0 + 1) * len(aa) + 1) // 2
                 yield p, map(d0.__add__, islice(p0, n)), islice(p1, n), down
 
-    def rows(self, root: int, charge=None, horizon: int | None = None):
+    def rows(self, root: int, charge: Callable[[int], None], horizon: int | None = None):
         """The level sweep's input over the count states ``root`` reaches: the
         states by distance, the empty class first and the root second, up to
         ``horizon`` rounds if given; their distances; and per state within
         ``horizon - 1`` rounds (every one if None), in that order, the position
         lists (i0, i1) of its pairs of children from :meth:`pairs`, the
         self-loop's pair of the state and its decremented state first.
-        The rows are charged to ``charge``, if given, before they are built."""
+        The rows are charged to ``charge`` before they are built."""
         states, _, dists = self.lattice(root, horizon)
         order = sorted(range(1, len(states)), key=dists.__getitem__)
         ranked = list(map(dists.__getitem__, order))
         if horizon is not None:
             order = order[: bisect_right(ranked, horizon)]
         rows: list = [None] * (len(order) if horizon is None else bisect_right(ranked, horizon - 1))
-        if charge is not None:
-            charge(len(rows))
+        charge(len(rows))
         where = [0] * len(states)  # 0, the empty class's, past ``order``: never read
         for i, p in enumerate(order, 1):
             where[p] = i
@@ -541,9 +534,6 @@ class _Counts:
 
     def key(self, v: "VersionSpace"):
         return v.label
-
-    def split(self, v: "VersionSpace", x: str) -> tuple["VersionSpace", "VersionSpace"]:
-        return self.step(v, x, 0), self.step(v, x, 1)
 
     def step(self, v: "VersionSpace", x: str, y: int) -> "VersionSpace":
         experts = restrict(v.label, x, y)
@@ -590,19 +580,17 @@ def _rl_level(rows, values: list[int], t: int) -> list[int]:
     ]
 
 
-def _level_sweep(states: list[int], dists: list[int], rows, memo: dict, horizon: int | None = None, charge=None):
+def _level_sweep(states: list[int], dists: list[int], rows, memo: dict, horizon: int | None = None):
     """RL_t * 2^t of the root ``states[1]`` for t = 1, 2, ..., one level at a
     time over a space's ``rows``, each level written into the RL_T ``memo``.
     With ``horizon``, level t computes the states within ``horizon - t``
     rounds, a prefix of the states by distance, and the sweep ends at
-    ``horizon``; without one, every row, until its caller stops.  Each level
-    is first charged to ``charge``, if given, with the rows held."""
+    ``horizon``; without one, every row, until its caller stops, which
+    charges each level before it asks for it."""
     _readers(rows)
     live = states[1:]
     values = [-1] + [0] * len(live)  # RL_0 * 2^0
     for t in count(1) if horizon is None else range(1, horizon + 1):
-        if charge is not None:
-            charge(2 * len(rows))
         level = rows if horizon is None else islice(rows, bisect_right(dists, horizon - t, 1) - 1)
         values = _rl_level(level, values, t)
         memo.update(zip(zip(live, repeat(t)), islice(values, 1, None)))
@@ -616,9 +604,9 @@ class VersionSpace:
     :data:`_COUNT_SPACES` whose field holds its n experts; ``state`` is the
     class's packed state in it, and ``label`` what an example's instance is
     read against: the frame's domain (a column mask stands in for the
-    point), or the expert class itself.  Steps, splits, keys and powers are
-    the space's.  Values come from the Solver's tables of the space, so
-    every step of a class reads the class's memo.  Immutable.
+    point), or the expert class itself.  Steps, keys and powers are the
+    space's, and a split is two steps.  Values come from the Solver's tables
+    of the space, so every step of a class reads the class's memo.  Immutable.
     """
 
     __slots__ = ("space", "tables", "state", "label")
@@ -639,7 +627,7 @@ class VersionSpace:
 
     def split(self, x: str) -> tuple["VersionSpace", "VersionSpace"]:
         """The version spaces after (x, 0) and after (x, 1)."""
-        return self.space.split(self, x)
+        return self.step(x, 0), self.step(x, 1)
 
     def step(self, x: str, y: int) -> "VersionSpace":
         """The version space after the example (x, y), as :func:`restrict`."""
@@ -879,16 +867,16 @@ class Solver:
 
     def _sweep_levels(self, key: tuple[int, int], memo: dict, build_rows) -> int:
         """RL_T * 2^T of a (state, T) key by :func:`_level_sweep` to T over
-        ``build_rows(root, charge, T)``, a space's ``rows``: level t computes
-        the states within T - t rounds of the root, a prefix of the states by
-        distance, and writes them into ``memo``.  The rows are charged as
+        ``build_rows(root, self._charge, T)``, a space's ``rows``: level t
+        computes the states within T - t rounds of the root, a prefix of the
+        states by distance, and writes them into ``memo``.  The rows are charged as
         they are built, then every key the sweep writes, before any is
         computed."""
         value = _empty_or_horizon(key)
         if value is not None:
             return value
         root, horizon = key
-        states, dists, rows = build_rows(root, self._charge if self.state_budget is not None else None, horizon)
+        states, dists, rows = build_rows(root, self._charge, horizon)
         keys = (
             (state, t)
             for state, dist in zip(islice(states, 1, None), islice(dists, 1, None))
@@ -1033,10 +1021,11 @@ class Solver:
         first t at which W's value reaches the target is returned, so no
         monotonicity in t is assumed.  Each level is written into the RL_T
         memo, where an extraction at T finds every value it reads.  RL(W),
-        for the target, is the RL memo's entry if it has one; else
-        :meth:`_rl_pass` reads it off the same rows and writes every state's
-        RL into that memo.  The state budget is charged for the rows held,
-        the RL entries written and each level as it is computed.
+        for the target, always comes off the same rows: :meth:`_rl_pass`
+        reads it and writes every state's RL into the RL memo, whether or
+        not that memo held it.  The rows charge through :meth:`_charge` as
+        they are built; the search then charges the RL entries new to the
+        memo with the rows held, and each level before the sweep computes it.
         """
         slack = Fraction(slack)
         if slack <= 0:
@@ -1044,24 +1033,19 @@ class Solver:
         v = self.version_space(w)
         if v.is_empty:  # RL(W, 0) = -1 = RL(W)
             return 0
-        charge = self._charge if self.state_budget is not None else None
+        states, dists, rows = v.space.rows(v.state, self._charge)
         rl_memo = v.tables["rl"][0]
-        rl = rl_memo.get(v.state)
-        rows = None
-        if rl is None:
-            states, dists, rows = v.space.rows(v.state, charge)
-            self._charge_new(rl_memo, islice(states, 1, None), held=len(rows))
-            powers = list(map(v.space.power, states))
-            rl = self._rl_pass(states, powers, _ascending(rows, powers), rl_memo, 1)
+        self._charge_new(rl_memo, islice(states, 1, None), held=len(rows))
+        powers = list(map(v.space.power, states))
+        rl = self._rl_pass(states, powers, _ascending(rows, powers), rl_memo, 1)
         target = Fraction(rl, 1 << v.power) - slack
         if target <= 0:  # RL(W, 0) = 0 meets it
             return 0
-        if rows is None:
-            states, dists, rows = v.space.rows(v.state, charge)
         num, den = target.numerator, target.denominator
-        sweep = _level_sweep(states, dists, rows, v.tables["brl"][0], charge=charge)
-        for t, value in enumerate(sweep, 1):
-            if value * den >= num << t:  # RL_t(W) meets the target
+        sweep = _level_sweep(states, dists, rows, v.tables["brl"][0])
+        for t in count(1):
+            self._charge(2 * len(rows))
+            if next(sweep) * den >= num << t:  # RL_t(W) meets the target
                 return t
 
     @staticmethod

@@ -272,6 +272,8 @@ def play(
     seed: int = 0,
 ) -> Transcript:
     """Run the game to completion (or the round cap) and certify the result."""
+    if max_rounds is not None:
+        _nonnegative_int("max_rounds", max_rounds)
     if adversary.requires_expert_weights and not hasattr(learner, "expert_weights"):
         raise AdversaryPreconditionError(
             "this adversary plays the proper game; the learner must expose "
@@ -366,6 +368,8 @@ def worst_case_loss(
     the optional budget caps the number of explored game states.
     """
     _nonnegative_int("horizon", horizon)  # a count down that never reaches 0 would not end
+    if state_budget is not None:
+        _nonnegative_int("state_budget", state_budget)
     w = w.explicit()  # the audit enumerates domain points
     if w.is_empty:
         raise ValueError("the empty class admits no realizable play")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Hashable
 
-from .classes import ExpertClass, WeightedClass, _check_advice
+from .classes import ExpertClass, WeightedClass, _check_advice, expert_class
 from .classes import restrict  # noqa: F401  # bench/tracing.py wraps learners.restrict
 from .dimension import Solver, VersionSpace, _nonnegative_int
 
@@ -211,11 +211,9 @@ class FollowTheLeader(Learner):
     first time its advice disagrees with the revealed label.
     """
 
-    def __init__(self, n: int, survivors: frozenset[int] | None = None):
-        if n < 1:
-            raise ValueError("need at least one expert")
-        self.n = n
-        self.survivors = frozenset(range(n)) if survivors is None else survivors
+    def __init__(self, n: int):
+        self.n = expert_class(n, 0).n  # n checked as expert_class checks it
+        self.survivors = frozenset(range(n))
 
     def predict(self, x: str) -> Fraction:
         if not self.survivors:

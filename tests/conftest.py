@@ -25,7 +25,9 @@ from littlestone.classes import (
     Example,
     ExpertClass,
     Member,
+    RealizabilityResult,
     WeightedClass,
+    _check_advice,
     min_mistakes,
     restrict,
 )
@@ -245,6 +247,29 @@ def reference_worst_case_loss(
         return best
 
     return _run(rec(learner.clone(), w, horizon))
+
+
+def reference_min_mistakes(s, w: WeightedClass | ExpertClass) -> RealizabilityResult:
+    """:func:`min_mistakes` member by member: each live member's label at
+    each example read apart, the first member with the fewest disagreements
+    named.  An expert class checks advice only against a live expert; an
+    explicit class looks every instance up, members or none."""
+    if isinstance(w, ExpertClass):
+        members = [
+            (f"e{i + 1}", lambda x, i=i: int(_check_advice(x, w.n)[i]), b)
+            for i, b in enumerate(w.budgets)
+            if b is not None
+        ]
+    else:
+        for x, _ in s:
+            w.domain.index(x)
+        members = [(m.name, lambda x, m=m: m.labels[w.domain.index(x)], m.budget) for m in w.members]
+    errors = [(sum(label(x) != y for x, y in s), name, budget) for name, label, budget in members]
+    if not errors:
+        return RealizabilityResult(None, False)
+    fewest = min(errs for errs, _, _ in errors)
+    first = next(name for errs, name, _ in errors if errs == fewest)
+    return RealizabilityResult(fewest, any(errs <= budget for errs, _, budget in errors), first)
 
 
 def trim_counts(counts: list[int]) -> tuple[int, ...]:

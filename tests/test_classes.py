@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from conftest import MALFORMED_CLASS_DOCUMENTS, random_weighted_class
+from conftest import MALFORMED_CLASS_DOCUMENTS, random_weighted_class, reference_min_mistakes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +10,7 @@ from littlestone.classes import (
     Domain,
     ExpertClass,
     Member,
+    RealizabilityResult,
     UnknownInstanceError,
     WeightedClass,
     expert_class,
@@ -214,6 +215,38 @@ class TestMinMistakes:
         assert res.mistakes == 0
         assert res.best_member == "e2"
 
+    def test_bad_advice_on_an_empty_expert_class_is_not_parsed(self):
+        assert min_mistakes([("not advice", 1)], ExpertClass((None, None))) == RealizabilityResult(None, False)
+
+    def test_an_empty_explicit_class_still_looks_its_instances_up(self):
+        with pytest.raises(UnknownInstanceError):
+            min_mistakes([("y", 0)], WeightedClass(Domain(("x",)), ()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_per_member_reference(self, data):
+        # Few points, budgets and labels, so members often tie: the first
+        # of the fewest is named.  Some instances are not points or advice.
+        if data.draw(st.booleans(), label="experts"):
+            budgets = data.draw(st.lists(st.none() | st.integers(0, 2), min_size=1, max_size=4))
+            w = ExpertClass(tuple(budgets))
+            instance = st.text("01", min_size=w.n, max_size=w.n)
+        else:
+            points = ("p0", "p1", "p2")
+            member = st.tuples(st.tuples(*[st.integers(0, 1)] * 3), st.integers(0, 2))
+            rows = data.draw(st.lists(member, max_size=5, unique=True))
+            w = make_class(points, [(f"h{i}", labels, b) for i, (labels, b) in enumerate(rows)])
+            instance = st.sampled_from(points)
+        s = data.draw(st.lists(st.tuples(instance | st.sampled_from(["", "zz", "012"]), st.integers(0, 1)), max_size=5))
+        try:
+            expected = reference_min_mistakes(s, w)
+        except UnknownInstanceError:
+            with pytest.raises(UnknownInstanceError):
+                min_mistakes(s, w)
+            return
+        assert min_mistakes(s, w) == expected
+        assert min_mistakes(iter(s), w) == expected  # one pass over the examples
+
     @given(st.lists(st.tuples(st.sampled_from(["p0", "p1"]), st.integers(0, 1)), max_size=8))
     @settings(max_examples=60)
     def test_monotone_under_append(self, seq):
@@ -331,8 +364,9 @@ def expert_classes_with_examples(draw):
 @settings(max_examples=80, deadline=None)
 @given(expert_classes_with_examples(), st.integers(0, 2))
 def test_expert_class_bodies_match_the_explicit_class(case, k):
-    # restrict, with_budget and min_mistakes keep one body per class kind;
-    # on an expert class each must agree with its materialized class.
+    # restrict and with_budget keep one body per class kind, and min_mistakes
+    # one reading of labels per kind; on an expert class each must agree
+    # with its materialized class.
     w, examples = case
     x = w.explicit()
     assert with_budget(w, k).explicit() == with_budget(x, k)

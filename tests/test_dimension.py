@@ -32,6 +32,7 @@ from littlestone.classes import (
     Domain,
     ExpertClass,
     Member,
+    UnknownInstanceError,
     WeightedClass,
     expert_class,
     restrict,
@@ -701,7 +702,50 @@ def assert_rl_memo_matches_a_fresh_query(w) -> None:
         assert memo == fresh.version_space(w).tables["rl"][0]
 
 
+def assert_a_search_after_rl_is_a_fresh_one(w) -> None:
+    """A horizon search on a Solver that has answered RL reads RL off its
+    rows all the same: the same horizon, RL and RL_T memos and states
+    visited as on a fresh Solver, and the same least passing budget."""
+    slack = F(1, 16)
+    fresh, warm = Solver(), Solver()
+    warm.randomized_littlestone(w)
+    horizon = fresh.horizon_for_slack(w, slack)
+    assert warm.horizon_for_slack(w, slack) == horizon
+    for value in ("rl", "brl"):
+        assert warm.version_space(w).tables[value][0] == fresh.version_space(w).tables[value][0]
+    assert warm.states_visited == fresh.states_visited
+
+    def passes(budget: int, rl_first: bool) -> bool:
+        s = Solver(state_budget=budget)
+        try:
+            if rl_first:
+                s.randomized_littlestone(w)
+            s.horizon_for_slack(w, slack)
+        except ComputeBudgetError:
+            return False
+        return True
+
+    low, high = -1, 3 * fresh.states_visited  # fails at low, passes at high
+    assert passes(high, False)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if passes(mid, False) else (mid, high)
+    assert passes(high, True)
+    assert high == 0 or not passes(high - 1, True)
+
+
 class TestHorizonSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(tricky_classes() | small_expert_classes())
+    def test_a_search_after_rl_is_a_fresh_one(self, w):
+        assert_a_search_after_rl_is_a_fresh_one(w)
+
+    @pytest.mark.parametrize(
+        "w", [universal_class(3, 1), expert_class(4, 2), single_hypothesis(2)], ids=["u31", "e42", "h2"]
+    )
+    def test_a_search_after_rl_is_a_fresh_one_on_cells(self, w):
+        assert_a_search_after_rl_is_a_fresh_one(w)
+
     @settings(max_examples=40, deadline=None)
     @given(tricky_classes())
     def test_explicit_classes_match_the_bisection(self, w):
@@ -1189,9 +1233,9 @@ class TestCountLattice:
         assert s._sweep_levels((root, horizon), whole, whole_rows) == value
         assert pruned == whole
         if root:
-            states, dists, rows = space.rows(root, None)  # the whole lattice, no horizon
+            states, dists, rows = space.rows(root, s._charge)  # the whole lattice, no horizon
             cut = bisect_right(dists, horizon)
-            assert space.rows(root, None, horizon) == (
+            assert space.rows(root, s._charge, horizon) == (
                 states[:cut], dists[:cut], rows[: bisect_right(dists, horizon - 1) - 1]
             )
             assert set(space.lattice(root, horizon)[0]) <= set(space.lattice(root)[0])
@@ -1470,16 +1514,40 @@ class TestStateSpaces:
         assert values(counts) == values(frame)
 
     @settings(max_examples=100, deadline=None)
+    @given(tricky_classes() | small_expert_classes() | st.sampled_from([EMPTY_CLASS, ExpertClass((None, None))]),
+           st.data())
+    def test_a_split_is_its_two_steps(self, w, data):
+        # A space offers only ``step``; a split takes it under 0 and 1, so its
+        # children and its errors are the steps', on the empty class too (the
+        # empty explicit class opens a frame without columns).
+        assert not hasattr(_Frame, "split") and not hasattr(dimension._Counts, "split")
+        v = Solver().version_space(w)
+        if isinstance(w, ExpertClass):
+            points = st.text("01", min_size=w.n, max_size=w.n)
+        else:
+            points = st.sampled_from(w.domain.points)
+        for x, y in data.draw(st.lists(st.tuples(points, st.integers(0, 1)), max_size=6)):
+            assert tuple(child.key for child in v.split(x)) == (v.step(x, 0).key, v.step(x, 1).key)
+            v = v.step(x, y)
+        for x in ("", "zz"):
+            with pytest.raises(UnknownInstanceError) as split:
+                v.split(x)
+            with pytest.raises(UnknownInstanceError) as step:
+                v.step(x, 0)
+            assert split.value.args == step.value.args
+
+    @settings(max_examples=100, deadline=None)
     @given(tricky_classes() | small_expert_classes())
     def test_rows_list_the_self_loop_first(self, w):
         # Both rows builders lead a row with (its own index, its decremented
         # state's index) when the state has a constant behavior, where the
         # horizon search's RL pass scores it apart; no other pair holds the
         # row's own index.  The walk's moves tell the constant behaviors.
-        v = Solver().version_space(w)
+        s = Solver()
+        v = s.version_space(w)
         if v.is_empty:
             return
-        states, _, rows = v.space.rows(v.state)
+        states, _, rows = v.space.rows(v.state, s._charge)
         index = {state: i for i, state in enumerate(states)}
         assert len(rows) == len(states) - 1
         for j, (i0, i1) in enumerate(rows, 1):

@@ -103,6 +103,15 @@ class TestPlay:
         )
         assert len(transcript.rounds) == 2
 
+    def test_zero_max_rounds_plays_no_round(self):
+        transcript = play(ConstantLearner(0), random_branch_adversary(complete_tree(5)), max_rounds=0)
+        assert transcript.rounds == () and transcript.total == 0
+
+    @pytest.mark.parametrize("max_rounds", [-1, 2.5, True, "2"])
+    def test_max_rounds_must_be_none_or_a_non_negative_int(self, max_rounds):
+        with pytest.raises(ValueError, match="^max_rounds must be a non-negative integer"):
+            play(ConstantLearner(0), random_branch_adversary(complete_tree(5)), max_rounds=max_rounds)
+
     def test_transcript_jsonl(self):
         w = universal_class(2, 0)
         tree, weights = solver.extract_optimal_tree(w, 1)
@@ -390,6 +399,13 @@ class TestWorstCaseLoss:
         learner = BoundedRandSOALearner(w, 6, solver)
         with pytest.raises(ComputeBudgetError):
             worst_case_loss(learner, w, 6, state_budget=3)
+
+    @pytest.mark.parametrize("state_budget", [-1, 2.5, True, "2"])
+    def test_state_budget_must_be_none_or_a_non_negative_int(self, state_budget):
+        w = universal_class(2, 0)
+        with pytest.raises(ValueError, match="^state_budget must be a non-negative integer"):
+            worst_case_loss(ConstantLearner(F(1, 2)), w, 1, state_budget=state_budget)
+        assert worst_case_loss(ConstantLearner(F(1, 2)), w, 1, state_budget=None) == F(1, 2)
 
     @given(st.integers(0, 2**32), st.booleans(), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)

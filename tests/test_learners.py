@@ -225,6 +225,17 @@ class TestFollowTheLeader:
             learner.update(x, 1)
         assert learner.survivors == frozenset(range(3))
 
+    @pytest.mark.parametrize("n", [2.0, True, "3"])
+    def test_n_must_be_an_int(self, n):
+        # As expert_class checks it: a bool is not a count of experts.
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            FollowTheLeader(n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_an_expert(self, n):
+        with pytest.raises(ValueError, match="^need at least one expert"):
+            FollowTheLeader(n)
+
     def test_all_eliminated(self):
         learner = FollowTheLeader(1)
         learner.update("0", 1)
